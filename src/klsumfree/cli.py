@@ -35,11 +35,19 @@ from .formulas import (
 )
 from .oracle import LimitExceededError, alpha_exact, count_sum_free, enumerate_maximum, lambda_exact
 from .sumset import Subset, find_violation, is_kl_sum_free
-from .witness import best_witness, witness_json
+from .witness import best_witness, members_json, witness_json
 
 SCHEMA = "klsumfree/1"
 
 SCAN_CHECKS = ("bounds", "formula-vs-exact", "green-ruzsa", "theorem16", "lift-identity")
+
+
+def _payload(command: str, kl: KLParams, g: Optional[GroupSpec] = None, **fields) -> dict:
+    """A --json document: the {schema, command, [group,] k, l} header plus fields."""
+    head = {"schema": SCHEMA, "command": command, "k": kl.k, "l": kl.l}
+    if g is not None:
+        head["group"] = str(g)
+    return {**head, **fields}
 
 
 def _emit_json(payload: dict) -> None:
@@ -74,18 +82,15 @@ def _parse_set(g: GroupSpec, text: str) -> Subset:
                 f"group {g} needs {len(g.factors)}"
             )
         coords = [int(p) for p in parts]
+        for c, d in zip(coords, g.factors):
+            if not 0 <= c < d:
+                raise ValueError(f"element {item!r}: coordinate {c} is outside [0, {d})")
         indices.append(g.index_of(coords))
     return Subset.from_indices(g, indices)
 
 
 def _group_name(g: GroupSpec) -> str:
     return "Z" + "xZ".join(str(f) for f in g.factors)
-
-
-def _members_payload(s: Subset):
-    if s.group.is_cyclic:
-        return s.indices()
-    return [list(e.coords) for e in s.elements()]
 
 
 def _format_element(s: Subset) -> str:
@@ -103,7 +108,7 @@ def cmd_lambda(args) -> int:
     g = parse_group_spec(args.group)
     kl = _kl(args)
     method = args.method
-    payload: dict = {"schema": SCHEMA, "command": "lambda", "group": str(g), "k": kl.k, "l": kl.l}
+    payload = _payload("lambda", kl, g)
     lines = [f"group {_group_name(g)}, (k,l)=({kl.k},{kl.l})"]
     if kl.diff % g.v == 0:
         payload["note"] = "the exponent divides k-l, so ka = la for every a and the maximum is 0"
@@ -154,7 +159,7 @@ def cmd_lambda(args) -> int:
             payload["exact"] = {
                 "value": res.max_size,
                 "nodes_explored": res.nodes_explored,
-                "witness": _members_payload(res.witness),
+                "witness": members_json(res.witness),
             }
             lines.append(
                 f"exact: {res.max_size}  (witness {_format_element(res.witness)}, "
@@ -182,8 +187,7 @@ def cmd_witness(args) -> int:
     kl = _kl(args)
     w = best_witness(g, kl)
     if args.json:
-        payload = {"schema": SCHEMA, "command": "witness", **witness_json(w)}
-        _emit_json(payload)
+        _emit_json(_payload("witness", kl, **witness_json(w)))
         return 0
     print(f"group {_group_name(g)}, (k,l)=({kl.k},{kl.l})")
     print(f"witness size {w.size}: {_format_element(w.members)}")
@@ -204,51 +208,27 @@ def cmd_verify(args) -> int:
     kl = _kl(args)
     subset = _parse_set(g, args.set)
     ok = is_kl_sum_free(subset, kl.k, kl.l)
-    if ok:
-        if args.json:
-            _emit_json(
-                {
-                    "schema": SCHEMA,
-                    "command": "verify",
-                    "group": str(g),
-                    "k": kl.k,
-                    "l": kl.l,
-                    "set": _members_payload(subset),
-                    "sum_free": True,
-                    "violation": None,
-                }
-            )
-        else:
-            print(f"{_format_element(subset)} is ({kl.k},{kl.l})-sum-free in {_group_name(g)}")
-        return 0
-    violation = find_violation(subset, kl.k, kl.l)
-    assert violation is not None
-    ktuple, ltuple = violation
-    identity = (
-        "+".join(str(e) for e in ktuple) + " = " + "+".join(str(e) for e in ltuple)
-    )
+    violation = None if ok else find_violation(subset, kl.k, kl.l)
+    assert ok or violation is not None
     if args.json:
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "command": "verify",
-                "group": str(g),
-                "k": kl.k,
-                "l": kl.l,
-                "set": _members_payload(subset),
-                "sum_free": False,
-                "violation": {
-                    "k_tuple": [list(e.coords) for e in ktuple],
-                    "l_tuple": [list(e.coords) for e in ltuple],
-                },
+        tuples = None
+        if violation is not None:
+            ktuple, ltuple = violation
+            tuples = {
+                "k_tuple": [list(e.coords) for e in ktuple],
+                "l_tuple": [list(e.coords) for e in ltuple],
             }
-        )
+        _emit_json(_payload("verify", kl, g, set=members_json(subset), sum_free=ok, violation=tuples))
+    elif ok:
+        print(f"{_format_element(subset)} is ({kl.k},{kl.l})-sum-free in {_group_name(g)}")
     else:
+        ktuple, ltuple = violation
+        identity = "+".join(str(e) for e in ktuple) + " = " + "+".join(str(e) for e in ltuple)
         print(
             f"{_format_element(subset)} is NOT ({kl.k},{kl.l})-sum-free in {_group_name(g)}: "
             f"{identity}"
         )
-    return 1
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -257,19 +237,17 @@ def cmd_verify(args) -> int:
 def cmd_alpha(args) -> int:
     kl = _kl(args)
     rep = alpha_report(args.n, kl)
-    payload: dict = {
-        "schema": SCHEMA,
-        "command": "alpha",
-        "n": args.n,
-        "k": kl.k,
-        "l": kl.l,
-        "case": rep.case_tag,
-        "exact_formula": rep.exact,
-        "lower": rep.lower,
-        "upper": rep.upper,
-        "beta_bounds": list(rep.beta_bounds),
-        "gamma_bounds": list(rep.gamma_bounds),
-    }
+    payload = _payload(
+        "alpha",
+        kl,
+        n=args.n,
+        case=rep.case_tag,
+        exact_formula=rep.exact,
+        lower=rep.lower,
+        upper=rep.upper,
+        beta_bounds=list(rep.beta_bounds),
+        gamma_bounds=list(rep.gamma_bounds),
+    )
     lines = [f"longest ({kl.k},{kl.l})-sum-free progression in Z_{args.n} [case: {rep.case_tag}]"]
     if rep.exact is not None:
         lines.append(f"value: {rep.exact}")
@@ -292,17 +270,8 @@ def cmd_count(args) -> int:
     kl = _kl(args)
     res = count_sum_free(g, kl, limit=_limit_for(args, "KLSF_LIMIT_COUNT"), force=args.force)
     if args.json:
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "command": "count",
-                "group": str(g),
-                "k": kl.k,
-                "l": kl.l,
-                "total": res.total,
-                "by_size": {str(s): c for s, c in res.by_size.items()},
-            }
-        )
+        by_size = {str(s): c for s, c in res.by_size.items()}
+        _emit_json(_payload("count", kl, g, total=res.total, by_size=by_size))
     else:
         print(f"{res.total} ({kl.k},{kl.l})-sum-free subsets in {_group_name(g)}")
         for s, c in res.by_size.items():
@@ -316,18 +285,8 @@ def cmd_enumerate(args) -> int:
     sets = enumerate_maximum(g, kl, limit=_limit_for(args, "KLSF_LIMIT_EXACT"), force=args.force)
     lam = sets[0].size if sets else 0
     if args.json:
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "command": "enumerate",
-                "group": str(g),
-                "k": kl.k,
-                "l": kl.l,
-                "max_size": lam,
-                "count": len(sets),
-                "sets": [_members_payload(s) for s in sets],
-            }
-        )
+        members = [members_json(s) for s in sets]
+        _emit_json(_payload("enumerate", kl, g, max_size=lam, count=len(sets), sets=members))
     else:
         print(f"{len(sets)} maximum ({kl.k},{kl.l})-sum-free sets of size {lam} in {_group_name(g)}:")
         for s in sets:
@@ -413,17 +372,15 @@ def cmd_scan(args) -> int:
     skipped = sum(1 for r in rows if r["agree"] is None)
     if args.json:
         _emit_json(
-            {
-                "schema": SCHEMA,
-                "command": "scan",
-                "k": kl.k,
-                "l": kl.l,
-                "checks": checks,
-                "rows": rows,
-                "instances": len(rows),
-                "disagreements": disagreements,
-                "skipped": skipped,
-            }
+            _payload(
+                "scan",
+                kl,
+                checks=checks,
+                rows=rows,
+                instances=len(rows),
+                disagreements=disagreements,
+                skipped=skipped,
+            )
         )
     else:
         writer = csv.writer(sys.stdout)
@@ -490,12 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alpha", help="longest sum-free arithmetic progression in Z_n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--json", action="store_true")
+    _add_common(p, group=False)
     p.add_argument("--exact", action="store_true", help="also run the progression search")
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("count", help="count all (k,l)-sum-free subsets")
@@ -511,12 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--n", default=None, help="cyclic order range, e.g. 2..36")
     src.add_argument("--order", default=None, help="with --family: order range, e.g. 2..16")
     p.add_argument("--family", choices=["all-abelian"], default=None)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    _add_common(p, group=False)
     p.add_argument("--check", default="bounds", help=f"comma list of: {', '.join(SCAN_CHECKS)}")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_scan)
 
     return parser

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .abelian import Element, GroupSpec, apply_ops, negation_table, translation_ops
+from .formulas import KLParams
 
 __all__ = [
     "Subset",
@@ -149,14 +150,9 @@ def negate(a: Subset) -> Subset:
     return Subset(a.group, bits)
 
 
-def _validate_kl(k: int, l: int) -> None:
-    if not (isinstance(k, int) and isinstance(l, int) and k > l >= 1):
-        raise ValueError(f"need integers k > l >= 1, got k={k}, l={l}")
-
-
 def is_kl_sum_free(a: Subset, k: int, l: int) -> bool:
     """True iff kA and lA are disjoint."""
-    _validate_kl(k, l)
+    KLParams(k, l)  # raises ValueError unless k > l >= 1
     if a.bits == 0:
         return True
     return h_fold(a, k).bits & h_fold(a, l).bits == 0
@@ -164,7 +160,7 @@ def is_kl_sum_free(a: Subset, k: int, l: int) -> bool:
 
 def is_kl_sum_free_via_difference(a: Subset, k: int, l: int) -> bool:
     """True iff 0 is not in kA - lA (kA plus the pointwise negation of lA)."""
-    _validate_kl(k, l)
+    KLParams(k, l)  # raises ValueError unless k > l >= 1
     if a.bits == 0:
         return True
     diff = pair_sumset(h_fold(a, k), negate(h_fold(a, l)))
@@ -229,7 +225,7 @@ def find_violation(
 
     Used to print a concrete witnessing identity when verification fails.
     """
-    _validate_kl(k, l)
+    KLParams(k, l)  # raises ValueError unless k > l >= 1
     g = a.group
     idxs = a.indices()
     l_sums: dict[int, tuple[int, ...]] = {}

@@ -34,6 +34,7 @@ __all__ = [
     "case51_witness",
     "lift_witness",
     "best_witness",
+    "members_json",
     "witness_json",
 ]
 
@@ -275,7 +276,8 @@ def best_witness(g: GroupSpec, kl: KLParams) -> LiftedWitness:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _members_json(members: Subset):
+def members_json(members: Subset):
+    """Element indices for a cyclic group, coordinate lists otherwise."""
     if members.group.is_cyclic:
         return members.indices()
     return [list(e.coords) for e in members.elements()]
@@ -295,7 +297,7 @@ def witness_json(w: Union[APWitness, LiftedWitness]) -> dict:
             "k": w.kl.k,
             "l": w.kl.l,
             "size": w.size,
-            "members": _members_json(w.members),
+            "members": members_json(w.members),
             "construction": {
                 "kind": w.kind,
                 "params": {
@@ -330,6 +332,6 @@ def witness_json(w: Union[APWitness, LiftedWitness]) -> dict:
         "k": w.kl.k,
         "l": w.kl.l,
         "size": w.size,
-        "members": _members_json(w.members),
+        "members": members_json(w.members),
         "construction": construction,
     }

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+
+import pytest
 
 from klsumfree.cli import main
 
@@ -109,6 +112,56 @@ def test_verify_bad_set_exits_2(capsys):
         capsys, "verify", "--group", "2x4", "--set", "1,2", "--k", "2", "--l", "1"
     )
     assert code == 2 and "coordinates" in err
+
+
+def test_verify_rejects_out_of_range_coordinates(capsys):
+    # a coordinate outside [0, d) is an error, not reduced mod d (12,-1 is not {2,9} in Z_10)
+    code, out, err = run(
+        capsys, "verify", "--group", "10", "--k", "2", "--l", "1", "--set", "12,-1", "--json"
+    )
+    assert code == 2 and out == "" and "outside [0, 10)" in err
+    code, out, err = run(
+        capsys, "verify", "--group", "2x4", "--k", "2", "--l", "1", "--set", "0:5"
+    )
+    assert code == 2 and out == "" and "outside [0, 4)" in err
+
+
+# sha256 of the --json stdout and the exit code of fixed commands; --json
+# output is a stable wire format, so any change here must be deliberate
+PINNED_JSON = [
+    ("lambda --group 30 --k 2 --l 1", 0,
+     "d9cf4db50aeb4916cb137bff02746f905427865857f823d0efc0461e282b3c64"),
+    ("count --group 2x6 --k 3 --l 1", 0,
+     "ca5a320872a6d1fd42f5db85ce644ab9560b73f71fa387ea88821ff44691f94f"),
+    ("enumerate --group 14 --k 3 --l 1", 0,
+     "14042492833a520942d253b8e8329b1c2d5eaba84be0d56f91efbb8f3a01522d"),
+    ("verify --group 5 --k 3 --l 1 --set 1,2", 1,
+     "059e65b3d4ed270f2f0987ddb2878d82d77d0b87515b7698e42409b2aca805b6"),
+    ("witness --group 2x20 --k 3 --l 2", 0,
+     "0b0e83ff31dd2be9bb18b5986bea3c9cdea7907baa7c0e6148e18b1429f5bb1f"),
+    ("lambda --group 2x4 --k 2 --l 1", 0,
+     "a64f5688efb2327514d52b7eee7d58ea7b13af20c1458b089980a92c750e901d"),
+    ("lambda --group 4 --k 5 --l 1", 0,
+     "1780b0b8923d6c883b9e58e2302f08b791962e1a5e2520bb1f2c49a22a5e4908"),
+    ("verify --group 2x4 --k 2 --l 1 --set 0:1,1:1", 0,
+     "68e1b0d951bdf21df913cf6f60815977009f667a9e96056c29c2ec56cbf88798"),
+    ("verify --group 8 --k 2 --l 1 --set 1,3,5,7", 0,
+     "b9301cbc9c6cbf40e1267d6c1acfaaca88ca0cf11c1f7c31c5624f806a424449"),
+    ("alpha --n 30 --k 3 --l 1 --exact", 0,
+     "b1a4e7a47270a3f9796ee5cde8cf42149e8f9cd0a411125a279a5b9b5863ca8b"),
+    ("scan --n 2..12 --k 3 --l 1 --check formula-vs-exact,bounds", 0,
+     "57e61a865c840879ed44a419eef8078e36863eae5fdeea7f1160273634a813f0"),
+    ("scan --family all-abelian --order 2..12 --k 2 --l 1 "
+     "--check lift-identity,green-ruzsa,theorem16", 0,
+     "5cf0210fa9a97c6658f83e1b02c66f0e64aab1be0fb3c32ebbc570e020970a92"),
+]
+
+
+@pytest.mark.parametrize("command, exit_code, digest", PINNED_JSON)
+def test_json_output_pinned(capsys, command, exit_code, digest):
+    code, out, _ = run(capsys, *command.split(), "--json")
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_witness_json_schema(capsys):

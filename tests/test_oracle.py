@@ -73,6 +73,22 @@ def test_lambda_exact_deterministic():
     assert a.nodes_explored == b.nodes_explored
 
 
+@pytest.mark.parametrize(
+    "factors, k, l, nodes",
+    [
+        ([30], 2, 1, 1644),
+        ([36], 3, 1, 3593),
+        ([2, 2, 8], 2, 1, 14193),
+        ([3, 9], 5, 2, 535),
+        ([2, 20], 2, 1, 39390),
+    ],
+)
+def test_lambda_exact_nodes_explored_pinned(factors, k, l, nodes):
+    # the search visits exactly these sets; a change here is a change of
+    # the traversal, not of the value
+    assert lambda_exact(make_group(factors), KLParams(k, l)).nodes_explored == nodes
+
+
 def test_count_examples():
     res = count_sum_free(make_group([7]), KL21)
     assert res.by_size[0] == 1
