@@ -54,9 +54,25 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _limit_value(text: str) -> int:
+    """An oracle size limit: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"limit must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _env_limit(name: str) -> Optional[int]:
     raw = os.environ.get(name)
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    try:
+        return _limit_value(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _limit_for(args, env_name: str) -> Optional[int]:
@@ -301,7 +317,10 @@ def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise ValueError(f"range must look like 2..36, got {text!r}")
-    return int(lo), int(hi)
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise ValueError(f"range {text!r} is empty: {lo} > {hi}")
+    return lo, hi
 
 
 def _scan_instances(args) -> list[GroupSpec]:
@@ -416,7 +435,7 @@ def _add_common(p, group=True, limit=True):
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     if limit:
-        p.add_argument("--limit", type=int, default=None, help="override the oracle size limit")
+        p.add_argument("--limit", type=_limit_value, default=None, help="override the oracle size limit")
         p.add_argument("--force", action="store_true", help="ignore the oracle size limit")
 
 

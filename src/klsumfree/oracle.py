@@ -14,7 +14,9 @@ an element is added.
 Progression maxima (alpha/beta/gamma) do not enumerate subsets at all: for
 a progression with difference q and start a, the difference set kA - lA is
 {(k-l)a + i*q : -l*c <= i <= k*c}, so the largest safe c falls out of a
-congruence in O(1) per (a, q) pair, vectorized over a.
+congruence.  Its solutions depend on q only through g = gcd(q, n) and on a
+only through a subgroup of Z_{n/g}, so one short loop per divisor g of n
+gives all three maxima, in O(sigma(n)) steps.
 
 Searches are deterministic and sequential; callers that want parallelism
 can fan out across instances, every function here being pure.
@@ -29,9 +31,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Optional
 
-import numpy as np
-
-from .abelian import GroupSpec, translation_ops
+from .abelian import GroupSpec, divisors, translation_ops
 from .formulas import KLParams
 from .sumset import Subset
 from .witness import best_witness
@@ -73,12 +73,18 @@ def _check_limit(n: int, limit: Optional[int], default: int, force: bool, what: 
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Exact maximum with one witness set and search-effort counters."""
+    """Exact maximum with one witness set and search-effort counters.
+
+    cached is True when the answer came from the in-process cache of
+    earlier searches: nodes_explored is then the first search's count and
+    elapsed covers only the lookup.
+    """
 
     max_size: int
     witness: Subset
     nodes_explored: int
     elapsed: float
+    cached: bool = False
 
 
 @dataclass(frozen=True)
@@ -195,12 +201,16 @@ def lambda_exact(
     constructive witness so the search mostly has to refute one size up.
     progress, when given, is called as progress(nodes, depth, best) with
     nodes a multiple of progress_interval, once per level that crosses one.
+    Results are cached per (group, k, l): a repeated call searches nothing,
+    never calls progress, and returns cached=True with the first search's
+    nodes_explored.
     """
     _check_limit(g.n, limit, DEFAULT_LIMIT_EXACT, force, "exact search")
     t0 = time.perf_counter()
     key = (g.factors, kl.k, kl.l)
     hit = _EXACT_CACHE.get(key)
-    if hit is None:
+    cached = hit is not None
+    if not cached:
         seed = best_witness(g, kl)
         hit = _search_max(
             g, kl.k, kl.l, tuple(seed.members.indices()), progress, progress_interval
@@ -212,6 +222,7 @@ def lambda_exact(
         witness=Subset.from_indices(g, indices),
         nodes_explored=nodes,
         elapsed=time.perf_counter() - t0,
+        cached=cached,
     )
 
 
@@ -282,37 +293,36 @@ def _ap_maxima(n: int, k: int, l: int) -> tuple[int, int, int]:
 
     For difference q with g = gcd(q, n) and period N = n/g, a progression
     from a is safe at length c+1 iff no solution i of i*q = -(k-l)a (mod n)
-    lies in [-l*c, k*c]; the nearest solutions give the cutoff directly.
-    Difference 0 contributes the singletons (classified with beta since
-    gcd(0, n) = n).
+    lies in [-l*c, k*c].  When the congruence is unsolvable the whole coset
+    of length N is safe.  Otherwise the solutions are i0 + N*Z with
+    i0 = (r/g) * (q/g)^-1 mod N, r = -(k-l)a mod n, and the longest safe
+    progression has min(ceil(i0/k), ceil((N-i0)/l)) terms.
+
+    As a runs over Z_n, r runs over the multiples of D = gcd(n, k-l), so the
+    class of q depends only on g: if g does not divide D, some start leaves
+    the congruence unsolvable and the class reaches N; if it does, r/g runs
+    over the multiples of D/g, a divisor of N, and so does i0 (a unit times
+    r/g).  Every divisor g of n is gcd(q, n) for some q (q = g, or q = 0 for
+    g = n, the singletons), so alpha, beta and gamma are maxima over the
+    divisors g of n: beta over g > 1, gamma at g = 1.  Only divisors of D
+    need a loop, of length n/D each; their total is at most sigma(n).
     """
-    if n == 1:
-        return (0, 0, 0)
-    a = np.arange(n, dtype=np.int64)
-    r = (-(k - l) * a) % n
-    alpha = beta = gamma = 0
-    for q in range(n):
-        g0 = gcd(q, n)
-        if g0 == 1:
-            i0 = (r * pow(q, -1, n)) % n
-            sizes = np.minimum(np.minimum((i0 + k - 1) // k, (n - i0 + l - 1) // l), n)
+    dd = gcd(n, k - l)
+    beta = gamma = 0
+    for g in divisors(n):
+        period = n // g
+        if dd % g:
+            best = period
         else:
-            period = n // g0
-            solvable = r % g0 == 0
-            if period == 1:
-                sizes = np.where(solvable, 0, 1)
-            else:
-                inv = pow((q // g0) % period, -1, period)
-                i0 = ((r // g0) * inv) % period
-                cutoff = np.minimum((i0 + k - 1) // k, (period - i0 + l - 1) // l)
-                sizes = np.where(solvable, np.minimum(cutoff, period), period)
-        m = int(sizes.max())
-        alpha = max(alpha, m)
-        if g0 == 1:
-            gamma = max(gamma, m)
+            best = max(
+                min(-(-i0 // k), -(-(period - i0) // l))
+                for i0 in range(0, period, dd // g)
+            )
+        if g == 1:
+            gamma = best
         else:
-            beta = max(beta, m)
-    return alpha, beta, gamma
+            beta = max(beta, best)
+    return max(beta, gamma), beta, gamma
 
 
 def _ap_value(n: int, kl: KLParams, which: int, limit, force) -> int:

@@ -20,7 +20,7 @@ from math import gcd
 from typing import Optional, Union
 
 from .abelian import GroupSpec, cyclic_quotient_lift, divisors, make_group
-from .formulas import KLParams, delta
+from .formulas import KLParams, _lower_term, delta
 from .sumset import Subset, is_kl_sum_free
 
 __all__ = [
@@ -249,23 +249,18 @@ def best_witness(g: GroupSpec, kl: KLParams) -> LiftedWitness:
     Realizes the general lower bound exactly: size
     max over d | v of (floor((d-1-delta(d))/(k+l)) + 1) * n/d.
     Ties go to the smallest divisor (longer progression, fewer cosets).
-    When v | k-l the only sum-free set is empty and a size-0 witness is
-    returned.
+    The modulus is chosen from the closed-form term sizes, so only the
+    winning interval is built and verified.  When v | k-l the only
+    sum-free set is empty and a size-0 witness is returned.
     """
     if kl.diff % g.v == 0:
         return LiftedWitness(
             base=None, group=g, members=Subset.empty(g), kl=kl, divisor=None
         )
-    best: Optional[APWitness] = None
-    best_total = -1
-    for d in divisors(g.v):
-        if d < 2:
-            continue
-        cand = ap_witness_max(d, kl)
-        total = cand.size * (g.n // d)
-        if total > best_total:
-            best, best_total = cand, total
-    assert best is not None and best.size > 0
+    # divisors() is ascending and max() keeps the first maximum
+    d = max(divisors(g.v)[1:], key=lambda d: _lower_term(d, kl) * (g.n // d))
+    best = ap_witness_max(d, kl)
+    assert best.size > 0
     lifted = cyclic_quotient_lift(g, best.modulus, best.members)
     _verify(lifted, kl, f"best witness for {g}")
     return LiftedWitness(

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import klsumfree
 from klsumfree.cli import main
 
 
@@ -244,6 +249,18 @@ def test_scan_unknown_check_exits_2(capsys):
     assert code == 2 and "unknown check" in err
 
 
+def test_scan_reversed_n_range_exits_2(capsys):
+    code, out, err = run(capsys, "scan", "--n", "5..2", "--k", "2", "--l", "1")
+    assert code == 2 and out == "" and "5 > 2" in err
+
+
+def test_scan_reversed_order_range_exits_2(capsys):
+    code, out, err = run(
+        capsys, "scan", "--family", "all-abelian", "--order", "9..3", "--k", "2", "--l", "1"
+    )
+    assert code == 2 and out == "" and "9 > 3" in err
+
+
 def test_scan_json_deterministic(capsys):
     args = ("scan", "--n", "2..16", "--k", "2", "--l", "1", "--check", "bounds", "--json")
     code1, out1, _ = run(capsys, *args)
@@ -276,3 +293,26 @@ def test_alpha_env_limit(capsys, monkeypatch):
     monkeypatch.setenv("KLSF_LIMIT_AP", "5")
     code, _, _ = run(capsys, "alpha", "--n", "10", "--k", "2", "--l", "1", "--exact")
     assert code == 3
+
+
+def test_negative_limit_exits_2(capsys):
+    code, out, err = run(capsys, "lambda", "--group", "10", "--k", "2", "--l", "1", "--limit", "-1")
+    assert code == 2 and out == "" and "non-negative" in err
+
+
+def test_negative_env_limit_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("KLSF_LIMIT_EXACT", "-1")
+    code, out, err = run(capsys, "lambda", "--group", "10", "--k", "2", "--l", "1")
+    assert code == 2 and out == "" and "KLSF_LIMIT_EXACT" in err
+
+
+def test_import_does_not_load_numpy():
+    # the package has no runtime dependency; a stray import would bring
+    # its load time back into every klsf call
+    src = str(Path(klsumfree.__file__).resolve().parents[1])
+    code = "import sys, klsumfree, klsumfree.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

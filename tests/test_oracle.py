@@ -89,6 +89,22 @@ def test_lambda_exact_nodes_explored_pinned(factors, k, l, nodes):
     assert lambda_exact(make_group(factors), KLParams(k, l)).nodes_explored == nodes
 
 
+def test_lambda_exact_cache_hit_is_marked():
+    from klsumfree.oracle import _EXACT_CACHE
+
+    g = make_group([40])
+    _EXACT_CACHE.pop((g.factors, 2, 1), None)
+    calls = []
+    first = lambda_exact(g, KL21, progress=lambda *a: calls.append(a), progress_interval=256)
+    assert not first.cached and calls
+    calls.clear()
+    second = lambda_exact(g, KL21, progress=lambda *a: calls.append(a), progress_interval=256)
+    # a hit searches nothing: no progress, and the first search's effort
+    assert second.cached and not calls
+    assert (second.max_size, second.witness, second.nodes_explored) == (
+        first.max_size, first.witness, first.nodes_explored)
+
+
 def test_count_examples():
     res = count_sum_free(make_group([7]), KL21)
     assert res.by_size[0] == 1
@@ -213,6 +229,43 @@ def test_progression_maxima_match_subset_brute_force():
             assert alpha_exact(n, kl) == best[0]
             assert beta_exact(n, kl) == best[1]
             assert gamma_exact(n, kl) == best[2]
+
+
+def per_pair_ap_maxima(n, kl):
+    """(alpha, beta, gamma) from the congruence cutoff of every (start a,
+    difference q) pair, one pair at a time: the progression from a is safe
+    at length c+1 iff i*q = -(k-l)a (mod n) has no solution in [-l*c, k*c].
+    """
+    from math import gcd
+
+    k, l = kl.k, kl.l
+    best = [0, 0, 0]  # overall, shared-factor difference, coprime
+    for q in range(n):
+        g = gcd(q, n)
+        period = n // g
+        inv = pow(q // g, -1, period)
+        longest = 0
+        for a in range(n):
+            r = (-(k - l) * a) % n
+            if r % g:
+                size = period  # no solution: the whole coset is safe
+            else:
+                i0 = (r // g) * inv % period  # the solutions are i0 + period*Z
+                size = min(-(-i0 // k), -(-(period - i0) // l), period)
+            longest = max(longest, size)
+        cls = 1 if g > 1 else 2
+        best[0] = max(best[0], longest)
+        best[cls] = max(best[cls], longest)
+    return tuple(best)
+
+
+def test_progression_maxima_match_per_pair_reference():
+    # the oracle reduces the (a, q) pairs to one loop per divisor of n;
+    # this checks that reduction against every pair
+    for n in range(2, 101):
+        for kl in kl_pairs(5):
+            got = (alpha_exact(n, kl), beta_exact(n, kl), gamma_exact(n, kl))
+            assert got == per_pair_ap_maxima(n, kl), (n, kl)
 
 
 def test_gamma_exact_within_bounds():

@@ -13,6 +13,7 @@ from klsumfree import (
     best_witness,
     case51_witness,
     coset_union_witness,
+    divisors,
     h_fold,
     is_kl_sum_free,
     lambda_bounds_general,
@@ -166,6 +167,23 @@ def test_best_witness_achieves_lower_bound():
             w = best_witness(g, kl)
             assert w.size == lambda_bounds_general(g, kl).lower
             assert is_kl_sum_free(w.members, kl.k, kl.l)
+
+
+def test_best_witness_matches_all_candidates():
+    # reference: build every divisor's interval and keep the first largest lift
+    pairs = [KLParams(k, l) for k, l in [(2, 1), (3, 1), (3, 2), (4, 1), (5, 2)]]
+    groups = [make_group([v]) for v in range(2, 301)] + groups_up_to(64)
+    for g in groups:
+        for kl in pairs:
+            if kl.diff % g.v == 0:
+                continue
+            best, best_total = None, -1
+            for d in divisors(g.v)[1:]:
+                cand = ap_witness_max(d, kl)
+                if cand.size * (g.n // d) > best_total:
+                    best, best_total = cand, cand.size * (g.n // d)
+            w = best_witness(g, kl)
+            assert (w.divisor, w.base, w.size) == (best.modulus, best, best_total), (g, kl)
 
 
 def test_witness_json_shape():
