@@ -11,7 +11,6 @@ from .abelian import (
     GroupSpec,
     add,
     all_abelian_groups,
-    cyclic_quotient_lift,
     divisor_sets,
     divisors,
     format_group_spec,
@@ -75,6 +74,7 @@ from .witness import (
     best_witness,
     case51_witness,
     coset_union_witness,
+    cyclic_quotient_lift,
     lift_witness,
     witness_json,
 )

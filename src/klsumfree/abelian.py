@@ -33,7 +33,6 @@ __all__ = [
     "divisor_sets",
     "invariant_factor_chains",
     "all_abelian_groups",
-    "cyclic_quotient_lift",
 ]
 
 
@@ -121,9 +120,6 @@ class GroupSpec:
                 f"expected {len(self.factors)} coordinates, got {len(coords)}"
             )
         return Element(tuple(c % d for c, d in zip(coords, self.factors)))
-
-    def identity(self) -> "Element":
-        return Element((0,) * len(self.factors))
 
     def add_index(self, i: int, j: int) -> int:
         ci, cj = self.coords_of(i), self.coords_of(j)
@@ -374,29 +370,3 @@ def all_abelian_groups(max_order: int, min_order: int = 2) -> list[GroupSpec]:
         out.extend(make_group(chain) for chain in invariant_factor_chains(order))
     return out
 
-
-# ---------------------------------------------------------------------------
-# quotient lifting
-
-def cyclic_quotient_lift(g: GroupSpec, d: int, residues):
-    """Pull a subset of Z_d back through the canonical surjection g -> Z_d.
-
-    The surjection is fixed as x -> (last coordinate of x) mod d, which for
-    the mixed-radix index is simply index mod d; it is a homomorphism
-    exactly because d divides the exponent v.  The preimage of a set of
-    size s has size s * n/d.
-    """
-    from .sumset import Subset
-
-    if d < 2 or g.v % d != 0:
-        raise ValueError(f"{d} does not divide the exponent {g.v}")
-    if not isinstance(residues, Subset):
-        raise TypeError("residues must be a Subset of the cyclic group Z_d")
-    if residues.group.factors != (d,):
-        raise ValueError(
-            f"residues live in {residues.group}, expected the cyclic group of order {d}"
-        )
-    bits = 0
-    for j in range(g.n // d):
-        bits |= residues.bits << (j * d)
-    return Subset(g, bits)

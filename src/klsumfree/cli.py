@@ -41,6 +41,8 @@ SCHEMA = "klsumfree/1"
 
 SCAN_CHECKS = ("bounds", "formula-vs-exact", "green-ruzsa", "theorem16", "lift-identity")
 
+_SCAN_COLUMNS = ("group", "k", "l", "formula", "lower", "upper", "exact", "witness_size", "agree")
+
 
 def _payload(command: str, kl: KLParams, g: Optional[GroupSpec] = None, **fields) -> dict:
     """A --json document: the {schema, command, [group,] k, l} header plus fields."""
@@ -320,13 +322,15 @@ def _parse_range(text: str) -> tuple[int, int]:
     lo, hi = int(lo), int(hi)
     if lo > hi:
         raise ValueError(f"range {text!r} is empty: {lo} > {hi}")
-    return lo, hi
+    if hi < 2:
+        raise ValueError(f"range {text!r} holds no order >= 2")
+    return max(2, lo), hi
 
 
 def _scan_instances(args) -> list[GroupSpec]:
     if args.n is not None:
         lo, hi = _parse_range(args.n)
-        return [make_group([m]) for m in range(max(2, lo), hi + 1)]
+        return [make_group([m]) for m in range(lo, hi + 1)]
     lo, hi = _parse_range(args.order)
     return all_abelian_groups(hi, min_order=lo)
 
@@ -365,17 +369,20 @@ def _scan_row(g: GroupSpec, kl: KLParams, checks: list[str], limit, force) -> di
         elif check == "green-ruzsa":
             if (kl.k, kl.l) == (2, 1):
                 results.append(lambda_cyclic_21(g.v) * (g.n // g.v) == exact)
-        elif check == "theorem16":
-            if theorem16_condition(g.v, kl).holds:
-                cyclic_v = make_group([g.v])
-                lam_v = lambda_exact(cyclic_v, kl, limit=limit, force=force).max_size
-                results.append(lam_v * (g.n // g.v) == exact)
-        elif check == "lift-identity":
-            cyclic_v = make_group([g.v])
-            lam_v = lambda_exact(cyclic_v, kl, limit=limit, force=force).max_size
+        elif check == "lift-identity" or (
+            check == "theorem16" and theorem16_condition(g.v, kl).holds
+        ):
+            lam_v = lambda_exact(make_group([g.v]), kl, limit=limit, force=force).max_size
             results.append(lam_v * (g.n // g.v) == exact)
     row["agree"] = all(results) if results else True
     return row
+
+
+def _csv_cell(value):
+    """None is an empty cell and booleans are lowercase, as in the JSON rows."""
+    if value is None:
+        return ""
+    return str(value).lower() if isinstance(value, bool) else value
 
 
 def cmd_scan(args) -> int:
@@ -403,21 +410,9 @@ def cmd_scan(args) -> int:
         )
     else:
         writer = csv.writer(sys.stdout)
-        writer.writerow(["group", "k", "l", "formula", "lower", "upper", "exact", "witness_size", "agree"])
+        writer.writerow(_SCAN_COLUMNS)
         for r in rows:
-            writer.writerow(
-                [
-                    r["group"],
-                    r["k"],
-                    r["l"],
-                    "" if r["formula"] is None else r["formula"],
-                    r["lower"],
-                    r["upper"],
-                    "" if r["exact"] is None else r["exact"],
-                    r["witness_size"],
-                    "" if r["agree"] is None else str(r["agree"]).lower(),
-                ]
-            )
+            writer.writerow([_csv_cell(r[c]) for c in _SCAN_COLUMNS])
         print(
             f"scanned {len(rows)} instances: {disagreements} disagreements, {skipped} skipped",
             file=sys.stderr,

@@ -101,15 +101,19 @@ class BoundReport:
 
 
 def _lower_term(d: int, kl: KLParams) -> int:
+    """Interval length floor((d-1-delta)/(k+l)) + 1 in Z_d, clamped at 0."""
     return max(0, (d - 1 - delta(d, kl)) // kl.weight + 1)
+
+
+def _upper_term(d: int, kl: KLParams) -> int:
+    """floor((d-2)/(k+l)) + 1, clamped at 0: the per-divisor upper term."""
+    return max(0, (d - 2) // kl.weight + 1)
 
 
 def lambda_bounds_general(g: GroupSpec, kl: KLParams) -> BoundReport:
     """Sandwich max-over-divisors bounds for lambda_{k,l}(G)."""
     n, v = g.n, g.v
-    lower_terms = {
-        d: _lower_term(d, kl) * (n // d) for d in divisors(v)
-    }
+    lower_terms = {d: _lower_term(d, kl) * (n // d) for d in divisors(v)}
     if kl.diff % v == 0:
         return BoundReport(
             lower=0,
@@ -120,9 +124,7 @@ def lambda_bounds_general(g: GroupSpec, kl: KLParams) -> BoundReport:
             argmax_upper=None,
             degenerate=True,
         )
-    upper_terms = {
-        d: max(0, (d - 2) // kl.weight + 1) * (n // d) for d in divisors(n)
-    }
+    upper_terms = {d: _upper_term(d, kl) * (n // d) for d in divisors(n)}
     lower = max(lower_terms.values())
     upper = max(upper_terms.values())
     argmax_lower = min(d for d, t in lower_terms.items() if t == lower)
@@ -249,10 +251,7 @@ def gamma_bounds(n: int, kl: KLParams) -> GammaBounds:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    d = gcd(n, kl.diff)
-    lower = max(0, (n - 1 - d) // kl.weight + 1)
-    upper = max(0, (n - 2) // kl.weight + 1)
-    return GammaBounds(lower, upper)
+    return GammaBounds(_lower_term(n, kl), _upper_term(n, kl))
 
 
 @dataclass(frozen=True)
@@ -275,33 +274,16 @@ class AlphaReport:
 def alpha_report(n: int, kl: KLParams) -> AlphaReport:
     beta = beta_report(n, kl)
     gamma = gamma_bounds(n, kl)
+    lower, upper = max(beta.lower, gamma.lower), max(beta.upper, gamma.upper)
     if kl.diff % n == 0:
-        return AlphaReport(
-            case_tag="divides",
-            exact=0,
-            lower=0,
-            upper=0,
-            beta_bounds=(beta.lower, beta.upper),
-            gamma_bounds=tuple(gamma),
-        )
-    if gcd(n, kl.diff) == 1:
-        value = max(beta.lower, gamma.upper)
-        return AlphaReport(
-            case_tag="coprime",
-            exact=value,
-            lower=value,
-            upper=value,
-            beta_bounds=(beta.lower, beta.upper),
-            gamma_bounds=tuple(gamma),
-        )
-    return AlphaReport(
-        case_tag="intermediate",
-        exact=None,
-        lower=max(beta.lower, gamma.lower),
-        upper=max(beta.upper, gamma.upper),
-        beta_bounds=(beta.lower, beta.upper),
-        gamma_bounds=tuple(gamma),
-    )
+        case_tag, exact = "divides", 0
+    elif gcd(n, kl.diff) == 1:
+        case_tag, exact = "coprime", max(beta.lower, gamma.upper)
+    else:
+        case_tag, exact = "intermediate", None
+    if exact is not None:
+        lower = upper = exact
+    return AlphaReport(case_tag, exact, lower, upper, (beta.lower, beta.upper), tuple(gamma))
 
 
 def _alpha_formula_exact(d: int, kl: KLParams) -> int:
@@ -466,9 +448,7 @@ def lambda_formula(g: GroupSpec, kl: KLParams) -> tuple[int, str]:
         if (kl.k, kl.l) == (3, 1):
             return lambda_cyclic_31(m), "(3,1) closed form"
         if gcd(m, kl.diff) == 1:
-            value = max(
-                max(0, (d - 2) // kl.weight + 1) * (m // d) for d in divisors(m)
-            )
+            value = max(_upper_term(d, kl) * (m // d) for d in divisors(m))
             return value, "coprime-case divisor maximum"
         raise FormulaUnavailableError(
             f"no exact closed form for (k,l)=({kl.k},{kl.l}) on Z_{m}: "

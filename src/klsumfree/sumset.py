@@ -11,7 +11,6 @@ All functions are pure; callers may parallelize sweeps freely.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -60,10 +59,6 @@ class Subset:
                 raise ValueError(f"index {i} out of range for group of order {group.n}")
             bits |= 1 << i
         return cls(group, bits)
-
-    @classmethod
-    def from_elements(cls, group: GroupSpec, elements: Iterable[Element]) -> "Subset":
-        return cls.from_indices(group, (group.index_of(e.coords) for e in elements))
 
     @property
     def size(self) -> int:
@@ -224,22 +219,34 @@ def find_violation(
     """A k-tuple and an l-tuple of elements of A with equal sums, or None.
 
     Used to print a concrete witnessing identity when verification fails.
+    The tuples are the lexicographically first over index-sorted tuples:
+    the first k-tuple whose sum lies in lA, then the first l-tuple with
+    that sum.  Each is built one element at a time from the layers
+    0A..kA, taking the smallest a in A with which the remaining layer can
+    still reach the target, so no tuple is enumerated.
     """
     KLParams(k, l)  # raises ValueError unless k > l >= 1
     g = a.group
+    layers = [Subset(g, 1)]  # 0A = {0}, index 0 being the identity
+    for _ in range(k):
+        layers.append(pair_sumset(layers[-1], a))
+    if layers[k].bits & layers[l].bits == 0:
+        return None
+    ops = translation_ops(g)
     idxs = a.indices()
-    l_sums: dict[int, tuple[int, ...]] = {}
-    for combo in itertools.combinations_with_replacement(idxs, l):
-        total = 0
-        for i in combo:
-            total = g.add_index(total, i)
-        l_sums.setdefault(total, combo)
-    for combo in itertools.combinations_with_replacement(idxs, k):
-        total = 0
-        for i in combo:
-            total = g.add_index(total, i)
-        if total in l_sums:
-            ktuple = tuple(g.element_at(i) for i in combo)
-            ltuple = tuple(g.element_at(i) for i in l_sums[total])
-            return ktuple, ltuple
-    return None
+
+    def first_tuple(h: int, goal: int) -> tuple[list[int], int]:
+        """The first h-tuple of A whose sum lies in the mask goal, and that sum."""
+        combo, total = [], 0
+        for rest in reversed(layers[:h]):
+            for i in idxs:
+                s = g.add_index(total, i)
+                if apply_ops(rest.bits, ops[s]) & goal:
+                    combo.append(i)
+                    total = s
+                    break
+        return combo, total
+
+    ktuple, target = first_tuple(k, layers[l].bits)
+    ltuple, _ = first_tuple(l, 1 << target)
+    return tuple(map(g.element_at, ktuple)), tuple(map(g.element_at, ltuple))

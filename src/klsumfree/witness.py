@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Union
 
-from .abelian import GroupSpec, cyclic_quotient_lift, divisors, make_group
+from .abelian import GroupSpec, divisors, make_group
 from .formulas import KLParams, _lower_term, delta
 from .sumset import Subset, is_kl_sum_free
 
@@ -32,6 +32,7 @@ __all__ = [
     "ap_witness_max",
     "coset_union_witness",
     "case51_witness",
+    "cyclic_quotient_lift",
     "lift_witness",
     "best_witness",
     "members_json",
@@ -223,24 +224,47 @@ def case51_witness(n: int) -> APWitness:
     return wit
 
 
+def cyclic_quotient_lift(g: GroupSpec, d: int, residues: Subset) -> Subset:
+    """Pull a subset of Z_d back through the canonical surjection g -> Z_d.
+
+    The surjection is fixed as x -> (last coordinate of x) mod d, which for
+    the mixed-radix index is simply index mod d; it is a homomorphism
+    exactly because d divides the exponent v.  The preimage of a set of
+    size s has size s * n/d: the residue mask repeated n/d times, which is
+    one multiplication by the base-2^d repunit (no digit carries).
+    """
+    if d < 2 or g.v % d != 0:
+        raise ValueError(f"{d} does not divide the exponent {g.v} of {g}")
+    if not isinstance(residues, Subset):
+        raise TypeError("residues must be a Subset of the cyclic group Z_d")
+    if residues.group.factors != (d,):
+        raise ValueError(
+            f"residues live in {residues.group}, expected the cyclic group of order {d}"
+        )
+    return Subset(g, residues.bits * (((1 << g.n) - 1) // ((1 << d) - 1)))
+
+
+def _lift(base: Union[APWitness, Subset], g: GroupSpec, kl: KLParams) -> LiftedWitness:
+    """Lift a Z_d witness (or bare set) to g and re-verify the preimage."""
+    residues = base.members if isinstance(base, APWitness) else base
+    d = residues.group.n
+    members = cyclic_quotient_lift(g, d, residues)
+    _verify(members, kl, f"lift of a Z_{d} witness to {g}")
+    return LiftedWitness(base=base, group=g, members=members, kl=kl, divisor=d)
+
+
 def lift_witness(base_set: Subset, g: GroupSpec, kl: KLParams) -> LiftedWitness:
     """Pull a verified (k,l)-sum-free subset of Z_d back to G (d | v).
 
     The preimage has size |base| * n/d and is re-verified after lifting.
     """
-    base_group = base_set.group
-    if not base_group.is_cyclic:
-        raise ValueError(f"base set must live in a cyclic group, got {base_group}")
-    d = base_group.n
-    if g.v % d != 0:
-        raise ValueError(f"{d} does not divide the exponent {g.v} of {g}")
+    if not base_set.group.is_cyclic:
+        raise ValueError(f"base set must live in a cyclic group, got {base_set.group}")
     if not is_kl_sum_free(base_set, kl.k, kl.l):
         raise ValueError(
-            f"base set {base_set!r} is not ({kl.k},{kl.l})-sum-free in Z_{d}"
+            f"base set {base_set!r} is not ({kl.k},{kl.l})-sum-free in Z_{base_set.group.n}"
         )
-    members = cyclic_quotient_lift(g, d, base_set)
-    _verify(members, kl, f"lift of a Z_{d} witness to {g}")
-    return LiftedWitness(base=base_set, group=g, members=members, kl=kl, divisor=d)
+    return _lift(base_set, g, kl)
 
 
 def best_witness(g: GroupSpec, kl: KLParams) -> LiftedWitness:
@@ -261,11 +285,7 @@ def best_witness(g: GroupSpec, kl: KLParams) -> LiftedWitness:
     d = max(divisors(g.v)[1:], key=lambda d: _lower_term(d, kl) * (g.n // d))
     best = ap_witness_max(d, kl)
     assert best.size > 0
-    lifted = cyclic_quotient_lift(g, best.modulus, best.members)
-    _verify(lifted, kl, f"best witness for {g}")
-    return LiftedWitness(
-        base=best, group=g, members=lifted, kl=kl, divisor=best.modulus
-    )
+    return _lift(best, g, kl)
 
 
 # ---------------------------------------------------------------------------
@@ -278,52 +298,28 @@ def members_json(members: Subset):
     return [list(e.coords) for e in members.elements()]
 
 
-def _certificate_json(cert: Optional[EuclidCertificate]):
-    if cert is None:
-        return None
-    return {"q": cert.q, "r": cert.r, "u": cert.u, "w": cert.w}
+def _progression_json(w: APWitness, kind: str) -> dict:
+    """The {kind, params, certificate} record of an interval witness."""
+    c = w.certificate
+    return {
+        "kind": kind,
+        "params": {"modulus": w.modulus, "start": w.start, "difference": w.difference},
+        "certificate": None if c is None else {"q": c.q, "r": c.r, "u": c.u, "w": c.w},
+    }
 
 
 def witness_json(w: Union[APWitness, LiftedWitness]) -> dict:
     """The wire format: {group, k, l, size, members, construction}."""
     if isinstance(w, APWitness):
-        return {
-            "group": str(w.members.group),
-            "k": w.kl.k,
-            "l": w.kl.l,
-            "size": w.size,
-            "members": members_json(w.members),
-            "construction": {
-                "kind": w.kind,
-                "params": {
-                    "modulus": w.modulus,
-                    "start": w.start,
-                    "difference": w.difference,
-                },
-                "certificate": _certificate_json(w.certificate),
-            },
-        }
-    base = w.base
-    if isinstance(base, APWitness):
-        construction = {
-            "kind": f"lifted-{base.kind}",
-            "params": {
-                "modulus": base.modulus,
-                "start": base.start,
-                "difference": base.difference,
-            },
-            "certificate": _certificate_json(base.certificate),
-        }
-    elif isinstance(base, Subset):
-        construction = {
-            "kind": "lifted-set",
-            "params": {"modulus": w.divisor},
-            "certificate": None,
-        }
+        construction = _progression_json(w, w.kind)
+    elif isinstance(w.base, APWitness):
+        construction = _progression_json(w.base, f"lifted-{w.base.kind}")
+    elif isinstance(w.base, Subset):
+        construction = {"kind": "lifted-set", "params": {"modulus": w.divisor}, "certificate": None}
     else:
         construction = {"kind": "empty", "params": {}, "certificate": None}
     return {
-        "group": str(w.group),
+        "group": str(w.members.group),
         "k": w.kl.k,
         "l": w.kl.l,
         "size": w.size,

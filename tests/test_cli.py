@@ -261,6 +261,18 @@ def test_scan_reversed_order_range_exits_2(capsys):
     assert code == 2 and out == "" and "9 > 3" in err
 
 
+def test_scan_n_range_below_2_exits_2(capsys):
+    code, out, err = run(capsys, "scan", "--n", "0..1", "--k", "2", "--l", "1")
+    assert code == 2 and out == "" and "no order >= 2" in err
+
+
+def test_scan_order_range_below_2_exits_2(capsys):
+    code, out, err = run(
+        capsys, "scan", "--family", "all-abelian", "--order", "1..1", "--k", "2", "--l", "1"
+    )
+    assert code == 2 and out == "" and "no order >= 2" in err
+
+
 def test_scan_json_deterministic(capsys):
     args = ("scan", "--n", "2..16", "--k", "2", "--l", "1", "--check", "bounds", "--json")
     code1, out1, _ = run(capsys, *args)

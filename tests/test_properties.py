@@ -1,0 +1,84 @@
+"""Property tests over random abelian groups of order <= 64.
+
+Each property is one the unit tests check only at fixed points: bitmask
+translation against coordinate addition, the two sum-free
+characterizations against each other, quotient lifts, and the violation
+search.  Examples are derandomized, so every run draws the same cases.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from klsumfree import (
+    Subset,
+    all_abelian_groups,
+    cyclic_quotient_lift,
+    divisors,
+    find_violation,
+    is_kl_sum_free,
+    is_kl_sum_free_via_difference,
+    make_group,
+)
+from klsumfree.abelian import apply_ops, translation_ops
+
+GROUPS = all_abelian_groups(64)
+PAIRS = [(2, 1), (3, 1), (3, 2), (4, 1), (5, 2)]
+
+fixed = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+@st.composite
+def group_and_set(draw, max_density: int = 3):
+    """A group, and a subset keeping each element with chance 2**-draw(1..max_density)."""
+    g = draw(st.sampled_from(GROUPS))
+    bits = (1 << g.n) - 1
+    for _ in range(draw(st.integers(1, max_density))):
+        bits &= draw(st.integers(0, (1 << g.n) - 1))
+    return g, Subset(g, bits)
+
+
+@fixed
+@given(group_and_set(max_density=1))
+def test_translation_matches_coordinate_addition(gs):
+    g, a = gs
+    for e, ops in enumerate(translation_ops(g)):
+        moved = apply_ops(a.bits, ops)
+        assert moved == Subset.from_indices(g, (g.add_index(i, e) for i in a.indices())).bits
+
+
+@fixed
+@given(group_and_set(), st.sampled_from(PAIRS))
+def test_sum_free_characterizations_agree(gs, kl):
+    _, a = gs
+    assert is_kl_sum_free(a, *kl) == is_kl_sum_free_via_difference(a, *kl)
+
+
+@fixed
+@given(st.sampled_from(GROUPS), st.sampled_from(PAIRS), st.data())
+def test_quotient_lift_keeps_size_and_sum_freeness(g, kl, data):
+    d = data.draw(st.sampled_from(divisors(g.v)[1:]))
+    base = Subset(make_group([d]), data.draw(st.integers(0, (1 << d) - 1)))
+    lifted = cyclic_quotient_lift(g, d, base)
+    assert lifted.size == base.size * (g.n // d)
+    assert is_kl_sum_free(lifted, *kl) == is_kl_sum_free(base, *kl)
+
+
+@fixed
+@given(group_and_set(), st.sampled_from(PAIRS))
+def test_find_violation_exactly_on_non_sum_free_sets(gs, kl):
+    g, a = gs
+    k, l = kl
+    hit = find_violation(a, k, l)
+    assert (hit is None) == is_kl_sum_free(a, k, l)
+    if hit is not None:
+        ktuple, ltuple = hit
+        assert len(ktuple) == k and len(ltuple) == l
+        assert all(e in a for e in ktuple + ltuple)
+        ksum = lsum = 0
+        for e in ktuple:
+            ksum = g.add_index(ksum, g.index_of(e.coords))
+        for e in ltuple:
+            lsum = g.add_index(lsum, g.index_of(e.coords))
+        assert ksum == lsum

@@ -3,12 +3,15 @@ sumset-size inequality sweep."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from klsumfree import (
+    KLParams,
     Subset,
+    best_witness,
     find_violation,
     h_fold,
     is_kl_sum_free,
@@ -169,3 +172,51 @@ def test_find_violation_reports_equal_sums():
     lsum = sum(e.coords[0] for e in ltuple) % 5
     assert ksum == lsum and len(ktuple) == 3 and len(ltuple) == 1
     assert find_violation(subset(make_group([8]), 1, 3, 5, 7), 2, 1) is None
+
+
+def _find_violation_reference(a, k, l):
+    """The former find_violation: every l-tuple of A, then k-tuples in order."""
+    g = a.group
+    idxs = a.indices()
+    l_sums = {}
+    for combo in itertools.combinations_with_replacement(idxs, l):
+        total = 0
+        for i in combo:
+            total = g.add_index(total, i)
+        l_sums.setdefault(total, combo)
+    for combo in itertools.combinations_with_replacement(idxs, k):
+        total = 0
+        for i in combo:
+            total = g.add_index(total, i)
+        if total in l_sums:
+            ktuple = tuple(g.element_at(i) for i in combo)
+            ltuple = tuple(g.element_at(i) for i in l_sums[total])
+            return ktuple, ltuple
+    return None
+
+
+def test_find_violation_matches_tuple_enumeration():
+    # random sparse sets, and random parts of the best witness (mostly
+    # sum-free) without and with one more element
+    rng = random.Random(41)
+    pairs = [(2, 1), (3, 1), (3, 2), (4, 1), (5, 2)]
+    for g in groups_up_to(40):
+        for k, l in pairs:
+            witness = best_witness(g, KLParams(k, l)).members.bits
+            for bits in (
+                rng.getrandbits(g.n) & rng.getrandbits(g.n) & rng.getrandbits(g.n),
+                witness & rng.getrandbits(g.n),
+                witness & rng.getrandbits(g.n) | 1 << rng.randrange(g.n),
+            ):
+                a = Subset(g, bits)
+                assert find_violation(a, k, l) == _find_violation_reference(a, k, l), (g, k, l, a)
+
+
+def test_find_violation_witness_plus_one_in_z2000():
+    g = make_group([2000])
+    witness = best_witness(g, KLParams(3, 2)).members
+    a = Subset(g, witness.bits | 1 << 2)
+    ktuple, ltuple = find_violation(a, 3, 2)
+    assert len(ktuple) == 3 and len(ltuple) == 2
+    assert all(e in a for e in ktuple + ltuple)
+    assert sum(e.coords[0] for e in ktuple) % 2000 == sum(e.coords[0] for e in ltuple) % 2000
