@@ -3,9 +3,13 @@
 A group is stored as a chain of invariant factors d1 | d2 | ... | dm with
 order n = d1*...*dm and exponent v = dm.  Elements are coordinate vectors,
 but internally every element is identified with its mixed-radix index in
-[0, n) (last coordinate least significant), so a subset is an n-bit mask
-and translating a subset by a group element costs a few shift/mask
-operations per coordinate axis.
+[0, n) (last coordinate least significant), so a subset is an n-bit mask.
+
+Sumsets use a padded layout of the same masks (PaddedLayout): axis i gets
+2*d_i - 1 slots, so adding two padded offsets adds the elements without a
+carry, and a whole translate is one shift.  The per-axis rotation tables
+(translation_ops) serve the exhaustive oracle's inner loop on small
+groups; every table is cached per group in a bounded cache.
 
 Everything here is immutable and pure; values can be shared freely between
 concurrent callers.
@@ -14,6 +18,7 @@ concurrent callers.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -33,6 +38,8 @@ __all__ = [
     "divisor_sets",
     "invariant_factor_chains",
     "all_abelian_groups",
+    "PaddedLayout",
+    "padded_layout",
 ]
 
 
@@ -237,18 +244,108 @@ def scale(g: GroupSpec, h: int, x: Element) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# bitmask translation machinery
+# the padded layout
+#
+# A block is the run of v bits that share every coordinate but the last.
+# pad() moves each of the n/v blocks of a mask to its padded offset.
+# unpad() folds one axis at a time: slots d_i..2d_i-2 of axis i hold sums
+# that wrapped past d_i, so one mask, one shift and one OR move them onto
+# slots 0..d_i-2; then it moves the blocks back.  A block move halves the
+# run of blocks and recurses, so each big-int operation touches only the
+# half it splits, O(size * log(n/v)) bit operations in all.  Sums of
+# padded offsets stay below the padded size, so a shift never leaves the
+# layout.
+
+# Each per-group cache holds at most this many groups: more than the 67
+# abelian groups of order <= 40 that the exact oracle searches by default,
+# so a sweep over all of them rebuilds nothing.
+_TABLE_CACHE_GROUPS = 128
+
+
+def _move_blocks(x: int, src: tuple[int, ...], dst: tuple[int, ...], lo: int, hi: int) -> int:
+    """Blocks lo..hi-1 of x, read at offsets src[j] - src[lo] and written at
+    dst[j] - dst[lo]; x holds nothing but those blocks."""
+    if hi - lo == 1:
+        return x
+    mid = (lo + hi) // 2
+    cut = src[mid] - src[lo]
+    low = _move_blocks(x & ((1 << cut) - 1), src, dst, lo, mid)
+    return low | _move_blocks(x >> cut, src, dst, mid, hi) << (dst[mid] - dst[lo])
+
+
+@dataclass(frozen=True)
+class PaddedLayout:
+    """Subset masks of g spread out so that adding offsets adds elements.
+
+    size is the number of padded slots, prod(2*d_i - 1); blocks[j] = j*v
+    and offsets[j] are the offsets of the j-th block of g in g and in the
+    layout; folds holds, per axis, the mask of the padded slots whose
+    coordinate on that axis is below d_i and the padded stride times d_i,
+    the shift that folds the axis.
+    """
+
+    v: int
+    size: int
+    blocks: tuple[int, ...]
+    offsets: tuple[int, ...]
+    folds: tuple[tuple[int, int], ...]
+
+    def offset(self, index: int) -> int:
+        """The padded offset of the element at this index of g."""
+        return self.offsets[index // self.v] + index % self.v
+
+    def pad(self, bits: int) -> int:
+        """A subset mask of g in the padded layout."""
+        return _move_blocks(bits, self.blocks, self.offsets, 0, len(self.blocks))
+
+    def unpad(self, bits: int) -> int:
+        """The subset mask of g that a padded mask (of any padded sums) stands for."""
+        for low, shift in self.folds:
+            kept = bits & low
+            bits = kept | (bits ^ kept) >> shift
+        return _move_blocks(bits, self.offsets, self.blocks, 0, len(self.blocks))
+
+    def translate(self, padded: int, index: int) -> int:
+        """The mask of g translated by an element, from its padded mask."""
+        return self.unpad(padded << self.offset(index))
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_GROUPS)
+def padded_layout(g: GroupSpec) -> PaddedLayout:
+    """The padded layout of g: two offsets per block and one fold per axis."""
+    strides = []  # padded stride of each axis, last axis first
+    size = 1
+    for d in reversed(g.factors):
+        strides.append(size)
+        size *= 2 * d - 1
+    strides.reverse()
+    offsets = tuple(
+        sum(c * s for c, s in zip(coords, strides))
+        for coords in itertools.product(*(range(d) for d in g.factors[:-1]))
+    )
+    folds = []
+    for d, s in zip(g.factors, strides):
+        pattern = "0" * ((d - 1) * s) + "1" * (d * s)  # one period of axis i
+        folds.append((int(pattern * (size // len(pattern)), 2), d * s))
+    return PaddedLayout(
+        v=g.v, size=size, blocks=tuple(range(0, g.n, g.v)), offsets=offsets, folds=tuple(folds)
+    )
+
+
+# ---------------------------------------------------------------------------
+# per-axis rotation tables (the oracle's inner loop)
 #
 # With the mixed-radix layout, adding a fixed element e is an independent
 # cyclic rotation along every coordinate axis.  A rotation along one axis
 # moves each block of bits by a fixed amount, which two masked shifts
 # implement for the whole n-bit word at once.  An "op" is the 4-tuple
-# (mask_low, shift_up, mask_high, shift_down).
+# (mask_low, shift_up, mask_high, shift_down).  The tables take O(n*v)
+# bits per group, so only small groups should use them.
 
 _Op = tuple[int, int, int, int]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_TABLE_CACHE_GROUPS)
 def _axis_rotations(g: GroupSpec) -> tuple[tuple[Optional[_Op], ...], ...]:
     """For each axis, the rotation op for every shift amount t in [0, d)."""
     axes = []
@@ -274,7 +371,7 @@ def _axis_rotations(g: GroupSpec) -> tuple[tuple[Optional[_Op], ...], ...]:
     return tuple(reversed(axes))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_TABLE_CACHE_GROUPS)
 def translation_ops(g: GroupSpec) -> tuple[tuple[_Op, ...], ...]:
     """translation_ops(g)[e] is the op sequence implementing bits -> bits + e."""
     axes = _axis_rotations(g)
@@ -293,7 +390,7 @@ def apply_ops(bits: int, ops: tuple[_Op, ...]) -> int:
     return bits
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_TABLE_CACHE_GROUPS)
 def negation_table(g: GroupSpec) -> tuple[int, ...]:
     """negation_table(g)[i] is the index of -x for the element x at index i."""
     return tuple(g.neg_index(i) for i in range(g.n))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -20,7 +21,14 @@ from klsumfree import (
     parse_group_spec,
     scale,
 )
-from klsumfree.abelian import apply_ops, prime_factors, smallest_prime, translation_ops
+from klsumfree import abelian
+from klsumfree.abelian import (
+    apply_ops,
+    padded_layout,
+    prime_factors,
+    smallest_prime,
+    translation_ops,
+)
 
 from conftest import groups_up_to, subset
 
@@ -129,6 +137,41 @@ def test_translation_ops_match_coordinate_addition():
             for i in range(g.n):
                 shifted = apply_ops(1 << i, ops[e])
                 assert shifted == 1 << g.add_index(i, e)
+
+
+def test_padded_layout_adds_without_carry():
+    for g in [make_group([9]), make_group([2, 4]), make_group([3, 3, 6]), make_group([2, 2, 2, 2])]:
+        layout = padded_layout(g)
+        assert layout.size == math.prod(2 * d - 1 for d in g.factors)
+        for i in range(g.n):
+            assert layout.pad(1 << i) == 1 << layout.offset(i)
+            for j in range(g.n):
+                moved = layout.pad(1 << i) << layout.offset(j)
+                assert moved.bit_length() <= layout.size
+                assert layout.unpad(moved) == 1 << g.add_index(i, j)
+                assert layout.translate(layout.pad(1 << i), j) == 1 << g.add_index(i, j)
+        bits = random.Random(g.n).randrange(1 << g.n)
+        assert layout.unpad(layout.pad(bits)) == bits
+    # one fold per axis and one offset per block, however many padded blocks
+    g = make_group([2] * 12)
+    layout = padded_layout(g)
+    assert len(layout.folds) == 12 and len(layout.offsets) == g.n // 2
+    bits = random.Random(12).randrange(1 << g.n)
+    assert layout.unpad(layout.pad(bits)) == bits
+
+
+def test_table_caches_are_bounded():
+    cached = [abelian._axis_rotations, translation_ops, abelian.negation_table, padded_layout]
+    for fn in cached:
+        fn.cache_clear()
+    for n in range(2, 132):  # 130 groups
+        g = make_group([n])
+        translation_ops(g)
+        abelian.negation_table(g)
+        padded_layout(g)
+    for fn in cached:
+        assert fn.cache_info().currsize <= 128, fn
+        assert fn.cache_info().maxsize == 128, fn
 
 
 # ---------------------------------------------------------------------------

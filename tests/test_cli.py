@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import klsumfree
+from klsumfree import abelian
 from klsumfree.cli import main
 
 
@@ -129,6 +130,21 @@ def test_verify_rejects_out_of_range_coordinates(capsys):
         capsys, "verify", "--group", "2x4", "--k", "2", "--l", "1", "--set", "0:5"
     )
     assert code == 2 and out == "" and "outside [0, 4)" in err
+
+
+def test_witness_and_verify_build_no_translation_table(capsys):
+    for fn in (abelian._axis_rotations, abelian.translation_ops):
+        fn.cache_clear()
+    common = ["--group", "20000", "--k", "3", "--l", "2"]
+    code, doc, _ = run_json(capsys, "witness", *common)
+    assert code == 0 and doc["size"] == 10000
+    members = ",".join(map(str, doc["members"]))
+    code, doc, _ = run_json(capsys, "verify", *common, "--set", members)
+    assert code == 0 and doc["sum_free"]
+    code, doc, _ = run_json(capsys, "verify", *common, "--set", members + ",2")
+    assert code == 1 and doc["violation"] is not None
+    for fn in (abelian._axis_rotations, abelian.translation_ops):
+        assert fn.cache_info().currsize == 0, fn
 
 
 # sha256 of the --json stdout and the exit code of fixed commands; --json

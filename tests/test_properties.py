@@ -1,9 +1,10 @@
 """Property tests over random abelian groups of order <= 64.
 
 Each property is one the unit tests check only at fixed points: bitmask
-translation against coordinate addition, the two sum-free
-characterizations against each other, quotient lifts, and the violation
-search.  Examples are derandomized, so every run draws the same cases.
+translation and both sumset kernels against coordinate addition, the two
+sum-free characterizations against each other, quotient lifts, and the
+violation search.  Examples are derandomized, so every run draws the
+same cases.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from klsumfree import (
     is_kl_sum_free,
     is_kl_sum_free_via_difference,
     make_group,
+    pair_sumset,
 )
-from klsumfree.abelian import apply_ops, translation_ops
+from klsumfree.abelian import apply_ops, padded_layout, translation_ops
+from klsumfree.sumset import _product_sumset, _shifted_sumset
 
 GROUPS = all_abelian_groups(64)
 PAIRS = [(2, 1), (3, 1), (3, 2), (4, 1), (5, 2)]
@@ -46,6 +49,29 @@ def test_translation_matches_coordinate_addition(gs):
     for e, ops in enumerate(translation_ops(g)):
         moved = apply_ops(a.bits, ops)
         assert moved == Subset.from_indices(g, (g.add_index(i, e) for i in a.indices())).bits
+
+
+@fixed
+@given(group_and_set(max_density=4), st.data())
+def test_sumset_kernels_match_coordinate_addition(gs, data):
+    g, a = gs
+    if data.draw(st.booleans()):
+        b = a
+    else:
+        bits = (1 << g.n) - 1
+        for _ in range(data.draw(st.integers(1, 4))):
+            bits &= data.draw(st.integers(0, (1 << g.n) - 1))
+        b = Subset(g, bits)
+    expected = Subset.from_indices(g, (g.add_index(i, j) for i in a.indices() for j in b.indices()))
+    assert pair_sumset(a, b) == expected
+    # both kernels on every draw: the product pays off only above 4,096
+    # elements, far beyond these groups
+    count = min(a.size, b.size)
+    if count:
+        layout = padded_layout(g)
+        small, large = sorted((a.bits, b.bits), key=int.bit_count)
+        assert layout.unpad(_shifted_sumset(layout, small, large)) == expected.bits
+        assert layout.unpad(_product_sumset(layout, a.bits, b.bits, count)) == expected.bits
 
 
 @fixed

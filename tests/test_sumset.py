@@ -22,9 +22,25 @@ from klsumfree import (
     pair_sumset,
     stabilizer,
 )
+from klsumfree import sumset
+from klsumfree.abelian import apply_ops, padded_layout, translation_ops
 from klsumfree.sumset import _h_fold_naive
 
 from conftest import all_subsets, groups_up_to, subset
+
+
+def _pair_sumset_reference(a: Subset, b: Subset) -> Subset:
+    """A + B through the per-element translation table (the table-based
+    kernel that the padded-layout kernels replaced)."""
+    small, large = (a, b) if a.size <= b.size else (b, a)
+    ops = translation_ops(a.group)
+    out = 0
+    bits = small.bits
+    while bits:
+        low = bits & -bits
+        out |= apply_ops(large.bits, ops[low.bit_length() - 1])
+        bits ^= low
+    return Subset(a.group, out)
 
 
 def test_pair_sumset_examples():
@@ -39,6 +55,83 @@ def test_pair_sumset_examples():
 def test_pair_sumset_rejects_group_mismatch():
     with pytest.raises(ValueError):
         pair_sumset(subset(make_group([5]), 1), subset(make_group([7]), 1))
+
+
+def test_subset_index_round_trip():
+    rng = random.Random(11)
+    for g in [make_group([7]), make_group([2, 6]), make_group([20000]), make_group([100003])]:
+        n = g.n
+        sparse = sum(1 << i for i in rng.sample(range(n), min(n, 40)))
+        dense = rng.getrandbits(n)
+        eighth = dense & rng.getrandbits(n) & rng.getrandbits(n)
+        # empty, full, either end, a few members, sparse, dense
+        for bits in [0, (1 << n) - 1, 1, 1 << (n - 1), 0b1011 << (n // 2), sparse, eighth, dense]:
+            a = Subset(g, bits)
+            idx = a.indices()
+            assert idx == sorted(set(idx)) and len(idx) == a.size
+            members = set(idx)
+            for i in rng.sample(range(n), min(n, 300)):
+                assert (bits >> i & 1) == (i in members)
+            assert Subset.from_indices(g, idx) == a
+            if n <= 20000:
+                assert Subset.from_indices(g, idx[::-1] + idx) == a  # order and repeats do not matter
+    with pytest.raises(ValueError):
+        Subset.from_indices(make_group([5]), [5])
+    with pytest.raises(ValueError):
+        Subset.from_indices(make_group([5]), [-1])
+
+
+def test_pair_sumset_matches_table_reference():
+    rng = random.Random(29)
+    for g in [make_group([2000]), make_group([2, 1000]), make_group([2, 2, 500]), make_group([3, 600])]:
+        n = g.n
+        large = Subset.from_indices(g, rng.sample(range(n), n // 3))
+        for m in sorted({1, 2, 5, 17, 64, n // 16, n // 8, n // 5, n // 4, n // 3, n // 2}):
+            small = Subset.from_indices(g, rng.sample(range(n), m))
+            assert pair_sumset(small, large) == _pair_sumset_reference(small, large), (g, m)
+            assert pair_sumset(large, small) == pair_sumset(small, large)
+            assert pair_sumset(small, small) == _pair_sumset_reference(small, small), (g, m)
+            interval = Subset.from_indices(g, range(m))  # structured sets, many representations
+            assert pair_sumset(interval, interval) == _pair_sumset_reference(interval, interval)
+
+
+def test_product_kernel_above_the_crossover(monkeypatch):
+    # operands large enough that pair_sumset picks the product, against the shifts
+    products = []
+    product = sumset._product_sumset
+    monkeypatch.setattr(sumset, "_product_sumset", lambda *args: products.append(1) or product(*args))
+    rng = random.Random(37)
+    for g, square_only in [(make_group([9000]), True), (make_group([2, 8400]), False)]:
+        layout = padded_layout(g)
+        n = g.n
+        coset = Subset.from_indices(g, range(1, n, 2))
+        interval = Subset.from_indices(g, range(n // 2 + 7))
+        scattered = Subset.from_indices(g, rng.sample(range(n), n // 2 + 300))
+        cases = [(coset, coset), (scattered, scattered)]
+        if not square_only:
+            cases += [(coset, scattered), (interval, coset)]
+        for a, b in cases:
+            threshold = sumset._PRODUCT_MIN_SQUARE if a is b else sumset._PRODUCT_MIN
+            assert min(a.size, b.size) > threshold
+            shifted = layout.unpad(sumset._shifted_sumset(layout, a.bits, b.bits))
+            products.clear()
+            assert pair_sumset(a, b).bits == shifted, (g, a.size, b.size)
+            assert products == [1]
+    g = make_group([9000])
+    odd = Subset.from_indices(g, range(1, 9000, 2))
+    assert pair_sumset(odd, odd) == Subset.from_indices(g, range(0, 9000, 2))
+
+
+def test_pair_sumset_on_many_axes():
+    # many short axes: the padded layout is (3/2)^10 times the group there
+    rng = random.Random(41)
+    for g in [make_group([2] * 10), make_group([2, 2, 2, 2, 2, 6]), make_group([3, 3, 3, 3, 3])]:
+        n = g.n
+        for m in [1, 8, n // 16, n // 2]:
+            a = Subset.from_indices(g, rng.sample(range(n), m))
+            b = Subset.from_indices(g, rng.sample(range(n), n // 4))
+            assert pair_sumset(a, b) == _pair_sumset_reference(a, b), (g, m)
+            assert pair_sumset(a, a) == _pair_sumset_reference(a, a), (g, m)
 
 
 def test_h_fold_examples():
@@ -60,6 +153,34 @@ def test_h_fold_doubling_matches_naive():
             a = Subset(g, bits)
             for h in range(1, 9):
                 assert h_fold(a, h) == _h_fold_naive(a, h)
+
+
+def test_kl_sum_free_shares_one_doubling_chain(monkeypatch):
+    calls = []
+    counted = sumset._sumset_bits
+
+    def counting(layout, x, y):
+        calls.append(1)
+        return counted(layout, x, y)
+
+    def h_fold_sumsets(h):  # sumsets one h_fold(a, h) takes
+        return h.bit_length() - 1 + bin(h).count("1") - 1
+
+    monkeypatch.setattr(sumset, "_sumset_bits", counting)
+    rng = random.Random(31)
+    taken = {}
+    for g in groups_up_to(24):
+        sets = [Subset(g, rng.randrange(1, 1 << g.n)), Subset(g, 1 << rng.randrange(g.n))]
+        for k in range(2, 8):
+            for l in range(1, k):
+                for a in sets:
+                    ka, la = sumset._multiples(a, (k, l))
+                    assert ka == h_fold(a, k).bits and la == h_fold(a, l).bits
+                    calls.clear()
+                    assert is_kl_sum_free(a, k, l) == (ka & la == 0)
+                    assert len(calls) <= h_fold_sumsets(k) + h_fold_sumsets(l)
+                    taken[k, l] = len(calls)
+    assert taken[3, 2] == 2 and taken[5, 2] == 3 and taken[7, 3] == 4
 
 
 def test_negate():

@@ -90,6 +90,18 @@ def test_ap_witness_max_matches_lower_terms():
                 check_certificate(w)
 
 
+def test_certificates_of_benchmark_pairs():
+    # every certificate of ap_witness_max: l*c = delta*q - r with
+    # 1 <= r <= delta, delta = (k-l)*u + d*w, start = u*q (mod d)
+    for d in range(2, 501):
+        for k, l in [(2, 1), (3, 1), (4, 1), (5, 2), (7, 3)]:
+            w = ap_witness_max(d, KLParams(k, l))
+            if w.size:
+                check_certificate(w)
+            else:
+                assert w.certificate is None and (k - l) % d == 0
+
+
 def test_coset_union_witness():
     members = coset_union_witness(10, 5, KL31)
     assert sorted(members.indices()) == [1, 6]
