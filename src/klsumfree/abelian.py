@@ -9,7 +9,8 @@ Sumsets use a padded layout of the same masks (PaddedLayout): axis i gets
 2*d_i - 1 slots, so adding two padded offsets adds the elements without a
 carry, and a whole translate is one shift.  The per-axis rotation tables
 (translation_ops) serve the exhaustive oracle's inner loop on small
-groups; every table is cached per group in a bounded cache.
+groups, and the automorphism orbits (automorphism_orbits) its symmetry
+breaking; every table is cached per group in a bounded cache.
 
 Everything here is immutable and pure; values can be shared freely between
 concurrent callers.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Optional
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
     "all_abelian_groups",
     "PaddedLayout",
     "padded_layout",
+    "automorphism_orbits",
 ]
 
 
@@ -394,6 +397,53 @@ def apply_ops(bits: int, ops: tuple[_Op, ...]) -> int:
 def negation_table(g: GroupSpec) -> tuple[int, ...]:
     """negation_table(g)[i] is the index of -x for the element x at index i."""
     return tuple(g.neg_index(i) for i in range(g.n))
+
+
+# ---------------------------------------------------------------------------
+# automorphism orbits
+#
+# Aut(G) is the product of the automorphism groups of the p-parts, and in a
+# finite abelian p-group two elements share an orbit iff they share the
+# height sequence h(x), h(p*x), h(p^2*x), ... (Kaplansky, Infinite Abelian
+# Groups), where h(y) is the largest h with y in p^h*G.  Since
+# p^h*G = (+) gcd(p^h, d_i)*Z_{d_i}, an axis whose p-part has exponent a
+# and whose coordinate has p-valuation t puts y = p^j*x in p^h*G exactly
+# when t + j >= a or h <= t + j; so h(p^j*x) is the least t + j < a over
+# the axes, and "infinite" (encoded as the exponent of p in v, which no
+# finite height reaches) when there is none.
+
+def _height_keys(g: GroupSpec) -> list[tuple[int, ...]]:
+    """Per element index, its height sequences at every prime p | v,
+    h_p(p^j*x) for j = 0..e_p, concatenated prime by prime."""
+    exps = prime_factors(g.v)
+    axes = []
+    for d in g.factors:
+        # a coordinate's p-valuations, capped by the axis, are those of its
+        # gcd with d, so one key per divisor of d serves every residue
+        pd = prime_factors(d)
+        by_gcd = {}
+        for q in divisors(d):
+            pq = prime_factors(q)
+            key = []
+            for p, e in exps.items():
+                t, a = pq.get(p, 0), pd.get(p, 0)
+                key.extend(t + j if t + j < a else e for j in range(e + 1))
+            by_gcd[q] = tuple(key)
+        axes.append([by_gcd[gcd(c, d)] for c in range(d)])
+    # an element's key is the entry-wise minimum of its coordinates' keys;
+    # the all-infinite key lets map(min, ...) take a single axis too
+    top = [tuple(e for e in exps.values() for _ in range(e + 1))]
+    return [tuple(map(min, *vecs)) for vecs in itertools.product(*axes, top)]
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_GROUPS)
+def automorphism_orbits(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
+    """The Aut(g)-orbits of the element indices, each in ascending index
+    order, ordered by their smallest index (so {0} comes first)."""
+    orbits: dict[tuple[int, ...], list[int]] = {}
+    for x, key in enumerate(_height_keys(g)):
+        orbits.setdefault(key, []).append(x)
+    return tuple(tuple(orbit) for orbit in orbits.values())
 
 
 # ---------------------------------------------------------------------------

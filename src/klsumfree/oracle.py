@@ -1,15 +1,23 @@
 """Ground truth by exhaustive search.
 
-One walk, _walk, visits the tree of (k,l)-sum-free sets in element-index
+One walk, _walk, visits the tree of (k,l)-sum-free sets in a given element
 order.  Sum-freeness is hereditary (any subset of a sum-free set is
 sum-free), so each level passes its children only the candidates that
 stayed individually addable.  The walk carries a floor: a branch is cut
 as soon as the current size plus the surviving candidates cannot exceed
-it.  The maximum search starts the floor at the constructive witness and
-raises it on every larger set, the count keeps it at 0 (no cut), and the
-enumeration of maximum sets fixes it at lambda - 1.  State per candidate
-is the tower of sumset layers 1A, 2A, ..., kA, updated incrementally when
-an element is added.
+it, or, given per-element caps, as soon as the current size plus the cap
+of the next candidate cannot.  State per candidate is the tower of sumset
+layers 1A, 2A, ..., kA, updated incrementally when an element is added.
+
+The maximum search breaks the symmetry of Aut(G): it lists the elements
+orbit by orbit, and for each orbit, from the last to the first, searches
+only the sets that contain the orbit's first element and lie in that orbit
+and the later ones.  Each such branch leaves the maximum inside its suffix
+of orbits, which caps every later branch's candidates from that orbit
+(Russian-doll bounds, Ostergard 2002).  Neither cut uses a formula the
+oracle checks.  The count keeps the floor at 0 (no cut) and the
+enumeration of maximum sets fixes it at lambda - 1, both in element-index
+order.
 
 Progression maxima (alpha/beta/gamma) do not enumerate subsets at all: for
 a progression with difference q and start a, the difference set kA - lA is
@@ -29,9 +37,9 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
-from .abelian import GroupSpec, divisors, translation_ops
+from .abelian import GroupSpec, automorphism_orbits, divisors, translation_ops
 from .formulas import KLParams
 from .sumset import Subset
 from .witness import best_witness
@@ -119,30 +127,48 @@ def _make_extend(g: GroupSpec, k: int):
     return extend
 
 
-def _walk(g: GroupSpec, k: int, l: int, floor: list[int], visit) -> None:
-    """Walk the tree of (k,l)-sum-free sets of g in element-index order.
+def _walk(
+    g: GroupSpec,
+    k: int,
+    l: int,
+    floor: list[int],
+    visit,
+    order: Optional[Sequence[int]] = None,
+    cap: Optional[Sequence[int]] = None,
+    base: tuple[int, ...] = (),
+) -> None:
+    """Walk the tree of (k,l)-sum-free sets of g that contain base, adding
+    elements in the given order (element-index order by default).
 
     A level lists the (x, layers) candidates that extend the chosen set by
     one element.  visit(level, depth, chosen) sees each level once, depth
     being the size of the extended sets, and returns False to skip its
     subtree.  A sibling loop stops as soon as the chosen set plus the
-    remaining siblings cannot exceed floor[0], and a child level is entered
-    only when it could; visitors may raise floor[0] as they go.
+    remaining siblings cannot exceed floor[0], or, when a cap is given, as
+    soon as the chosen set plus cap[x] cannot: cap[x] must bound every
+    sum-free set made of x and the elements after it in the order, and must
+    not increase along the order.  A child level is entered only when it
+    could exceed floor[0]; visitors may raise floor[0] as they go.  base must
+    itself be sum-free.
     """
     extend = _make_extend(g, k)
-    layers0 = [1] + [0] * k
+    layers = [1] + [0] * k
+    for x in base:
+        layers = extend(layers, x)
+    if cap is None:
+        cap = [g.n] * g.n  # never cuts: no set exceeds the group
     root = []
-    for x in range(g.n):
-        lx = extend(layers0, x)
+    for x in range(g.n) if order is None else order:
+        lx = extend(layers, x)
         if not lx[k] & lx[l]:
             root.append((x, lx))
 
     def walk(level, depth, chosen):
         if not visit(level, depth + 1, chosen):
             return
-        size = len(level)
         for i, (x, lx) in enumerate(level):
-            if depth + size - i <= floor[0]:
+            room = floor[0] - depth
+            if len(level) - i <= room or cap[x] <= room:
                 return
             child = []
             for y, _ in level[i + 1:]:
@@ -152,8 +178,8 @@ def _walk(g: GroupSpec, k: int, l: int, floor: list[int], visit) -> None:
             if child and depth + 1 + len(child) > floor[0]:
                 walk(child, depth + 1, chosen + (x,))
 
-    if len(root) > floor[0]:
-        walk(root, 0, ())
+    if len(base) + len(root) > floor[0]:
+        walk(root, len(base), base)
 
 
 def _search_max(
@@ -164,24 +190,72 @@ def _search_max(
     progress: Optional[Callable[[int, int, int], None]],
     progress_interval: int = 65536,
 ) -> tuple[int, tuple[int, ...], int]:
-    """The max visitor: (largest size, a set of that size, nodes visited)."""
-    floor = [len(seed)]
-    best_set = seed
+    """The max visitor: (largest size, a set of that size, nodes visited).
+
+    The elements are listed orbit by orbit of Aut(g), and the orbits are
+    taken from last to first.  Let u[b] be the size of the largest sum-free
+    set inside orbits b and later.  Branch b walks the sets that contain
+    the orbit's first element r_b and lie inside orbits b and later; its
+    floor starts at u[b+1] and ends at u[b].  An automorphism maps a set
+    whose first orbit is b to one that contains r_b, and it keeps every
+    suffix of orbits, so u[0] is the maximum.  Below the branch root, u of
+    its orbit caps each candidate of a later orbit (Russian-doll bounds);
+    u does not increase along the order, so a sibling loop stops at the
+    first cap that fails.
+
+    The witness is the seed when the seed is maximum, else the first
+    maximum set in element-index order (enumerate_maximum's first set):
+    a walk with the floor one below the maximum stops at its first hit.
+    nodes counts the empty set, each branch root and every set either walk
+    visits.
+    """
+    floor = [0]
+    best = len(seed)  # the progress report never drops below the seed
     nodes = 1  # the empty set
 
-    def visit(level, depth, chosen):
-        nonlocal nodes, best_set
+    def tick(level, depth):
+        nonlocal nodes
         before = nodes
         nodes += len(level)
-        if depth > floor[0]:
-            floor[0] = depth
-            best_set = chosen + (level[0][0],)
         if progress is not None and nodes // progress_interval > before // progress_interval:
-            progress(nodes - nodes % progress_interval, depth, floor[0])
+            progress(nodes - nodes % progress_interval, depth, max(best, floor[0]))
+
+    def visit(level, depth, chosen):
+        tick(level, depth)
+        floor[0] = max(floor[0], depth)
         return True
 
-    _walk(g, k, l, floor, visit)
-    return floor[0], best_set, nodes
+    orbits = automorphism_orbits(g)
+    order = [x for orbit in orbits for x in orbit]
+    cap = [g.n] * g.n
+    end = g.n
+    for orbit in reversed(orbits):
+        end -= len(orbit)
+        if g.scale_index(k - l, orbit[0]):  # {r_b} is sum-free: k*r_b != l*r_b
+            nodes += 1
+            floor[0] = max(floor[0], 1)
+            _walk(g, k, l, floor, visit, order[end + 1:], cap, orbit[:1])
+        for x in orbit:
+            cap[x] = floor[0]
+    lam = floor[0]
+    if lam == len(seed):
+        return lam, seed, nodes
+
+    best = lam
+    witness = seed
+
+    def first_hit(level, depth, chosen):
+        nonlocal witness
+        tick(level, depth)
+        if depth < lam:
+            return True
+        witness = chosen + (level[0][0],)
+        floor[0] = g.n  # stops every sibling loop
+        return False
+
+    floor[0] = lam - 1
+    _walk(g, k, l, floor, first_hit)
+    return lam, witness, nodes
 
 
 _EXACT_CACHE: dict[tuple, tuple[int, tuple[int, ...], int]] = {}
@@ -197,10 +271,13 @@ def lambda_exact(
 ) -> SearchResult:
     """Exact maximum size of a (k,l)-sum-free subset of g, with a witness.
 
-    Branch-and-bound over index-ordered subsets, seeded with the
-    constructive witness so the search mostly has to refute one size up.
-    progress, when given, is called as progress(nodes, depth, best) with
-    nodes a multiple of progress_interval, once per level that crosses one.
+    Branch-and-bound over automorphism orbits with Russian-doll bounds (see
+    _search_max).  The witness is the constructive one when that is
+    maximum, else the first maximum set in element-index order.
+    nodes_explored counts the sets the search visits.  progress, when
+    given, is called as progress(nodes, depth, best) with nodes a multiple
+    of progress_interval, once per level that crosses one; best never drops
+    and never falls below the constructive witness's size.
     Results are cached per (group, k, l): a repeated call searches nothing,
     never calls progress, and returns cached=True with the first search's
     nodes_explored.

@@ -182,13 +182,6 @@ def pair_sumset(a: Subset, b: Subset) -> Subset:
     return Subset(a.group, _sumset_bits(padded_layout(a.group), a.bits, b.bits))
 
 
-def _h_fold_naive(a: Subset, h: int) -> Subset:
-    out = a
-    for _ in range(h - 1):
-        out = pair_sumset(out, a)
-    return out
-
-
 def _multiples(a: Subset, hs: tuple[int, ...]) -> list[int]:
     """The masks of hA for h in hs, from one chain of doublings A, 2A, 4A, ...
 

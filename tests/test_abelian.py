@@ -24,6 +24,7 @@ from klsumfree import (
 from klsumfree import abelian
 from klsumfree.abelian import (
     apply_ops,
+    automorphism_orbits,
     padded_layout,
     prime_factors,
     smallest_prime,
@@ -161,7 +162,10 @@ def test_padded_layout_adds_without_carry():
 
 
 def test_table_caches_are_bounded():
-    cached = [abelian._axis_rotations, translation_ops, abelian.negation_table, padded_layout]
+    cached = [
+        abelian._axis_rotations, translation_ops, abelian.negation_table, padded_layout,
+        automorphism_orbits,
+    ]
     for fn in cached:
         fn.cache_clear()
     for n in range(2, 132):  # 130 groups
@@ -169,9 +173,59 @@ def test_table_caches_are_bounded():
         translation_ops(g)
         abelian.negation_table(g)
         padded_layout(g)
+        automorphism_orbits(g)
     for fn in cached:
         assert fn.cache_info().currsize <= 128, fn
         assert fn.cache_info().maxsize == 128, fn
+
+
+# ---------------------------------------------------------------------------
+# automorphism orbits
+
+def _generator_automorphisms(g):
+    """Automorphisms that move one generator e_i to an element y with
+    d_i*y = 0 and fix the others, kept when bijective; as index maps."""
+    elems = [g.coords_of(x) for x in range(g.n)]
+    out = []
+    for i, d in enumerate(g.factors):
+        for y in elems:
+            if any(d * c % f for c, f in zip(y, g.factors)):
+                continue  # e_i -> y is no homomorphism
+            image = []
+            for x in elems:
+                rest = [0 if j == i else c for j, c in enumerate(x)]
+                image.append(g.index_of(c + x[i] * yc for c, yc in zip(rest, y)))
+            if len(set(image)) == g.n:
+                out.append(image)
+    return out
+
+
+def _orbit_closure(g):
+    """Orbits of the group the generator automorphisms generate, by closure."""
+    maps = _generator_automorphisms(g)
+    seen = [False] * g.n
+    orbits = []
+    for x in range(g.n):
+        if seen[x]:
+            continue
+        orbit, frontier = {x}, [x]
+        while frontier:
+            y = frontier.pop()
+            for phi in maps:
+                if phi[y] not in orbit:
+                    orbit.add(phi[y])
+                    frontier.append(phi[y])
+        for y in orbit:
+            seen[y] = True
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
+
+
+def test_automorphism_orbits_match_orbit_closure():
+    # the closure's orbits lie inside the true orbits, and the height key is
+    # an automorphism invariant, so equality pins both to the true orbits
+    for g in groups_up_to(32):
+        assert automorphism_orbits(g) == _orbit_closure(g), g
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,7 @@ def test_witness_and_verify_build_no_translation_table(capsys):
 # output is a stable wire format, so any change here must be deliberate
 PINNED_JSON = [
     ("lambda --group 30 --k 2 --l 1", 0,
-     "d9cf4db50aeb4916cb137bff02746f905427865857f823d0efc0461e282b3c64"),
+     "3270d0ea329c01540b184b5ed606d380850097c1a174b7fc6ec5579f0b07fcc9"),
     ("count --group 2x6 --k 3 --l 1", 0,
      "ca5a320872a6d1fd42f5db85ce644ab9560b73f71fa387ea88821ff44691f94f"),
     ("enumerate --group 14 --k 3 --l 1", 0,
@@ -161,7 +161,7 @@ PINNED_JSON = [
     ("witness --group 2x20 --k 3 --l 2", 0,
      "0b0e83ff31dd2be9bb18b5986bea3c9cdea7907baa7c0e6148e18b1429f5bb1f"),
     ("lambda --group 2x4 --k 2 --l 1", 0,
-     "a64f5688efb2327514d52b7eee7d58ea7b13af20c1458b089980a92c750e901d"),
+     "e067ba3172d948518782b90e38a025baf2a75351f5d38a9defc72158231d165e"),
     ("lambda --group 4 --k 5 --l 1", 0,
      "1780b0b8923d6c883b9e58e2302f08b791962e1a5e2520bb1f2c49a22a5e4908"),
     ("verify --group 2x4 --k 2 --l 1 --set 0:1,1:1", 0,
@@ -182,6 +182,27 @@ PINNED_JSON = [
 def test_json_output_pinned(capsys, command, exit_code, digest):
     code, out, _ = run(capsys, *command.split(), "--json")
     assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the same lambda payloads without exact.nodes_explored: the search's
+# effort may change, its value and witness bytes may not
+PINNED_LAMBDA_VALUES = [
+    ("lambda --group 30 --k 2 --l 1",
+     "3e131f00f3013c3ee22ec31cad3ad5bd334819d157fda3ea007b3685a01b2dbf"),
+    ("lambda --group 2x4 --k 2 --l 1",
+     "698134cf045cfb2c79bb08740d2388cb5e05e87ed0426eaeeaeb86b5181b9bf0"),
+    ("lambda --group 4 --k 5 --l 1",
+     "313b15be0329322060fffdef88cccf97e5723756816df7189f74e7c7cd704814"),
+]
+
+
+@pytest.mark.parametrize("command, digest", PINNED_LAMBDA_VALUES)
+def test_lambda_json_without_effort_pinned(capsys, command, digest):
+    code, doc, _ = run_json(capsys, *command.split())
+    assert code == 0
+    del doc["exact"]["nodes_explored"]
+    out = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -14,17 +14,20 @@ from klsumfree import (
     alpha_21,
     alpha_31,
     alpha_exact,
+    best_witness,
     beta_exact,
     count_sum_free,
     enumerate_maximum,
     gamma_bounds,
     gamma_exact,
     is_kl_sum_free,
+    lambda_bounds_general,
     lambda_cyclic_21,
     lambda_cyclic_31,
     lambda_exact,
     make_group,
 )
+from klsumfree.oracle import _search_max, _walk
 
 from conftest import brute_force_max, groups_up_to, kl_pairs
 
@@ -73,20 +76,101 @@ def test_lambda_exact_deterministic():
     assert a.nodes_explored == b.nodes_explored
 
 
+def _pin(factors, k, l, *expected):
+    return pytest.param(factors, k, l, *expected, id="x".join(map(str, factors)) + f"-{k}-{l}")
+
+
 @pytest.mark.parametrize(
     "factors, k, l, nodes",
     [
-        ([30], 2, 1, 1644),
-        ([36], 3, 1, 3593),
-        ([2, 2, 8], 2, 1, 14193),
-        ([3, 9], 5, 2, 535),
-        ([2, 20], 2, 1, 39390),
+        _pin([30], 2, 1, 791),
+        _pin([36], 3, 1, 1036),
+        _pin([2, 2, 8], 2, 1, 3837),
+        _pin([3, 9], 5, 2, 149),
+        _pin([2, 20], 2, 1, 6716),
     ],
 )
 def test_lambda_exact_nodes_explored_pinned(factors, k, l, nodes):
     # the search visits exactly these sets; a change here is a change of
     # the traversal, not of the value
     assert lambda_exact(make_group(factors), KLParams(k, l)).nodes_explored == nodes
+
+
+@pytest.mark.parametrize(
+    "factors, k, l, value, nodes",
+    [
+        _pin([2, 2, 2, 6], 2, 1, 24, 31030),
+        _pin([2, 2, 12], 5, 2, 24, 9475),
+        _pin([64], 3, 1, 16, 45430),
+    ],
+)
+def test_hard_instances_value_and_effort_pinned(factors, k, l, value, nodes):
+    # beyond the default limit; the index-order walk seeded with the
+    # constructive witness visits 7 to 32 times as many sets here
+    g, kl = make_group(factors), KLParams(k, l)
+    res = lambda_exact(g, kl, force=True)
+    assert (res.max_size, res.nodes_explored) == (value, nodes)
+    assert res.witness.size == value and is_kl_sum_free(res.witness, k, l)
+    if g.is_cyclic:
+        assert value == lambda_cyclic_31(g.n)
+    else:
+        bounds = lambda_bounds_general(g, kl)
+        assert bounds.lower == bounds.upper == value
+
+
+def _search_max_reference(g, k, l, seed, progress, progress_interval=65536):
+    """The search before orbit branching: one walk in element-index order,
+    its floor starting at the seed and raised on every larger set."""
+    floor = [len(seed)]
+    best_set = seed
+    nodes = 1  # the empty set
+
+    def visit(level, depth, chosen):
+        nonlocal nodes, best_set
+        before = nodes
+        nodes += len(level)
+        if depth > floor[0]:
+            floor[0] = depth
+            best_set = chosen + (level[0][0],)
+        if progress is not None and nodes // progress_interval > before // progress_interval:
+            progress(nodes - nodes % progress_interval, depth, floor[0])
+        return True
+
+    _walk(g, k, l, floor, visit)
+    return floor[0], best_set, nodes
+
+
+# where the constructive witness is not maximum, the witness comes from the
+# search itself; these are all such instances of order <= 40 at SEARCH_PAIRS
+GAP_INSTANCES = [
+    ([9], 5, 2), ([27], 5, 2), ([3, 9], 5, 2),
+    ([16], 5, 1), ([2, 16], 5, 1), ([32], 5, 1),
+    ([25], 6, 1),
+]
+SEARCH_PAIRS = [(2, 1), (3, 1), (3, 2), (4, 1), (5, 2), (5, 1), (6, 1)]
+
+
+def test_search_max_matches_reference():
+    instances = [(g, k, l) for g in groups_up_to(24) for k, l in SEARCH_PAIRS]
+    instances += [(make_group(f), k, l) for f, k, l in GAP_INSTANCES if make_group(f).n > 24]
+    gaps = []
+    for g, k, l in instances:
+        seed = tuple(best_witness(g, KLParams(k, l)).members.indices())
+        size, witness, _ = _search_max(g, k, l, seed, None)
+        assert (size, witness) == _search_max_reference(g, k, l, seed, None)[:2], (g, k, l)
+        if size > len(seed):
+            gaps.append((list(g.factors), k, l))
+    assert sorted(gaps) == sorted(GAP_INSTANCES)
+
+
+def test_progress_best_never_drops_below_seed():
+    g = make_group([30])
+    seed = tuple(best_witness(g, KL21).members.indices())
+    seen = []
+    _search_max(g, 2, 1, seed, lambda *a: seen.append(a), progress_interval=16)
+    assert seen
+    bests = [best for _, _, best in seen]
+    assert bests == sorted(bests) and bests[0] >= len(seed)
 
 
 def test_lambda_exact_cache_hit_is_marked():
@@ -294,8 +378,6 @@ def test_alpha_exact_matches_closed_forms_full_range():
 
 
 def test_progress_callback_fires():
-    from klsumfree.oracle import _search_max
-
     seen = []
     g = make_group([30])
     _search_max(

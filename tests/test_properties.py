@@ -2,12 +2,14 @@
 
 Each property is one the unit tests check only at fixed points: bitmask
 translation and both sumset kernels against coordinate addition, the two
-sum-free characterizations against each other, quotient lifts, and the
-violation search.  Examples are derandomized, so every run draws the
-same cases.
+sum-free characterizations against each other, quotient lifts, the
+violation search, and the automorphism-orbit key under unit scaling.
+Examples are derandomized, so every run draws the same cases.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,7 @@ from klsumfree import (
     make_group,
     pair_sumset,
 )
-from klsumfree.abelian import apply_ops, padded_layout, translation_ops
+from klsumfree.abelian import _height_keys, apply_ops, padded_layout, translation_ops
 from klsumfree.sumset import _product_sumset, _shifted_sumset
 
 GROUPS = all_abelian_groups(64)
@@ -108,3 +110,15 @@ def test_find_violation_exactly_on_non_sum_free_sets(gs, kl):
         for e in ltuple:
             lsum = g.add_index(lsum, g.index_of(e.coords))
         assert ksum == lsum
+
+
+@fixed
+@given(st.sampled_from(GROUPS), st.data())
+def test_orbit_key_invariant_under_unit_scaling(g, data):
+    # x -> u*x is an automorphism for every unit u mod v, so it keeps the
+    # height sequences that name the orbit of x
+    keys = _height_keys(g)
+    x = data.draw(st.integers(0, g.n - 1))
+    for u in range(1, g.v):
+        if gcd(u, g.v) == 1:
+            assert keys[g.scale_index(u, x)] == keys[x], (g, x, u)

@@ -24,9 +24,16 @@ from klsumfree import (
 )
 from klsumfree import sumset
 from klsumfree.abelian import apply_ops, padded_layout, translation_ops
-from klsumfree.sumset import _h_fold_naive
 
 from conftest import all_subsets, groups_up_to, subset
+
+
+def _h_fold_naive(a: Subset, h: int) -> Subset:
+    """hA as h - 1 pair sums, one summand at a time."""
+    out = a
+    for _ in range(h - 1):
+        out = pair_sumset(out, a)
+    return out
 
 
 def _pair_sumset_reference(a: Subset, b: Subset) -> Subset:
