@@ -5,12 +5,14 @@ order n = d1*...*dm and exponent v = dm.  Elements are coordinate vectors,
 but internally every element is identified with its mixed-radix index in
 [0, n) (last coordinate least significant), so a subset is an n-bit mask.
 
-Sumsets use a padded layout of the same masks (PaddedLayout): axis i gets
-2*d_i - 1 slots, so adding two padded offsets adds the elements without a
-carry, and a whole translate is one shift.  The per-axis rotation tables
-(translation_ops) serve the exhaustive oracle's inner loop on small
-groups, and the automorphism orbits (automorphism_orbits) its symmetry
-breaking; every table is cached per group in a bounded cache.
+A mask moves in one way, through a padded layout of the same masks
+(PaddedLayout): axis i gets 2*d_i - 1 slots, so adding two padded offsets
+adds the elements without a carry, a whole translate is one shift, and
+one fold per axis brings the sums back.  Sumsets pad and unpad; the
+exhaustive oracle keeps its masks reduced padded, one slot per element,
+and moves them by the per-element moves of translation_ops.  The
+automorphism orbits (automorphism_orbits) serve the oracle's symmetry
+breaking; every per-group table is cached in a bounded cache.
 
 Everything here is immutable and pure; values can be shared freely between
 concurrent callers.
@@ -258,6 +260,14 @@ def scale(g: GroupSpec, h: int, x: Element) -> Element:
 # half it splits, O(size * log(n/v)) bit operations in all.  Sums of
 # padded offsets stay below the padded size, so a shift never leaves the
 # layout.
+#
+# A reduced padded mask sets only slots whose every coordinate is below
+# d_i, the padded offsets of elements of g; bit 0 is the identity, as in
+# g.  translation_ops moves one by an element e without leaving the
+# layout: one shift by e's offset, then the fold of each axis on which e
+# can wrap.  Axis 0 is the most significant, so its fold needs no XOR:
+# the slots that did not wrap lie below the fold's shift, which drops
+# them.
 
 # Each per-group cache holds at most this many groups: more than the 67
 # abelian groups of order <= 40 that the exact oracle searches by default,
@@ -335,68 +345,24 @@ def padded_layout(g: GroupSpec) -> PaddedLayout:
     )
 
 
-# ---------------------------------------------------------------------------
-# per-axis rotation tables (the oracle's inner loop)
-#
-# With the mixed-radix layout, adding a fixed element e is an independent
-# cyclic rotation along every coordinate axis.  A rotation along one axis
-# moves each block of bits by a fixed amount, which two masked shifts
-# implement for the whole n-bit word at once.  An "op" is the 4-tuple
-# (mask_low, shift_up, mask_high, shift_down).  The tables take O(n*v)
-# bits per group, so only small groups should use them.
-
-_Op = tuple[int, int, int, int]
-
-
 @functools.lru_cache(maxsize=_TABLE_CACHE_GROUPS)
-def _axis_rotations(g: GroupSpec) -> tuple[tuple[Optional[_Op], ...], ...]:
-    """For each axis, the rotation op for every shift amount t in [0, d)."""
-    axes = []
-    stride = 1
-    for d in reversed(g.factors):
-        block = d * stride
-        reps = g.n // block
-        ops: list[Optional[_Op]] = [None]  # t = 0 is the identity
-        for t in range(1, d):
-            up = t * stride
-            low_len = block - up
-            pat_low = (1 << low_len) - 1
-            pat_high = ((1 << up) - 1) << low_len
-            m_low = 0
-            m_high = 0
-            for j in range(reps):
-                m_low |= pat_low << (j * block)
-                m_high |= pat_high << (j * block)
-            ops.append((m_low, up, m_high, low_len))
-        axes.append(tuple(ops))
-        stride = block
-    # axes were built last-factor-first; store in factor order
-    return tuple(reversed(axes))
+def translation_ops(g: GroupSpec) -> tuple[tuple[int, tuple[tuple[int, int], ...], int, int], ...]:
+    """translation_ops(g)[e] is the move (shift, folds, top, top_down) that
+    adds the element e to a reduced padded mask.
 
-
-@functools.lru_cache(maxsize=_TABLE_CACHE_GROUPS)
-def translation_ops(g: GroupSpec) -> tuple[tuple[_Op, ...], ...]:
-    """translation_ops(g)[e] is the op sequence implementing bits -> bits + e."""
-    axes = _axis_rotations(g)
+    shift is e's padded offset; folds are the folds of the axes i >= 1 on
+    which e's coordinate is nonzero (no other axis can wrap); (top,
+    top_down) is axis 0's fold, or (-1, size), which keeps every slot and
+    drops nothing, when e's axis-0 coordinate is 0.
+    """
+    layout = padded_layout(g)
+    top = layout.folds[0]
     table = []
     for e in range(g.n):
         coords = g.coords_of(e)
-        ops = tuple(axes[i][c] for i, c in enumerate(coords) if c != 0)
-        table.append(ops)
+        folds = tuple(layout.folds[i] for i in range(1, len(coords)) if coords[i])
+        table.append((layout.offset(e), folds) + (top if coords[0] else (-1, layout.size)))
     return tuple(table)
-
-
-def apply_ops(bits: int, ops: tuple[_Op, ...]) -> int:
-    """Translate a subset bitmask by the element whose ops these are."""
-    for m_low, up, m_high, down in ops:
-        bits = ((bits & m_low) << up) | ((bits & m_high) >> down)
-    return bits
-
-
-@functools.lru_cache(maxsize=_TABLE_CACHE_GROUPS)
-def negation_table(g: GroupSpec) -> tuple[int, ...]:
-    """negation_table(g)[i] is the index of -x for the element x at index i."""
-    return tuple(g.neg_index(i) for i in range(g.n))
 
 
 # ---------------------------------------------------------------------------

@@ -106,21 +106,23 @@ class CountResult:
 def _make_extend(g: GroupSpec, k: int):
     """extend(layers, x): sumset layers of A + {x} from those of A.
 
-    layers[j] is the bitmask of jA (layers[0] = {0}); the new j-th layer is
-    layers[j] union (new (j-1)-th layer translated by x).
+    layers[j] is the reduced padded mask of jA (layers[0] = {0}, bit 0
+    being the identity); the new j-th layer is layers[j] union (new
+    (j-1)-th layer translated by x), moved by x's entry of translation_ops.
     """
-    ops_table = translation_ops(g)
-    # apply_ops is inlined: a call per layer made exact search about 10% slower
+    moves = translation_ops(g)
+    # the move is inlined: a call per layer made exact search about 10% slower
 
     def extend(layers, x):
-        ops = ops_table[x]
+        shift, folds, top, top_down = moves[x]
         out = [1]
         prev = 1
         for j in range(1, k + 1):
-            b = prev
-            for m_low, up, m_high, down in ops:
-                b = ((b & m_low) << up) | ((b & m_high) >> down)
-            prev = layers[j] | b
+            b = prev << shift
+            for low, down in folds:
+                kept = b & low
+                b = kept | (b ^ kept) >> down
+            prev = layers[j] | (b & top) | b >> top_down
             out.append(prev)
         return out
 
@@ -141,9 +143,10 @@ def _walk(
     elements in the given order (element-index order by default).
 
     A level lists the (x, layers) candidates that extend the chosen set by
-    one element.  visit(level, depth, chosen) sees each level once, depth
-    being the size of the extended sets, and returns False to skip its
-    subtree.  A sibling loop stops as soon as the chosen set plus the
+    one element, layers being the reduced padded masks of the extended
+    set's sumset layers.  visit(level, depth, chosen) sees each level once,
+    depth being the size of the extended sets, and returns False to skip
+    its subtree.  A sibling loop stops as soon as the chosen set plus the
     remaining siblings cannot exceed floor[0], or, when a cap is given, as
     soon as the chosen set plus cap[x] cannot: cap[x] must bound every
     sum-free set made of x and the elements after it in the order, and must

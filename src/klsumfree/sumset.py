@@ -25,7 +25,7 @@ from itertools import accumulate, repeat
 from operator import add
 from typing import Iterable, Iterator, Optional
 
-from .abelian import Element, GroupSpec, PaddedLayout, negation_table, padded_layout
+from .abelian import Element, GroupSpec, PaddedLayout, padded_layout
 from .formulas import KLParams
 
 __all__ = [
@@ -221,9 +221,16 @@ def h_fold(a: Subset, h: int) -> Subset:
 
 
 def negate(a: Subset) -> Subset:
-    """{-x : x in A}."""
-    table = negation_table(a.group)
-    return Subset.from_indices(a.group, [table[i] for i in a.indices()])
+    """{-x : x in A}.
+
+    Index n - 1 - i has coordinates d_j - 1 - c_j, one less than those of
+    -x on every axis, so -A is the bit-reversed mask translated by
+    (1, ..., 1).
+    """
+    g = a.group
+    layout = padded_layout(g)
+    flipped = int(format(a.bits, f"0{g.n}b")[::-1], 2)
+    return Subset(g, layout.translate(layout.pad(flipped), g.index_of([1] * len(g.factors))))
 
 
 def is_kl_sum_free(a: Subset, k: int, l: int) -> bool:

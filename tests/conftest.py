@@ -16,6 +16,17 @@ def kl_pairs(max_k: int) -> list[KLParams]:
     return [KLParams(k, l) for k in range(2, max_k + 1) for l in range(1, k)]
 
 
+def move_padded(bits: int, move) -> int:
+    """A reduced padded mask moved by one entry of abelian.translation_ops,
+    as the oracle's extend moves each layer."""
+    shift, folds, top, top_down = move
+    b = bits << shift
+    for low, down in folds:
+        kept = b & low
+        b = kept | (b ^ kept) >> down
+    return (b & top) | b >> top_down
+
+
 def groups_up_to(max_order: int, min_order: int = 2) -> list[GroupSpec]:
     return all_abelian_groups(max_order, min_order=min_order)
 

@@ -1,9 +1,10 @@
 """Property tests over random abelian groups of order <= 64.
 
 Each property is one the unit tests check only at fixed points: bitmask
-translation and both sumset kernels against coordinate addition, the two
-sum-free characterizations against each other, quotient lifts, the
-violation search, and the automorphism-orbit key under unit scaling.
+translation and both sumset kernels against coordinate addition, negation
+against coordinate negation, the two sum-free characterizations against
+each other, quotient lifts, the violation search, and the
+automorphism-orbit key under unit scaling.
 Examples are derandomized, so every run draws the same cases.
 """
 
@@ -23,10 +24,13 @@ from klsumfree import (
     is_kl_sum_free,
     is_kl_sum_free_via_difference,
     make_group,
+    negate,
     pair_sumset,
 )
-from klsumfree.abelian import _height_keys, apply_ops, padded_layout, translation_ops
+from klsumfree.abelian import _height_keys, padded_layout, translation_ops
 from klsumfree.sumset import _product_sumset, _shifted_sumset
+
+from conftest import move_padded
 
 GROUPS = all_abelian_groups(64)
 PAIRS = [(2, 1), (3, 1), (3, 2), (4, 1), (5, 2)]
@@ -48,9 +52,18 @@ def group_and_set(draw, max_density: int = 3):
 @given(group_and_set(max_density=1))
 def test_translation_matches_coordinate_addition(gs):
     g, a = gs
-    for e, ops in enumerate(translation_ops(g)):
-        moved = apply_ops(a.bits, ops)
-        assert moved == Subset.from_indices(g, (g.add_index(i, e) for i in a.indices())).bits
+    layout = padded_layout(g)
+    padded = layout.pad(a.bits)
+    for e, move in enumerate(translation_ops(g)):
+        expected = Subset.from_indices(g, (g.add_index(i, e) for i in a.indices())).bits
+        assert move_padded(padded, move) == layout.pad(expected)
+
+
+@fixed
+@given(group_and_set(max_density=2))
+def test_negate_matches_coordinate_negation(gs):
+    g, a = gs
+    assert negate(a) == Subset.from_indices(g, map(g.neg_index, a.indices()))
 
 
 @fixed

@@ -23,7 +23,7 @@ from klsumfree import (
     stabilizer,
 )
 from klsumfree import sumset
-from klsumfree.abelian import apply_ops, padded_layout, translation_ops
+from klsumfree.abelian import padded_layout
 
 from conftest import all_subsets, groups_up_to, subset
 
@@ -37,17 +37,28 @@ def _h_fold_naive(a: Subset, h: int) -> Subset:
 
 
 def _pair_sumset_reference(a: Subset, b: Subset) -> Subset:
-    """A + B through the per-element translation table (the table-based
-    kernel that the padded-layout kernels replaced)."""
+    """A + B on the plain n-bit masks, one translate per element of the
+    smaller operand (the per-axis rotation kernel that the padded-layout
+    kernels replaced): adding e rotates every block of axis i by e's
+    coordinate on it, two masked shifts for the whole mask."""
+    g = a.group
     small, large = (a, b) if a.size <= b.size else (b, a)
-    ops = translation_ops(a.group)
+    axes = []  # (stride, block, a 1 at the bottom of every block), last axis first
+    stride = 1
+    for d in reversed(g.factors):
+        block = d * stride
+        axes.append((stride, block, int(("0" * (block - 1) + "1") * (g.n // block), 2)))
+        stride = block
     out = 0
-    bits = small.bits
-    while bits:
-        low = bits & -bits
-        out |= apply_ops(large.bits, ops[low.bit_length() - 1])
-        bits ^= low
-    return Subset(a.group, out)
+    for e in small.indices():
+        bits = large.bits
+        for (stride, block, ones), t in zip(axes, reversed(g.coords_of(e))):
+            if t:
+                up = t * stride
+                low = ((1 << (block - up)) - 1) * ones
+                bits = (bits & low) << up | (bits & ~low) >> (block - up)
+        out |= bits
+    return Subset(g, out)
 
 
 def test_pair_sumset_examples():
@@ -195,6 +206,12 @@ def test_negate():
     assert sorted(negate(subset(g, 0, 1, 3)).indices()) == [0, 7, 9]
     g2 = make_group([2, 4])
     assert {e.coords for e in negate(subset(g2, g2.index_of((1, 3)))).elements()} == {(1, 1)}
+    # many short axes and one long one
+    rng = random.Random(43)
+    for g in [make_group([2] * 10), make_group([2, 2, 2, 2, 2, 6]), make_group([3] * 5), make_group([20000])]:
+        a = Subset.from_indices(g, rng.sample(range(g.n), g.n // 3))
+        assert negate(a) == Subset.from_indices(g, map(g.neg_index, a.indices())), g
+        assert negate(negate(a)) == a
 
 
 def test_is_kl_sum_free_examples():
