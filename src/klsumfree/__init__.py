@@ -9,16 +9,14 @@ from .abelian import (
     DivisorSet,
     Element,
     GroupSpec,
-    add,
     all_abelian_groups,
     divisor_sets,
     divisors,
     format_group_spec,
     invariant_factor_chains,
+    invariant_factors,
     make_group,
-    neg,
     parse_group_spec,
-    scale,
 )
 from .formulas import (
     AlphaReport,

@@ -1,9 +1,13 @@
 """Finite abelian groups in invariant-factor form.
 
 A group is stored as a chain of invariant factors d1 | d2 | ... | dm with
-order n = d1*...*dm and exponent v = dm.  Elements are coordinate vectors,
-but internally every element is identified with its mixed-radix index in
-[0, n) (last coordinate least significant), so a subset is an n-bit mask.
+order n = d1*...*dm and exponent v = dm; make_group takes such a chain
+and invariant_factors rewrites any other list of cyclic factors into one.
+Every element is identified with its mixed-radix index in [0, n) (last
+coordinate least significant), so a subset is an n-bit mask, and the
+group operations are index arithmetic (GroupSpec.add_index, neg_index,
+scale_index).  An Element, the coordinate vector of an index, is only
+the form in which elements are shown.
 
 A mask moves in one way, through a padded layout of the same masks
 (PaddedLayout): axis i gets 2*d_i - 1 slots, so adding two padded offsets
@@ -33,9 +37,7 @@ __all__ = [
     "make_group",
     "parse_group_spec",
     "format_group_spec",
-    "add",
-    "neg",
-    "scale",
+    "invariant_factors",
     "divisors",
     "smallest_prime",
     "prime_factors",
@@ -125,14 +127,6 @@ class GroupSpec:
             raise ValueError(f"index {index} out of range for group of order {self.n}")
         return Element(self.coords_of(index))
 
-    def element(self, coords: Iterable[int]) -> "Element":
-        coords = tuple(coords)
-        if len(coords) != len(self.factors):
-            raise ValueError(
-                f"expected {len(self.factors)} coordinates, got {len(coords)}"
-            )
-        return Element(tuple(c % d for c, d in zip(coords, self.factors)))
-
     def add_index(self, i: int, j: int) -> int:
         ci, cj = self.coords_of(i), self.coords_of(j)
         return self.index_of(a + b for a, b in zip(ci, cj))
@@ -143,16 +137,14 @@ class GroupSpec:
     def scale_index(self, h: int, i: int) -> int:
         return self.index_of(h * c for c in self.coords_of(i))
 
-    def indices(self) -> range:
-        return range(self.n)
-
     def __str__(self) -> str:
         return format_group_spec(self)
 
 
 @dataclass(frozen=True)
 class Element:
-    """A group element as a tuple of residues, coords[i] in [0, d_i)."""
+    """A group element as a tuple of residues, coords[i] in [0, d_i): the
+    display form of an index (GroupSpec.element_at)."""
 
     coords: tuple[int, ...]
 
@@ -162,12 +154,13 @@ class Element:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
-def _canonical_invariant_factors(factors: Iterable[int]) -> tuple[int, ...]:
+def invariant_factors(factors: Iterable[int]) -> tuple[int, ...]:
     """Invariant-factor chain of the product of cyclic groups Z_f.
 
     Merges the prime-power content of all factors: for each prime, the
     exponent multiset is right-aligned so the largest powers end up in the
-    last (biggest) invariant factor.
+    last (biggest) invariant factor.  make_group(invariant_factors([2, 3]))
+    is Z_6.
     """
     per_prime: dict[int, list[int]] = {}
     for f in factors:
@@ -184,12 +177,11 @@ def _canonical_invariant_factors(factors: Iterable[int]) -> tuple[int, ...]:
     return tuple(chain)
 
 
-def make_group(factors: Iterable[int], auto_canonicalize: bool = False) -> GroupSpec:
+def make_group(factors: Iterable[int]) -> GroupSpec:
     """Build a GroupSpec from a factor list, dropping factors equal to 1.
 
     The remaining factors must form a divisibility chain with product > 1;
-    with auto_canonicalize=True an arbitrary factor list is first rewritten
-    into its invariant-factor form (e.g. [2, 3] becomes [6]).
+    invariant_factors rewrites any other factor list into one.
     """
     factors = list(factors)
     if not factors:
@@ -202,50 +194,24 @@ def make_group(factors: Iterable[int], auto_canonicalize: bool = False) -> Group
         n *= f
     if n <= 1:
         raise ValueError(f"group order must exceed 1, got factors {factors}")
-    if auto_canonicalize:
-        kept = _canonical_invariant_factors(kept)
-    else:
-        for a, b in zip(kept, kept[1:]):
-            if b % a != 0:
-                raise ValueError(
-                    f"{a} does not divide {b}: not an invariant-factor chain "
-                    f"(pass auto_canonicalize=True to rewrite {list(factors)})"
-                )
+    for a, b in zip(kept, kept[1:]):
+        if b % a != 0:
+            raise ValueError(f"{a} does not divide {b}: not an invariant-factor chain")
     return GroupSpec(factors=kept, n=n, v=kept[-1])
 
 
-def parse_group_spec(text: str, auto_canonicalize: bool = False) -> GroupSpec:
+def parse_group_spec(text: str) -> GroupSpec:
     """Parse a CLI group spec: "10" for Z_10, "2x4x8" for Z_2 x Z_4 x Z_8."""
     parts = text.strip().split("x")
     try:
         factors = [int(p) for p in parts]
     except ValueError:
         raise ValueError(f"cannot parse group spec {text!r}") from None
-    return make_group(factors, auto_canonicalize=auto_canonicalize)
+    return make_group(factors)
 
 
 def format_group_spec(g: GroupSpec) -> str:
     return "x".join(str(f) for f in g.factors)
-
-
-def add(g: GroupSpec, x: Element, y: Element) -> Element:
-    """Coordinate-wise modular sum of two elements of g."""
-    if len(x.coords) != len(g.factors) or len(y.coords) != len(g.factors):
-        raise ValueError("element dimension does not match group")
-    return Element(tuple((a + b) % d for a, b, d in zip(x.coords, y.coords, g.factors)))
-
-
-def neg(g: GroupSpec, x: Element) -> Element:
-    if len(x.coords) != len(g.factors):
-        raise ValueError("element dimension does not match group")
-    return Element(tuple((-a) % d for a, d in zip(x.coords, g.factors)))
-
-
-def scale(g: GroupSpec, h: int, x: Element) -> Element:
-    """h*x for any integer h (negative allowed)."""
-    if len(x.coords) != len(g.factors):
-        raise ValueError("element dimension does not match group")
-    return Element(tuple((h * a) % d for a, d in zip(x.coords, g.factors)))
 
 
 # ---------------------------------------------------------------------------

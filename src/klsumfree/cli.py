@@ -2,7 +2,8 @@
 
 Exit codes: 0 success/verified, 1 verification negative (or scan
 disagreements), 2 usage error (including "no closed form applies"),
-3 resource limit exceeded.
+3 resource limit exceeded: an oracle limit, or a group too large for a
+mask of its elements (OverflowError or MemoryError).
 
 Oracle limits honor the KLSF_LIMIT_EXACT / KLSF_LIMIT_COUNT / KLSF_LIMIT_AP
 environment variables; an explicit --limit flag wins over both.  --json
@@ -498,6 +499,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except LimitExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (OverflowError, MemoryError):
+        # a group whose order Python cannot hold as a mask of its elements
+        print("error: group too large: its subsets do not fit in memory", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

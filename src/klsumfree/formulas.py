@@ -274,16 +274,12 @@ class AlphaReport:
 def alpha_report(n: int, kl: KLParams) -> AlphaReport:
     beta = beta_report(n, kl)
     gamma = gamma_bounds(n, kl)
-    lower, upper = max(beta.lower, gamma.lower), max(beta.upper, gamma.upper)
-    if kl.diff % n == 0:
-        case_tag, exact = "divides", 0
-    elif gcd(n, kl.diff) == 1:
-        case_tag, exact = "coprime", max(beta.lower, gamma.upper)
+    if beta.case_tag == "intermediate":
+        exact, lower, upper = None, max(beta.lower, gamma.lower), max(beta.upper, gamma.upper)
     else:
-        case_tag, exact = "intermediate", None
-    if exact is not None:
+        exact = 0 if beta.case_tag == "divides" else max(beta.lower, gamma.upper)
         lower = upper = exact
-    return AlphaReport(case_tag, exact, lower, upper, (beta.lower, beta.upper), tuple(gamma))
+    return AlphaReport(beta.case_tag, exact, lower, upper, (beta.lower, beta.upper), tuple(gamma))
 
 
 def _alpha_formula_exact(d: int, kl: KLParams) -> int:

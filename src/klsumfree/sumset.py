@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from itertools import accumulate, repeat
 from operator import add
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .abelian import Element, GroupSpec, PaddedLayout, padded_layout
 from .formulas import KLParams
@@ -117,9 +117,6 @@ class Subset:
 
     def __contains__(self, x: Element) -> bool:
         return self.contains_index(self.group.index_of(x.coords))
-
-    def __iter__(self) -> Iterator[Element]:
-        return iter(self.elements())
 
     def __repr__(self) -> str:
         return f"Subset({self.group}, {{{','.join(str(e) for e in self.elements())}}})"

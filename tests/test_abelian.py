@@ -9,17 +9,15 @@ import pytest
 
 from klsumfree import (
     Subset,
-    add,
     cyclic_quotient_lift,
     divisor_sets,
     divisors,
     format_group_spec,
     invariant_factor_chains,
+    invariant_factors,
     is_kl_sum_free,
     make_group,
-    neg,
     parse_group_spec,
-    scale,
 )
 from klsumfree.abelian import (
     automorphism_orbits,
@@ -55,10 +53,10 @@ def test_make_group_rejects_non_chain():
 
 
 def test_make_group_canonicalizes_on_request():
-    g = make_group([2, 3], auto_canonicalize=True)
+    g = make_group(invariant_factors([2, 3]))
     assert g.factors == (6,) and g.n == 6 and g.v == 6
-    assert make_group([4, 6], auto_canonicalize=True).factors == (2, 12)
-    assert make_group([2, 2, 3], auto_canonicalize=True).factors == (2, 6)
+    assert make_group(invariant_factors([4, 6])).factors == (2, 12)
+    assert make_group(invariant_factors([2, 2, 3])).factors == (2, 6)
 
 
 def test_make_group_rejects_trivial_and_empty():
@@ -74,8 +72,8 @@ def test_canonicalization_idempotent():
     rng = random.Random(7)
     for _ in range(100):
         factors = [rng.randint(2, 24) for _ in range(rng.randint(1, 4))]
-        g1 = make_group(factors, auto_canonicalize=True)
-        g2 = make_group(g1.factors, auto_canonicalize=True)
+        g1 = make_group(invariant_factors(factors))
+        g2 = make_group(invariant_factors(g1.factors))
         assert g1 == g2
         # the canonical form is a genuine chain
         make_group(g1.factors)
@@ -96,31 +94,25 @@ def test_parse_format_round_trip():
 
 def test_add_examples():
     g = make_group([10])
-    assert add(g, g.element_at(7), g.element_at(5)) == g.element_at(2)
+    assert g.add_index(7, 5) == 2
     g = make_group([2, 4])
-    assert add(g, g.element([1, 3]), g.element([1, 2])) == g.element([0, 1])
+    assert g.add_index(g.index_of([1, 3]), g.index_of([1, 2])) == g.index_of([0, 1])
 
 
 def test_scale_and_neg():
     g = make_group([10])
-    assert scale(g, 3, g.element_at(4)) == g.element_at(2)
-    assert scale(g, -1, g.element_at(3)) == neg(g, g.element_at(3)) == g.element_at(7)
-    assert scale(g, -7, g.element_at(3)) == g.element_at((-21) % 10)
-
-
-def test_dimension_mismatch_rejected():
-    g = make_group([2, 4])
-    with pytest.raises(ValueError):
-        add(g, g.element([1, 1]), make_group([8]).element([3]))
+    assert g.scale_index(3, 4) == 2
+    assert g.scale_index(-1, 3) == g.neg_index(3) == 7
+    assert g.scale_index(-7, 3) == (-21) % 10
 
 
 def test_scale_distributes_over_exponents():
     rng = random.Random(11)
     for g in [make_group([12]), make_group([2, 4]), make_group([3, 9])]:
         for _ in range(50):
-            x = g.element_at(rng.randrange(g.n))
+            x = rng.randrange(g.n)
             h1, h2 = rng.randint(-10, 10), rng.randint(-10, 10)
-            assert scale(g, h1 + h2, x) == add(g, scale(g, h1, x), scale(g, h2, x))
+            assert g.scale_index(h1 + h2, x) == g.add_index(g.scale_index(h1, x), g.scale_index(h2, x))
 
 
 def test_index_coords_round_trip():

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import klsumfree
-from klsumfree import abelian
+from klsumfree import abelian, cli
 from klsumfree.cli import main
 
 
@@ -60,7 +60,7 @@ def test_lambda_formula_unavailable_exits_2(capsys):
 
 def test_lambda_bad_group_exits_2(capsys):
     code, _, err = run(capsys, "lambda", "--group", "2x3", "--k", "2", "--l", "1")
-    assert code == 2 and "invariant-factor" in err
+    assert code == 2 and err == "error: 2 does not divide 3: not an invariant-factor chain\n"
 
 
 def test_lambda_limit_exits_3(capsys):
@@ -340,6 +340,27 @@ def test_alpha_env_limit(capsys, monkeypatch):
     monkeypatch.setenv("KLSF_LIMIT_AP", "5")
     code, _, _ = run(capsys, "alpha", "--n", "10", "--k", "2", "--l", "1", "--exact")
     assert code == 3
+
+
+TOO_LARGE = "error: group too large: its subsets do not fit in memory\n"
+
+
+@pytest.mark.parametrize("command", ["witness", "verify"])
+def test_oversized_group_exits_3(capsys, command):
+    # 10^20 elements: the mask of a subset cannot even be sized, so both
+    # commands stop before they allocate anything
+    extra = ["--set", "1"] if command == "verify" else []
+    code, out, err = run(capsys, command, "--group", "1" + "0" * 20, "--k", "2", "--l", "1", *extra)
+    assert code == 3 and out == "" and err == TOO_LARGE
+
+
+def test_memory_error_exits_3(capsys, monkeypatch):
+    def exhausted(g, kl):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "best_witness", exhausted)
+    code, out, err = run(capsys, "witness", "--group", "10", "--k", "2", "--l", "1")
+    assert code == 3 and out == "" and err == TOO_LARGE
 
 
 def test_negative_limit_exits_2(capsys):

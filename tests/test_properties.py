@@ -1,7 +1,9 @@
 """Property tests over random abelian groups of order <= 64.
 
-Each property is one the unit tests check only at fixed points: bitmask
-translation and both sumset kernels against coordinate addition, negation
+Each property is one the unit tests check only at fixed points: the
+index arithmetic against coordinate arithmetic (every other property
+takes it as its reference), bitmask translation and both sumset kernels
+against coordinate addition, negation
 against coordinate negation, the two sum-free characterizations against
 each other, quotient lifts, the violation search, and the
 automorphism-orbit key under unit scaling.
@@ -10,6 +12,7 @@ Examples are derandomized, so every run draws the same cases.
 
 from __future__ import annotations
 
+import itertools
 from math import gcd
 
 from hypothesis import given, settings
@@ -46,6 +49,22 @@ def group_and_set(draw, max_density: int = 3):
     for _ in range(draw(st.integers(1, max_density))):
         bits &= draw(st.integers(0, (1 << g.n) - 1))
     return g, Subset(g, bits)
+
+
+@fixed
+@given(*[st.integers(0, 63)] * 2, *[st.integers(-100, 100)] * 2)
+def test_index_arithmetic_matches_coordinate_arithmetic(i, j, h1, h2):
+    for g in GROUPS:
+        # index order is the mixed-radix order, last coordinate least significant
+        coords = list(itertools.product(*(range(d) for d in g.factors)))
+        index = {c: pos for pos, c in enumerate(coords)}
+        x, y = i % g.n, j % g.n
+        cx, cy = coords[x], coords[y]
+        mod = g.factors
+        assert g.add_index(x, y) == index[tuple((a + b) % d for a, b, d in zip(cx, cy, mod))]
+        assert g.neg_index(x) == index[tuple(-a % d for a, d in zip(cx, mod))]
+        assert g.scale_index(h1, x) == index[tuple(h1 * a % d for a, d in zip(cx, mod))]
+        assert g.scale_index(h1 + h2, x) == g.add_index(g.scale_index(h1, x), g.scale_index(h2, x))
 
 
 @fixed
