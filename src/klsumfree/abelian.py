@@ -110,6 +110,8 @@ class GroupSpec:
         return len(self.factors) == 1
 
     def coords_of(self, index: int) -> tuple[int, ...]:
+        if not 0 <= index < self.n:
+            raise ValueError(f"index {index} out of range for group of order {self.n}")
         coords = []
         for d in reversed(self.factors):
             coords.append(index % d)
@@ -123,8 +125,6 @@ class GroupSpec:
         return idx
 
     def element_at(self, index: int) -> "Element":
-        if not 0 <= index < self.n:
-            raise ValueError(f"index {index} out of range for group of order {self.n}")
         return Element(self.coords_of(index))
 
     def add_index(self, i: int, j: int) -> int:

@@ -6,8 +6,9 @@ disagreements), 2 usage error (including "no closed form applies"),
 mask of its elements (OverflowError or MemoryError).
 
 Oracle limits honor the KLSF_LIMIT_EXACT / KLSF_LIMIT_COUNT / KLSF_LIMIT_AP
-environment variables; an explicit --limit flag wins over both.  --json
-output is deterministic: identical flags give byte-identical bytes.
+environment variables; an explicit --limit flag wins over them, and
+--force over all.  --json output is deterministic: identical flags give
+byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from .formulas import (
     lambda_formula,
     theorem16_condition,
 )
-from .oracle import LimitExceededError, alpha_exact, count_sum_free, enumerate_maximum, lambda_exact
+from .oracle import DEFAULT_LIMIT_AP, DEFAULT_LIMIT_COUNT, DEFAULT_LIMIT_EXACT, LimitExceededError
+from .oracle import alpha_exact, count_sum_free, enumerate_maximum, lambda_exact
 from .sumset import Subset, find_violation, is_kl_sum_free
 from .witness import best_witness, members_json, witness_json
 
@@ -43,6 +45,8 @@ SCHEMA = "klsumfree/1"
 SCAN_CHECKS = ("bounds", "formula-vs-exact", "green-ruzsa", "theorem16", "lift-identity")
 
 _SCAN_COLUMNS = ("group", "k", "l", "formula", "lower", "upper", "exact", "witness_size", "agree")
+
+_DEFAULT_LIMITS = {"EXACT": DEFAULT_LIMIT_EXACT, "COUNT": DEFAULT_LIMIT_COUNT, "AP": DEFAULT_LIMIT_AP}
 
 
 def _payload(command: str, kl: KLParams, g: Optional[GroupSpec] = None, **fields) -> dict:
@@ -68,20 +72,23 @@ def _limit_value(text: str) -> int:
     return value
 
 
-def _env_limit(name: str) -> Optional[int]:
-    raw = os.environ.get(name)
-    if not raw:
+def _limit_for(args, kind: str) -> Optional[int]:
+    """A command's oracle limit: None (no limit) under --force, else --limit,
+    else KLSF_LIMIT_<kind>, else the oracle's default.  Without --limit, a
+    malformed KLSF_LIMIT_<kind> is a usage error, under --force too."""
+    name, limit = f"KLSF_LIMIT_{kind}", args.limit
+    if limit is None and os.environ.get(name):
+        try:
+            limit = _limit_value(os.environ[name])
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    if args.force:
         return None
-    try:
-        return _limit_value(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"{name}: {exc}") from None
+    return _DEFAULT_LIMITS[kind] if limit is None else limit
 
 
-def _limit_for(args, env_name: str) -> Optional[int]:
-    if getattr(args, "limit", None) is not None:
-        return args.limit
-    return _env_limit(env_name)
+def _limit_message(exc: LimitExceededError) -> str:
+    return f"{exc}; use --limit N or --force"
 
 
 def _kl(args) -> KLParams:
@@ -174,7 +181,7 @@ def cmd_lambda(args) -> int:
 
     if method in ("exact", "all"):
         try:
-            res = lambda_exact(g, kl, limit=_limit_for(args, "KLSF_LIMIT_EXACT"), force=args.force)
+            res = lambda_exact(g, kl, limit=_limit_for(args, "EXACT"))
             payload["exact"] = {
                 "value": res.max_size,
                 "nodes_explored": res.nodes_explored,
@@ -187,9 +194,10 @@ def cmd_lambda(args) -> int:
         except LimitExceededError as exc:
             if method == "exact":
                 raise
+            note = _limit_message(exc)
             payload["exact"] = None
-            payload["exact_note"] = str(exc)
-            lines.append(f"exact: skipped ({exc})")
+            payload["exact_note"] = note
+            lines.append(f"exact: skipped ({note})")
 
     if args.json:
         _emit_json(payload)
@@ -274,7 +282,7 @@ def cmd_alpha(args) -> int:
         lines.append(f"bounds: [{rep.lower}, {rep.upper}]")
     lines.append(f"restricted-difference bounds: shared-factor {rep.beta_bounds}, coprime {rep.gamma_bounds}")
     if args.exact:
-        value = alpha_exact(args.n, kl, limit=_limit_for(args, "KLSF_LIMIT_AP"), force=args.force)
+        value = alpha_exact(args.n, kl, limit=_limit_for(args, "AP"))
         payload["exact_search"] = value
         lines.append(f"search value: {value}")
     if args.json:
@@ -287,7 +295,7 @@ def cmd_alpha(args) -> int:
 def cmd_count(args) -> int:
     g = parse_group_spec(args.group)
     kl = _kl(args)
-    res = count_sum_free(g, kl, limit=_limit_for(args, "KLSF_LIMIT_COUNT"), force=args.force)
+    res = count_sum_free(g, kl, limit=_limit_for(args, "COUNT"))
     if args.json:
         by_size = {str(s): c for s, c in res.by_size.items()}
         _emit_json(_payload("count", kl, g, total=res.total, by_size=by_size))
@@ -301,7 +309,7 @@ def cmd_count(args) -> int:
 def cmd_enumerate(args) -> int:
     g = parse_group_spec(args.group)
     kl = _kl(args)
-    sets = enumerate_maximum(g, kl, limit=_limit_for(args, "KLSF_LIMIT_EXACT"), force=args.force)
+    sets = enumerate_maximum(g, kl, limit=_limit_for(args, "EXACT"))
     lam = sets[0].size if sets else 0
     if args.json:
         members = [members_json(s) for s in sets]
@@ -336,7 +344,7 @@ def _scan_instances(args) -> list[GroupSpec]:
     return all_abelian_groups(hi, min_order=lo)
 
 
-def _scan_row(g: GroupSpec, kl: KLParams, checks: list[str], limit, force) -> dict:
+def _scan_row(g: GroupSpec, kl: KLParams, checks: list[str], limit: Optional[int]) -> dict:
     rep = lambda_bounds_general(g, kl)
     wsize = best_witness(g, kl).size
     try:
@@ -355,7 +363,7 @@ def _scan_row(g: GroupSpec, kl: KLParams, checks: list[str], limit, force) -> di
         "agree": None,
     }
     try:
-        exact = lambda_exact(g, kl, limit=limit, force=force).max_size
+        exact = lambda_exact(g, kl, limit=limit).max_size
     except LimitExceededError:
         return row
     row["exact"] = exact
@@ -373,7 +381,7 @@ def _scan_row(g: GroupSpec, kl: KLParams, checks: list[str], limit, force) -> di
         elif check == "lift-identity" or (
             check == "theorem16" and theorem16_condition(g.v, kl).holds
         ):
-            lam_v = lambda_exact(make_group([g.v]), kl, limit=limit, force=force).max_size
+            lam_v = lambda_exact(make_group([g.v]), kl, limit=limit).max_size
             results.append(lam_v * (g.n // g.v) == exact)
     row["agree"] = all(results) if results else True
     return row
@@ -392,9 +400,9 @@ def cmd_scan(args) -> int:
     for c in checks:
         if c not in SCAN_CHECKS:
             raise ValueError(f"unknown check {c!r}; available: {', '.join(SCAN_CHECKS)}")
-    limit = _limit_for(args, "KLSF_LIMIT_EXACT")
+    limit = _limit_for(args, "EXACT")
     instances = _scan_instances(args)
-    rows = [_scan_row(g, kl, checks, limit, args.force) for g in instances]
+    rows = [_scan_row(g, kl, checks, limit) for g in instances]
     disagreements = sum(1 for r in rows if r["agree"] is False)
     skipped = sum(1 for r in rows if r["agree"] is None)
     if args.json:
@@ -498,7 +506,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except LimitExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_limit_message(exc)}", file=sys.stderr)
         return 3
     except (OverflowError, MemoryError):
         # a group whose order Python cannot hold as a mask of its elements

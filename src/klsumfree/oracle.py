@@ -26,6 +26,10 @@ congruence.  Its solutions depend on q only through g = gcd(q, n) and on a
 only through a subgroup of Z_{n/g}, so one short loop per divisor g of n
 gives all three maxima, in O(sigma(n)) steps.
 
+Each entry point takes one limit on the order, by default its
+DEFAULT_LIMIT_EXACT, DEFAULT_LIMIT_COUNT or DEFAULT_LIMIT_AP: a larger
+order raises LimitExceededError, and limit=None lifts the limit.
+
 Searches are deterministic and sequential; callers that want parallelism
 can fan out across instances, every function here being pure.
 """
@@ -33,11 +37,11 @@ can fan out across instances, every function here being pure.
 from __future__ import annotations
 
 import functools
-import time
 from collections import defaultdict
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Sequence
 
 from .abelian import GroupSpec, automorphism_orbits, divisors, translation_ops
 from .formulas import KLParams
@@ -65,18 +69,12 @@ DEFAULT_LIMIT_AP = 2000
 
 
 class LimitExceededError(RuntimeError):
-    """The instance exceeds the configured desk-scale search limit."""
+    """The instance's order exceeds the search limit the caller passed."""
 
 
-def _check_limit(n: int, limit: Optional[int], default: int, force: bool, what: str):
-    if force:
-        return
-    lim = default if limit is None else limit
-    if n > lim:
-        raise LimitExceededError(
-            f"{what} limited to order {lim} (requested {n}); "
-            "raise the limit or pass force=True"
-        )
+def _check_limit(n: int, limit: Optional[int], what: str):
+    if limit is not None and n > limit:
+        raise LimitExceededError(f"{what} limited to order {limit} (requested {n})")
 
 
 @dataclass(frozen=True)
@@ -84,23 +82,21 @@ class SearchResult:
     """Exact maximum with one witness set and search-effort counters.
 
     cached is True when the answer came from the in-process cache of
-    earlier searches: nodes_explored is then the first search's count and
-    elapsed covers only the lookup.
+    earlier searches: nodes_explored is then the first search's count.
     """
 
     max_size: int
     witness: Subset
     nodes_explored: int
-    elapsed: float
     cached: bool = False
 
 
 @dataclass(frozen=True)
 class CountResult:
-    """Exact number of (k,l)-sum-free subsets, split by size."""
+    """Exact number of (k,l)-sum-free subsets, split by size (read-only, as results are cached)."""
 
     total: int
-    by_size: dict[int, int]
+    by_size: Mapping[int, int]
 
 
 def _make_extend(g: GroupSpec, k: int):
@@ -267,8 +263,7 @@ _EXACT_CACHE: dict[tuple, tuple[int, tuple[int, ...], int]] = {}
 def lambda_exact(
     g: GroupSpec,
     kl: KLParams,
-    limit: Optional[int] = None,
-    force: bool = False,
+    limit: Optional[int] = DEFAULT_LIMIT_EXACT,
     progress: Optional[Callable[[int, int, int], None]] = None,
     progress_interval: int = 65536,
 ) -> SearchResult:
@@ -283,10 +278,9 @@ def lambda_exact(
     and never falls below the constructive witness's size.
     Results are cached per (group, k, l): a repeated call searches nothing,
     never calls progress, and returns cached=True with the first search's
-    nodes_explored.
+    nodes_explored.  limit caps g.n (None lifts it).
     """
-    _check_limit(g.n, limit, DEFAULT_LIMIT_EXACT, force, "exact search")
-    t0 = time.perf_counter()
+    _check_limit(g.n, limit, "exact search")
     key = (g.factors, kl.k, kl.l)
     hit = _EXACT_CACHE.get(key)
     cached = hit is not None
@@ -301,7 +295,6 @@ def lambda_exact(
         max_size=size,
         witness=Subset.from_indices(g, indices),
         nodes_explored=nodes,
-        elapsed=time.perf_counter() - t0,
         cached=cached,
     )
 
@@ -310,17 +303,15 @@ _COUNT_CACHE: dict[tuple, CountResult] = {}
 
 
 def count_sum_free(
-    g: GroupSpec,
-    kl: KLParams,
-    limit: Optional[int] = None,
-    force: bool = False,
+    g: GroupSpec, kl: KLParams, limit: Optional[int] = DEFAULT_LIMIT_COUNT
 ) -> CountResult:
     """Exact count of all (k,l)-sum-free subsets of g, split by size.
 
     The family is downward-closed, so the candidate-passing tree visits
-    each sum-free set exactly once; counts are exact big integers.
+    each sum-free set exactly once; counts are exact big integers.  limit
+    caps g.n (None lifts it).
     """
-    _check_limit(g.n, limit, DEFAULT_LIMIT_COUNT, force, "subset counting")
+    _check_limit(g.n, limit, "subset counting")
     key = (g.factors, kl.k, kl.l)
     hit = _COUNT_CACHE.get(key)
     if hit is not None:
@@ -333,22 +324,20 @@ def count_sum_free(
         return True
 
     _walk(g, kl.k, kl.l, [0], visit)
-    result = CountResult(total=sum(by_size.values()), by_size=dict(sorted(by_size.items())))
+    result = CountResult(sum(by_size.values()), MappingProxyType(dict(sorted(by_size.items()))))
     _COUNT_CACHE[key] = result
     return result
 
 
 def enumerate_maximum(
-    g: GroupSpec,
-    kl: KLParams,
-    limit: Optional[int] = None,
-    force: bool = False,
+    g: GroupSpec, kl: KLParams, limit: Optional[int] = DEFAULT_LIMIT_EXACT
 ) -> list[Subset]:
     """All (k,l)-sum-free subsets of maximum size, in lexicographic
     index order.  For the degenerate maximum 0 this is just the empty set.
+    limit caps g.n (None lifts it).
     """
-    _check_limit(g.n, limit, DEFAULT_LIMIT_EXACT, force, "maximum enumeration")
-    lam = lambda_exact(g, kl, limit=limit, force=force).max_size
+    _check_limit(g.n, limit, "maximum enumeration")
+    lam = lambda_exact(g, kl, limit=None).max_size
     if lam == 0:
         return [Subset.empty(g)]
     found: list[tuple[int, ...]] = []
@@ -405,27 +394,27 @@ def _ap_maxima(n: int, k: int, l: int) -> tuple[int, int, int]:
     return max(beta, gamma), beta, gamma
 
 
-def _ap_value(n: int, kl: KLParams, which: int, limit, force) -> int:
+def _ap_value(n: int, kl: KLParams, which: int, limit: Optional[int]) -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _check_limit(n, limit, DEFAULT_LIMIT_AP, force, "progression search")
+    _check_limit(n, limit, "progression search")
     return _ap_maxima(n, kl.k, kl.l)[which]
 
 
-def alpha_exact(n: int, kl: KLParams, limit: Optional[int] = None, force: bool = False) -> int:
+def alpha_exact(n: int, kl: KLParams, limit: Optional[int] = DEFAULT_LIMIT_AP) -> int:
     """Longest (k,l)-sum-free arithmetic progression in Z_n, any difference.
 
-    n = 1 is allowed (and 0) so divisor sweeps can include the trivial
-    quotient.
+    n = 1 is allowed so divisor sweeps can include the trivial quotient.
+    limit caps n (None lifts it).
     """
-    return _ap_value(n, kl, 0, limit, force)
+    return _ap_value(n, kl, 0, limit)
 
 
-def beta_exact(n: int, kl: KLParams, limit: Optional[int] = None, force: bool = False) -> int:
+def beta_exact(n: int, kl: KLParams, limit: Optional[int] = DEFAULT_LIMIT_AP) -> int:
     """Longest such progression whose difference shares a factor with n."""
-    return _ap_value(n, kl, 1, limit, force)
+    return _ap_value(n, kl, 1, limit)
 
 
-def gamma_exact(n: int, kl: KLParams, limit: Optional[int] = None, force: bool = False) -> int:
+def gamma_exact(n: int, kl: KLParams, limit: Optional[int] = DEFAULT_LIMIT_AP) -> int:
     """Longest such progression whose difference is coprime to n."""
-    return _ap_value(n, kl, 2, limit, force)
+    return _ap_value(n, kl, 2, limit)

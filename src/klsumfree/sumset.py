@@ -116,7 +116,10 @@ class Subset:
         return bool(self.bits >> i & 1)
 
     def __contains__(self, x: Element) -> bool:
-        return self.contains_index(self.group.index_of(x.coords))
+        g, coords = self.group, x.coords
+        if len(coords) != len(g.factors) or not all(0 <= c < d for c, d in zip(coords, g.factors)):
+            raise ValueError(f"coordinates {coords} do not fit group {g}")
+        return self.contains_index(g.index_of(coords))
 
     def __repr__(self) -> str:
         return f"Subset({self.group}, {{{','.join(str(e) for e in self.elements())}}})"

@@ -106,6 +106,22 @@ def test_scale_and_neg():
     assert g.scale_index(-7, 3) == (-21) % 10
 
 
+def test_index_arithmetic_rejects_indices_outside_the_group():
+    g = make_group([2, 4])
+    calls = [
+        lambda: g.add_index(9, 0),
+        lambda: g.add_index(0, 8),
+        lambda: g.neg_index(-1),
+        lambda: g.scale_index(3, 100),
+        lambda: make_group([10]).add_index(13, 0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="out of range"):
+            call()
+    # index_of stays the helper that reduces each coordinate mod d_i
+    assert g.index_of([3, 9]) == g.index_of([1, 1]) == 5
+
+
 def test_scale_distributes_over_exponents():
     rng = random.Random(11)
     for g in [make_group([12]), make_group([2, 4]), make_group([3, 9])]:

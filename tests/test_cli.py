@@ -69,7 +69,28 @@ def test_lambda_limit_exits_3(capsys):
         "lambda", "--group", "30", "--k", "2", "--l", "1",
         "--method", "exact", "--limit", "10",
     )
-    assert code == 3 and "limit" in err.lower()
+    assert code == 3
+    assert err == (
+        "error: exact search limited to order 10 (requested 30); use --limit N or --force\n"
+    )
+
+
+def test_enumerate_limit_exits_3(capsys):
+    code, out, err = run(capsys, "enumerate", "--group", "41", "--k", "2", "--l", "1")
+    assert code == 3 and out == ""
+    assert err == (
+        "error: maximum enumeration limited to order 40 (requested 41); use --limit N or --force\n"
+    )
+
+
+def test_lambda_all_over_limit_notes_the_flags(capsys):
+    argv = ["lambda", "--group", "30", "--k", "2", "--l", "1", "--limit", "10"]
+    note = "exact search limited to order 10 (requested 30); use --limit N or --force"
+    code, doc, err = run_json(capsys, *argv)
+    assert code == 0 and err == ""
+    assert doc["exact"] is None and doc["exact_note"] == note
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.splitlines()[-1] == f"exact: skipped ({note})"
 
 
 def test_limit_env_var(capsys, monkeypatch):
@@ -85,6 +106,14 @@ def test_limit_env_var(capsys, monkeypatch):
         "--method", "exact", "--limit", "30",
     )
     assert code == 0
+    # --force wins over the environment and over the flag
+    for extra in ([], ["--limit", "10"]):
+        code, doc, _ = run_json(
+            capsys,
+            "lambda", "--group", "30", "--k", "2", "--l", "1",
+            "--method", "exact", *extra, "--force",
+        )
+        assert code == 0 and doc["exact"]["value"] == 15
 
 
 def test_verify_positive(capsys):
@@ -333,13 +362,19 @@ def test_scan_theorem16_and_lift_identity(capsys):
 def test_count_env_limit(capsys, monkeypatch):
     monkeypatch.setenv("KLSF_LIMIT_COUNT", "5")
     code, _, err = run(capsys, "count", "--group", "12", "--k", "2", "--l", "1")
-    assert code == 3 and "limit" in err.lower()
+    assert code == 3
+    assert err == (
+        "error: subset counting limited to order 5 (requested 12); use --limit N or --force\n"
+    )
 
 
 def test_alpha_env_limit(capsys, monkeypatch):
     monkeypatch.setenv("KLSF_LIMIT_AP", "5")
-    code, _, _ = run(capsys, "alpha", "--n", "10", "--k", "2", "--l", "1", "--exact")
+    code, _, err = run(capsys, "alpha", "--n", "10", "--k", "2", "--l", "1", "--exact")
     assert code == 3
+    assert err == (
+        "error: progression search limited to order 5 (requested 10); use --limit N or --force\n"
+    )
 
 
 TOO_LARGE = "error: group too large: its subsets do not fit in memory\n"
@@ -371,6 +406,9 @@ def test_negative_limit_exits_2(capsys):
 def test_negative_env_limit_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("KLSF_LIMIT_EXACT", "-1")
     code, out, err = run(capsys, "lambda", "--group", "10", "--k", "2", "--l", "1")
+    assert code == 2 and out == "" and "KLSF_LIMIT_EXACT" in err
+    # a malformed variable is a usage error under --force too, as it is without
+    code, out, err = run(capsys, "lambda", "--group", "10", "--k", "2", "--l", "1", "--force")
     assert code == 2 and out == "" and "KLSF_LIMIT_EXACT" in err
 
 

@@ -65,7 +65,18 @@ def test_lambda_exact_formula_smoke():
 def test_lambda_exact_limit():
     with pytest.raises(LimitExceededError):
         lambda_exact(make_group([12]), KL21, limit=10)
-    assert lambda_exact(make_group([12]), KL21, limit=10, force=True).max_size == 6
+    assert lambda_exact(make_group([12]), KL21, limit=None).max_size == 6
+    # the message states the fact only: how to lift the limit is the caller's
+    with pytest.raises(
+        LimitExceededError, match=r"^exact search limited to order 40 \(requested 41\)$"
+    ):
+        lambda_exact(make_group([41]), KL21)
+    with pytest.raises(
+        LimitExceededError, match=r"^maximum enumeration limited to order 10 \(requested 12\)$"
+    ):
+        enumerate_maximum(make_group([12]), KL21, limit=10)
+    sets = enumerate_maximum(make_group([12]), KL21, limit=None)
+    assert sets == enumerate_maximum(make_group([12]), KL21, limit=12) and sets[0].size == 6
 
 
 def test_lambda_exact_deterministic():
@@ -108,7 +119,7 @@ def test_hard_instances_value_and_effort_pinned(factors, k, l, value, nodes):
     # beyond the default limit; the index-order walk seeded with the
     # constructive witness visits 7 to 32 times as many sets here
     g, kl = make_group(factors), KLParams(k, l)
-    res = lambda_exact(g, kl, force=True)
+    res = lambda_exact(g, kl, limit=None)
     assert (res.max_size, res.nodes_explored) == (value, nodes)
     assert res.witness.size == value and is_kl_sum_free(res.witness, k, l)
     if g.is_cyclic:
@@ -221,6 +232,22 @@ def test_count_matches_brute_force():
 def test_count_limit():
     with pytest.raises(LimitExceededError):
         count_sum_free(make_group([12]), KL21, limit=10)
+    with pytest.raises(
+        LimitExceededError, match=r"^subset counting limited to order 28 \(requested 29\)$"
+    ):
+        count_sum_free(make_group([29]), KL21)
+    g = make_group([12])
+    assert count_sum_free(g, KL21, limit=None) == count_sum_free(g, KL21, limit=12)
+
+
+def test_count_by_size_is_read_only():
+    g = make_group([10])
+    res = count_sum_free(g, KL21)
+    before = dict(res.by_size)
+    with pytest.raises(TypeError):
+        res.by_size[0] = 999
+    again = count_sum_free(g, KL21)
+    assert again.by_size == before and before[0] == 1 and again.total == 70
 
 
 def test_enumerate_examples():
@@ -368,7 +395,15 @@ def test_alpha_is_max_of_beta_gamma():
 def test_ap_limit():
     with pytest.raises(LimitExceededError):
         alpha_exact(50, KL21, limit=10)
-    assert alpha_exact(50, KL21, limit=10, force=True) == 25
+    assert alpha_exact(50, KL21, limit=None) == 25
+    for search in (alpha_exact, beta_exact, gamma_exact):
+        with pytest.raises(
+            LimitExceededError, match=r"^progression search limited to order 10 \(requested 50\)$"
+        ):
+            search(50, KL21, limit=10)
+        with pytest.raises(LimitExceededError):
+            search(2001, KL21)
+        assert search(50, KL21, limit=None) == search(50, KL21, limit=50)
 
 
 def test_alpha_exact_matches_closed_forms_full_range():

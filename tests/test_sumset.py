@@ -9,6 +9,7 @@ import random
 import pytest
 
 from klsumfree import (
+    Element,
     KLParams,
     Subset,
     best_witness,
@@ -97,6 +98,17 @@ def test_subset_index_round_trip():
         Subset.from_indices(make_group([5]), [5])
     with pytest.raises(ValueError):
         Subset.from_indices(make_group([5]), [-1])
+
+
+def test_contains_rejects_elements_outside_the_group():
+    g = make_group([2, 4])
+    a = Subset.from_indices(g, [1])
+    assert Element((0, 1)) in a and Element((1, 1)) not in a
+    for coords in [(1,), (0, 1, 0), (2, 0), (0, -1)]:
+        with pytest.raises(ValueError, match="do not fit group 2x4"):
+            Element(coords) in a
+    with pytest.raises(ValueError):
+        Element((5,)) in Subset.full(make_group([3]))
 
 
 def test_pair_sumset_matches_table_reference():
