@@ -28,7 +28,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "GroupSpec",
@@ -123,6 +123,22 @@ class GroupSpec:
         for c, d in zip(coords, self.factors):
             idx = idx * d + (c % d)
         return idx
+
+    def checked_index(self, coords: Sequence[int]) -> int:
+        """index_of for coordinates from outside: one per factor, each in
+        [0, d_i), else ValueError (index_of reduces them mod d_i)."""
+        if len(coords) != len(self.factors):
+            raise ValueError(
+                f"coordinates {tuple(coords)} do not fit group {self}, "
+                f"which needs {len(self.factors)}"
+            )
+        for c, d in zip(coords, self.factors):
+            if not 0 <= c < d:
+                raise ValueError(
+                    f"coordinates {tuple(coords)} do not fit group {self}: "
+                    f"coordinate {c} is outside [0, {d})"
+                )
+        return self.index_of(coords)
 
     def element_at(self, index: int) -> "Element":
         return Element(self.coords_of(index))

@@ -101,17 +101,10 @@ def _parse_set(g: GroupSpec, text: str) -> Subset:
     items = [t for t in text.strip().split(",") if t != ""]
     indices = []
     for item in items:
-        parts = item.split(":")
-        if len(parts) != len(g.factors):
-            raise ValueError(
-                f"element {item!r} has {len(parts)} coordinates, "
-                f"group {g} needs {len(g.factors)}"
-            )
-        coords = [int(p) for p in parts]
-        for c, d in zip(coords, g.factors):
-            if not 0 <= c < d:
-                raise ValueError(f"element {item!r}: coordinate {c} is outside [0, {d})")
-        indices.append(g.index_of(coords))
+        try:
+            indices.append(g.checked_index([int(p) for p in item.split(":")]))
+        except ValueError as exc:
+            raise ValueError(f"element {item!r}: {exc}") from None
     return Subset.from_indices(g, indices)
 
 

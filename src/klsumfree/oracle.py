@@ -15,9 +15,12 @@ only the sets that contain the orbit's first element and lie in that orbit
 and the later ones.  Each such branch leaves the maximum inside its suffix
 of orbits, which caps every later branch's candidates from that orbit
 (Russian-doll bounds, Ostergard 2002).  Neither cut uses a formula the
-oracle checks.  The count keeps the floor at 0 (no cut) and the
-enumeration of maximum sets fixes it at lambda - 1, both in element-index
-order.
+oracle checks.  The count walks the same orbit branches with the floor at
+0 (no cut) and weights each set by its orbit: every automorphism fixes
+each orbit, so the sets whose first orbit is b follow from those that
+contain the orbit's first element.  The enumeration of maximum sets walks
+the maximum search's orbit order with its caps and the floor at
+lambda - 1, then sorts what it found into element-index order.
 
 Progression maxima (alpha/beta/gamma) do not enumerate subsets at all: for
 a progression with difference q and start a, the difference set kA - lA is
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from math import gcd
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
@@ -93,10 +96,19 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class CountResult:
-    """Exact number of (k,l)-sum-free subsets, split by size (read-only, as results are cached)."""
+    """Exact number of (k,l)-sum-free subsets, split by size (read-only, as
+    results are cached), with search-effort counters.
+
+    nodes_explored counts the sets the walks visited.  cached is True when
+    the answer came from the in-process cache of earlier counts:
+    nodes_explored is then the first count's.  Results compare by their
+    counts alone.
+    """
 
     total: int
     by_size: Mapping[int, int]
+    nodes_explored: int = field(compare=False)
+    cached: bool = field(default=False, compare=False)
 
 
 def _make_extend(g: GroupSpec, k: int):
@@ -188,8 +200,9 @@ def _search_max(
     seed: tuple[int, ...],
     progress: Optional[Callable[[int, int, int], None]],
     progress_interval: int = 65536,
-) -> tuple[int, tuple[int, ...], int]:
-    """The max visitor: (largest size, a set of that size, nodes visited).
+) -> tuple[int, tuple[int, ...], int, tuple[int, ...], tuple[int, ...]]:
+    """The max visitor: (largest size, a set of that size, nodes visited,
+    the orbit order, the caps).
 
     The elements are listed orbit by orbit of Aut(g), and the orbits are
     taken from last to first.  Let u[b] be the size of the largest sum-free
@@ -200,7 +213,8 @@ def _search_max(
     suffix of orbits, so u[0] is the maximum.  Below the branch root, u of
     its orbit caps each candidate of a later orbit (Russian-doll bounds);
     u does not increase along the order, so a sibling loop stops at the
-    first cap that fails.
+    first cap that fails.  The caps, u of each element's orbit, hold for
+    every walk in the orbit order.
 
     The witness is the seed when the seed is maximum, else the first
     maximum set in element-index order (enumerate_maximum's first set):
@@ -237,8 +251,9 @@ def _search_max(
         for x in orbit:
             cap[x] = floor[0]
     lam = floor[0]
+    order, cap = tuple(order), tuple(cap)
     if lam == len(seed):
-        return lam, seed, nodes
+        return lam, seed, nodes, order, cap
 
     best = lam
     witness = seed
@@ -254,10 +269,10 @@ def _search_max(
 
     floor[0] = lam - 1
     _walk(g, k, l, floor, first_hit)
-    return lam, witness, nodes
+    return lam, witness, nodes, order, cap
 
 
-_EXACT_CACHE: dict[tuple, tuple[int, tuple[int, ...], int]] = {}
+_EXACT_CACHE: dict[tuple, tuple[int, tuple[int, ...], int, tuple[int, ...], tuple[int, ...]]] = {}
 
 
 def lambda_exact(
@@ -290,13 +305,64 @@ def lambda_exact(
             g, kl.k, kl.l, tuple(seed.members.indices()), progress, progress_interval
         )
         _EXACT_CACHE[key] = hit
-    size, indices, nodes = hit
+    size, indices, nodes, _, _ = hit
     return SearchResult(
         max_size=size,
         witness=Subset.from_indices(g, indices),
         nodes_explored=nodes,
         cached=cached,
     )
+
+
+def _count(g: GroupSpec, k: int, l: int) -> tuple[dict[int, int], int]:
+    """The count visitor: (number of sum-free sets by size, sets visited).
+
+    The elements are listed orbit by orbit of Aut(g), as in _search_max.  A
+    nonempty set's first orbit is the first one it meets.  Branch b walks
+    the sets that contain the orbit's first element r_b and lie inside
+    orbits b and later, and tallies N_b(s, m): how many have size s and m
+    members in orbit b.  Automorphisms fix every orbit and move r_b to each
+    element of orbit b, so each of its |O_b| elements lies in N_b(s, m) of
+    the sets with size s, first orbit b and m members there; counting the
+    pairs (set, member in orbit b) both ways, there are |O_b| N_b(s, m) / m
+    such sets.  nodes counts the empty set, each branch root and every set
+    the walks visit.
+    """
+    by_size = defaultdict(int)
+    by_size[0] = 1
+    nodes = 1
+    orbits = automorphism_orbits(g)
+    order = [x for orbit in orbits for x in orbit]
+    start = 0
+    for orbit in orbits:
+        later = order[start + 1:]
+        start += len(orbit)
+        if not g.scale_index(k - l, orbit[0]):  # no element of the orbit is sum-free
+            continue
+        members = frozenset(orbit)
+        tally = defaultdict(int)
+        tally[1, 1] = 1  # the branch root {r_b}
+
+        def visit(level, depth, chosen):
+            m = len(members.intersection(chosen))
+            inside = sum(x in members for x, _ in level)
+            tally[depth, m + 1] += inside
+            tally[depth, m] += len(level) - inside
+            return True
+
+        _walk(g, k, l, [0], visit, later, None, orbit[:1])
+        for (size, m), sets in tally.items():
+            if not sets:
+                continue
+            nodes += sets
+            weighted, rest = divmod(len(orbit) * sets, m)  # m >= 1: r_b is a member
+            if rest:
+                raise RuntimeError(
+                    f"orbit-weighted count in group {g} is not integral: {len(orbit)} * "
+                    f"{sets} sets of size {size} with {m} members in the orbit of {orbit[0]}"
+                )
+            by_size[size] += weighted
+    return dict(sorted(by_size.items())), nodes
 
 
 _COUNT_CACHE: dict[tuple, CountResult] = {}
@@ -307,24 +373,19 @@ def count_sum_free(
 ) -> CountResult:
     """Exact count of all (k,l)-sum-free subsets of g, split by size.
 
-    The family is downward-closed, so the candidate-passing tree visits
-    each sum-free set exactly once; counts are exact big integers.  limit
-    caps g.n (None lifts it).
+    Orbit-weighted walks over the sets that contain an orbit's first
+    element (see _count); counts are exact big integers, and a weight that
+    does not divide exactly raises RuntimeError.  Results are cached per
+    (group, k, l): a repeated call walks nothing and returns cached=True
+    with the first count's nodes_explored.  limit caps g.n (None lifts it).
     """
     _check_limit(g.n, limit, "subset counting")
     key = (g.factors, kl.k, kl.l)
     hit = _COUNT_CACHE.get(key)
     if hit is not None:
-        return hit
-    by_size: dict[int, int] = defaultdict(int)
-    by_size[0] = 1
-
-    def visit(level, depth, chosen):
-        by_size[depth] += len(level)
-        return True
-
-    _walk(g, kl.k, kl.l, [0], visit)
-    result = CountResult(sum(by_size.values()), MappingProxyType(dict(sorted(by_size.items()))))
+        return replace(hit, cached=True)
+    by_size, nodes = _count(g, kl.k, kl.l)
+    result = CountResult(sum(by_size.values()), MappingProxyType(by_size), nodes)
     _COUNT_CACHE[key] = result
     return result
 
@@ -334,12 +395,16 @@ def enumerate_maximum(
 ) -> list[Subset]:
     """All (k,l)-sum-free subsets of maximum size, in lexicographic
     index order.  For the degenerate maximum 0 this is just the empty set.
-    limit caps g.n (None lifts it).
+
+    The walk takes the maximum search's orbit order and caps (see
+    _search_max) with the floor one below the maximum.  limit caps g.n
+    (None lifts it).
     """
     _check_limit(g.n, limit, "maximum enumeration")
     lam = lambda_exact(g, kl, limit=None).max_size
     if lam == 0:
         return [Subset.empty(g)]
+    _, _, _, order, cap = _EXACT_CACHE[g.factors, kl.k, kl.l]
     found: list[tuple[int, ...]] = []
 
     def visit(level, depth, chosen):
@@ -348,8 +413,8 @@ def enumerate_maximum(
         found.extend(chosen + (x,) for x, _ in level)
         return False
 
-    _walk(g, kl.k, kl.l, [lam - 1], visit)
-    return [Subset.from_indices(g, ch) for ch in found]
+    _walk(g, kl.k, kl.l, [lam - 1], visit, order, cap)
+    return [Subset.from_indices(g, ch) for ch in sorted(tuple(sorted(ch)) for ch in found)]
 
 
 # ---------------------------------------------------------------------------

@@ -113,13 +113,12 @@ class Subset:
         return [self.group.element_at(i) for i in self.indices()]
 
     def contains_index(self, i: int) -> bool:
+        if not 0 <= i < self.group.n:
+            raise ValueError(f"index {i} out of range for group of order {self.group.n}")
         return bool(self.bits >> i & 1)
 
     def __contains__(self, x: Element) -> bool:
-        g, coords = self.group, x.coords
-        if len(coords) != len(g.factors) or not all(0 <= c < d for c, d in zip(coords, g.factors)):
-            raise ValueError(f"coordinates {coords} do not fit group {g}")
-        return self.contains_index(g.index_of(coords))
+        return self.contains_index(self.group.checked_index(x.coords))
 
     def __repr__(self) -> str:
         return f"Subset({self.group}, {{{','.join(str(e) for e in self.elements())}}})"

@@ -134,7 +134,19 @@ def test_scale_distributes_over_exponents():
 def test_index_coords_round_trip():
     for g in groups_up_to(16):
         for i in range(g.n):
-            assert g.index_of(g.coords_of(i)) == i
+            assert g.index_of(g.coords_of(i)) == g.checked_index(g.coords_of(i)) == i
+
+
+def test_checked_index_rejects_coordinates_outside_the_group():
+    g = make_group([2, 4])
+    for coords, why in [
+        ((1,), "which needs 2"),
+        ((0, 1, 0), "which needs 2"),
+        ((2, 0), r"coordinate 2 is outside \[0, 2\)"),
+        ((0, -1), r"coordinate -1 is outside \[0, 4\)"),
+    ]:
+        with pytest.raises(ValueError, match=f"do not fit group 2x4.*{why}"):
+            g.checked_index(coords)
 
 
 def test_translation_ops_match_coordinate_addition():

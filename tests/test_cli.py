@@ -155,10 +155,12 @@ def test_verify_rejects_out_of_range_coordinates(capsys):
         capsys, "verify", "--group", "10", "--k", "2", "--l", "1", "--set", "12,-1", "--json"
     )
     assert code == 2 and out == "" and "outside [0, 10)" in err
+    assert err.startswith("error: element '12': ")  # names the offending element
     code, out, err = run(
         capsys, "verify", "--group", "2x4", "--k", "2", "--l", "1", "--set", "0:5"
     )
     assert code == 2 and out == "" and "outside [0, 4)" in err
+    assert err.startswith("error: element '0:5': ")  # names the offending element
 
 
 def test_witness_and_verify_build_no_translation_table(capsys):
@@ -254,6 +256,7 @@ def test_count_command(capsys):
     code, doc, _ = run_json(capsys, "count", "--group", "7", "--k", "2", "--l", "1")
     assert code == 0
     assert doc["total"] == 16 and doc["by_size"]["0"] == 1
+    assert "nodes_explored" not in doc and "cached" not in doc  # effort stays out of --json
     assert doc["total"] >= 4
 
 

@@ -167,7 +167,7 @@ def test_search_max_matches_reference():
     gaps = []
     for g, k, l in instances:
         seed = tuple(best_witness(g, KLParams(k, l)).members.indices())
-        size, witness, _ = _search_max(g, k, l, seed, None)
+        size, witness, *_ = _search_max(g, k, l, seed, None)
         assert (size, witness) == _search_max_reference(g, k, l, seed, None)[:2], (g, k, l)
         if size > len(seed):
             gaps.append((list(g.factors), k, l))
@@ -297,6 +297,76 @@ def test_sum_free_family_downward_closed():
                 low = probe & -probe
                 assert bits ^ low in family
                 probe ^= low
+
+
+def _count_reference(g, k, l):
+    """The count before orbit weighting: one walk in element-index order
+    that visits every nonempty sum-free set once."""
+    by_size = {0: 1}
+
+    def visit(level, depth, chosen):
+        by_size[depth] = by_size.get(depth, 0) + len(level)
+        return True
+
+    _walk(g, k, l, [0], visit)
+    return by_size
+
+
+def _enumerate_reference(g, k, l, lam):
+    """The enumeration before the capped walk: element-index order, no caps."""
+    found = []
+
+    def visit(level, depth, chosen):
+        if depth < lam:
+            return True
+        found.extend(chosen + (x,) for x, _ in level)
+        return False
+
+    _walk(g, k, l, [lam - 1], visit)
+    return found
+
+
+def test_count_matches_index_order_walk():
+    for g in groups_up_to(20):
+        for k, l in SEARCH_PAIRS:
+            res = count_sum_free(g, KLParams(k, l))
+            assert res.by_size == _count_reference(g, k, l), (g, k, l)
+
+
+def test_enumerate_matches_index_order_walk():
+    for g in groups_up_to(24):
+        for k, l in SEARCH_PAIRS:
+            lam = lambda_exact(g, KLParams(k, l)).max_size
+            if lam:
+                sets = enumerate_maximum(g, KLParams(k, l))
+                found = [tuple(s.indices()) for s in sets]
+                assert found == _enumerate_reference(g, k, l, lam), (g, k, l)
+
+
+@pytest.mark.parametrize(
+    "factors, k, l, total, nodes",
+    [_pin([8], 2, 1, 30, 15), _pin([2, 8], 2, 1, 985, 335), _pin([32], 2, 1, 146648, 48738)],
+)
+def test_count_effort_and_cache_hit(factors, k, l, total, nodes):
+    from klsumfree.oracle import _COUNT_CACHE
+
+    g, kl = make_group(factors), KLParams(k, l)
+    _COUNT_CACHE.pop((g.factors, k, l), None)
+    first = count_sum_free(g, kl, limit=None)
+    again = count_sum_free(g, kl, limit=None)
+    # the walks visit only the sets that contain an orbit's first element
+    assert (first.total, first.nodes_explored, first.cached) == (total, nodes, False)
+    assert (again.nodes_explored, again.cached) == (nodes, True)
+    assert again == first and again.by_size == first.by_size
+
+
+def test_count_rejects_a_partition_that_is_not_the_orbits(monkeypatch):
+    from klsumfree import oracle
+
+    # {1, ..., 7} is not an orbit of Aut(Z_8): the weights stop dividing
+    monkeypatch.setattr(oracle, "automorphism_orbits", lambda g: ((0,), tuple(range(1, g.n))))
+    with pytest.raises(RuntimeError, match="not integral"):
+        oracle._count(make_group([8]), 2, 1)
 
 
 # ---------------------------------------------------------------------------

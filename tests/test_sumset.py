@@ -111,6 +111,14 @@ def test_contains_rejects_elements_outside_the_group():
         Element((5,)) in Subset.full(make_group([3]))
 
 
+def test_contains_index_rejects_indices_outside_the_group():
+    a = Subset.full(make_group([8]))
+    assert a.contains_index(0) and a.contains_index(7)
+    for i in [8, 100, -1]:
+        with pytest.raises(ValueError, match=f"index {i} out of range for group of order 8"):
+            a.contains_index(i)
+
+
 def test_pair_sumset_matches_table_reference():
     rng = random.Random(29)
     for g in [make_group([2000]), make_group([2, 1000]), make_group([2, 2, 500]), make_group([3, 600])]:
