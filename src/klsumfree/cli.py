@@ -214,7 +214,7 @@ def cmd_witness(args) -> int:
     if w.divisor is not None:
         print(f"built from quotient modulus d={w.divisor}")
     base = w.base
-    if base is not None and hasattr(base, "certificate") and base.certificate:
+    if base is not None:  # best_witness keeps a base only with its certificate
         c = base.certificate
         print(
             f"progression start {base.start}, length {base.size}; "
@@ -303,7 +303,7 @@ def cmd_enumerate(args) -> int:
     g = parse_group_spec(args.group)
     kl = _kl(args)
     sets = enumerate_maximum(g, kl, limit=_limit_for(args, "EXACT"))
-    lam = sets[0].size if sets else 0
+    lam = sets[0].size  # at least one set: the empty set when the maximum is 0
     if args.json:
         members = [members_json(s) for s in sets]
         _emit_json(_payload("enumerate", kl, g, max_size=lam, count=len(sets), sets=members))
@@ -330,6 +330,11 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _scan_instances(args) -> list[GroupSpec]:
+    # --family all-abelian goes with --order and with nothing else
+    if args.order is not None and args.family is None:
+        raise ValueError("--order requires --family all-abelian")
+    if args.n is not None and args.family is not None:
+        raise ValueError("--family all-abelian requires --order, not --n")
     if args.n is not None:
         lo, hi = _parse_range(args.n)
         return [make_group([m]) for m in range(lo, hi + 1)]
@@ -493,9 +498,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if getattr(args, "order", None) is not None and getattr(args, "family", None) is None:
-        print("error: --order requires --family all-abelian", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except LimitExceededError as exc:

@@ -34,7 +34,7 @@ DEFAULT_LIMIT_EXACT, DEFAULT_LIMIT_COUNT or DEFAULT_LIMIT_AP: a larger
 order raises LimitExceededError, and limit=None lifts the limit.
 
 Searches are deterministic and sequential; callers that want parallelism
-can fan out across instances, every function here being pure.
+can fan out across instances.  Exact lambda results are cached per process.
 """
 
 from __future__ import annotations
@@ -96,19 +96,14 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class CountResult:
-    """Exact number of (k,l)-sum-free subsets, split by size (read-only, as
-    results are cached), with search-effort counters.
-
-    nodes_explored counts the sets the walks visited.  cached is True when
-    the answer came from the in-process cache of earlier counts:
-    nodes_explored is then the first count's.  Results compare by their
+    """Exact number of (k,l)-sum-free subsets, split by size (read-only),
+    with the number of sets the walks visited.  Results compare by their
     counts alone.
     """
 
     total: int
     by_size: Mapping[int, int]
     nodes_explored: int = field(compare=False)
-    cached: bool = field(default=False, compare=False)
 
 
 def _make_extend(g: GroupSpec, k: int):
@@ -158,9 +153,9 @@ def _walk(
     remaining siblings cannot exceed floor[0], or, when a cap is given, as
     soon as the chosen set plus cap[x] cannot: cap[x] must bound every
     sum-free set made of x and the elements after it in the order, and must
-    not increase along the order.  A child level is entered only when it
-    could exceed floor[0]; visitors may raise floor[0] as they go.  base must
-    itself be sum-free.
+    not increase along the order (only candidates' caps are read).  A child
+    level is entered only when it could exceed floor[0]; visitors may raise
+    floor[0] as they go.  base must itself be sum-free.
     """
     extend = _make_extend(g, k)
     layers = [1] + [0] * k
@@ -193,6 +188,20 @@ def _walk(
         walk(root, len(base), base)
 
 
+def _orbit_branches(g: GroupSpec, k: int, l: int):
+    """Yield (orbit, later) for each orbit of Aut(g) whose first element r_b
+    is sum-free, from the last orbit to the first; later lists the elements
+    after r_b, orbit by orbit.  Automorphisms keep (k-l)x = 0, so no element
+    of a skipped orbit is ever a candidate."""
+    orbits = automorphism_orbits(g)
+    order = [x for orbit in orbits for x in orbit]
+    end = g.n
+    for orbit in reversed(orbits):
+        end -= len(orbit)
+        if g.scale_index(k - l, orbit[0]):  # {r_b} is sum-free: k*r_b != l*r_b
+            yield orbit, order[end + 1:]
+
+
 def _search_max(
     g: GroupSpec,
     k: int,
@@ -200,21 +209,21 @@ def _search_max(
     seed: tuple[int, ...],
     progress: Optional[Callable[[int, int, int], None]],
     progress_interval: int = 65536,
-) -> tuple[int, tuple[int, ...], int, tuple[int, ...], tuple[int, ...]]:
+) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
     """The max visitor: (largest size, a set of that size, nodes visited,
-    the orbit order, the caps).
+    the caps).
 
-    The elements are listed orbit by orbit of Aut(g), and the orbits are
-    taken from last to first.  Let u[b] be the size of the largest sum-free
-    set inside orbits b and later.  Branch b walks the sets that contain
-    the orbit's first element r_b and lie inside orbits b and later; its
-    floor starts at u[b+1] and ends at u[b].  An automorphism maps a set
+    The branches are _orbit_branches'.  Let u[b] be the size of the largest
+    sum-free set inside orbits b and later.  Branch b walks the sets that
+    contain the orbit's first element r_b and lie inside orbits b and later;
+    its floor starts at u[b+1] and ends at u[b].  An automorphism maps a set
     whose first orbit is b to one that contains r_b, and it keeps every
     suffix of orbits, so u[0] is the maximum.  Below the branch root, u of
     its orbit caps each candidate of a later orbit (Russian-doll bounds);
     u does not increase along the order, so a sibling loop stops at the
-    first cap that fails.  The caps, u of each element's orbit, hold for
-    every walk in the orbit order.
+    first cap that fails.  The caps, u of each element's orbit (g.n in the
+    skipped orbits, whose elements are never candidates), hold for every
+    walk in the orbit order.
 
     The witness is the seed when the seed is maximum, else the first
     maximum set in element-index order (enumerate_maximum's first set):
@@ -238,22 +247,17 @@ def _search_max(
         floor[0] = max(floor[0], depth)
         return True
 
-    orbits = automorphism_orbits(g)
-    order = [x for orbit in orbits for x in orbit]
     cap = [g.n] * g.n
-    end = g.n
-    for orbit in reversed(orbits):
-        end -= len(orbit)
-        if g.scale_index(k - l, orbit[0]):  # {r_b} is sum-free: k*r_b != l*r_b
-            nodes += 1
-            floor[0] = max(floor[0], 1)
-            _walk(g, k, l, floor, visit, order[end + 1:], cap, orbit[:1])
+    for orbit, later in _orbit_branches(g, k, l):
+        nodes += 1
+        floor[0] = max(floor[0], 1)
+        _walk(g, k, l, floor, visit, later, cap, orbit[:1])
         for x in orbit:
             cap[x] = floor[0]
     lam = floor[0]
-    order, cap = tuple(order), tuple(cap)
+    cap = tuple(cap)
     if lam == len(seed):
-        return lam, seed, nodes, order, cap
+        return lam, seed, nodes, cap
 
     best = lam
     witness = seed
@@ -269,10 +273,11 @@ def _search_max(
 
     floor[0] = lam - 1
     _walk(g, k, l, floor, first_hit)
-    return lam, witness, nodes, order, cap
+    return lam, witness, nodes, cap
 
 
-_EXACT_CACHE: dict[tuple, tuple[int, tuple[int, ...], int, tuple[int, ...], tuple[int, ...]]] = {}
+# (g.factors, k, l) -> (the search's result, its caps); grows by one entry per miss
+_EXACT_CACHE: dict[tuple, tuple[SearchResult, tuple[int, ...]]] = {}
 
 
 def lambda_exact(
@@ -291,54 +296,42 @@ def lambda_exact(
     given, is called as progress(nodes, depth, best) with nodes a multiple
     of progress_interval, once per level that crosses one; best never drops
     and never falls below the constructive witness's size.
-    Results are cached per (group, k, l): a repeated call searches nothing,
-    never calls progress, and returns cached=True with the first search's
-    nodes_explored.  limit caps g.n (None lifts it).
+    Results are cached per process and (group, k, l): a repeated call
+    searches nothing, never calls progress, and returns the first search's
+    result with cached=True.  limit caps g.n (None lifts it).
     """
     _check_limit(g.n, limit, "exact search")
     key = (g.factors, kl.k, kl.l)
     hit = _EXACT_CACHE.get(key)
-    cached = hit is not None
-    if not cached:
-        seed = best_witness(g, kl)
-        hit = _search_max(
-            g, kl.k, kl.l, tuple(seed.members.indices()), progress, progress_interval
-        )
-        _EXACT_CACHE[key] = hit
-    size, indices, nodes, _, _ = hit
-    return SearchResult(
-        max_size=size,
-        witness=Subset.from_indices(g, indices),
-        nodes_explored=nodes,
-        cached=cached,
+    if hit is not None:
+        return replace(hit[0], cached=True)
+    seed = best_witness(g, kl)
+    size, indices, nodes, cap = _search_max(
+        g, kl.k, kl.l, tuple(seed.members.indices()), progress, progress_interval
     )
+    result = SearchResult(size, Subset.from_indices(g, indices), nodes)
+    _EXACT_CACHE[key] = result, cap
+    return result
 
 
 def _count(g: GroupSpec, k: int, l: int) -> tuple[dict[int, int], int]:
     """The count visitor: (number of sum-free sets by size, sets visited).
 
-    The elements are listed orbit by orbit of Aut(g), as in _search_max.  A
-    nonempty set's first orbit is the first one it meets.  Branch b walks
-    the sets that contain the orbit's first element r_b and lie inside
-    orbits b and later, and tallies N_b(s, m): how many have size s and m
-    members in orbit b.  Automorphisms fix every orbit and move r_b to each
-    element of orbit b, so each of its |O_b| elements lies in N_b(s, m) of
-    the sets with size s, first orbit b and m members there; counting the
-    pairs (set, member in orbit b) both ways, there are |O_b| N_b(s, m) / m
-    such sets.  nodes counts the empty set, each branch root and every set
-    the walks visit.
+    The branches are _orbit_branches', as in _search_max.  A nonempty set's
+    first orbit is the first one it meets, and no set meets a skipped orbit.
+    Branch b walks the sets that contain the orbit's first element r_b and
+    lie inside orbits b and later, and tallies N_b(s, m): how many have size
+    s and m members in orbit b.  Automorphisms fix every orbit and move r_b
+    to each element of orbit b, so each of its |O_b| elements lies in
+    N_b(s, m) of the sets with size s, first orbit b and m members there;
+    counting the pairs (set, member in orbit b) both ways, there are
+    |O_b| N_b(s, m) / m such sets.  nodes counts the empty set, each branch
+    root and every set the walks visit.
     """
     by_size = defaultdict(int)
     by_size[0] = 1
     nodes = 1
-    orbits = automorphism_orbits(g)
-    order = [x for orbit in orbits for x in orbit]
-    start = 0
-    for orbit in orbits:
-        later = order[start + 1:]
-        start += len(orbit)
-        if not g.scale_index(k - l, orbit[0]):  # no element of the orbit is sum-free
-            continue
+    for orbit, later in _orbit_branches(g, k, l):
         members = frozenset(orbit)
         tally = defaultdict(int)
         tally[1, 1] = 1  # the branch root {r_b}
@@ -365,9 +358,6 @@ def _count(g: GroupSpec, k: int, l: int) -> tuple[dict[int, int], int]:
     return dict(sorted(by_size.items())), nodes
 
 
-_COUNT_CACHE: dict[tuple, CountResult] = {}
-
-
 def count_sum_free(
     g: GroupSpec, kl: KLParams, limit: Optional[int] = DEFAULT_LIMIT_COUNT
 ) -> CountResult:
@@ -375,19 +365,12 @@ def count_sum_free(
 
     Orbit-weighted walks over the sets that contain an orbit's first
     element (see _count); counts are exact big integers, and a weight that
-    does not divide exactly raises RuntimeError.  Results are cached per
-    (group, k, l): a repeated call walks nothing and returns cached=True
-    with the first count's nodes_explored.  limit caps g.n (None lifts it).
+    does not divide exactly raises RuntimeError.  Counts are not cached:
+    every call walks.  limit caps g.n (None lifts it).
     """
     _check_limit(g.n, limit, "subset counting")
-    key = (g.factors, kl.k, kl.l)
-    hit = _COUNT_CACHE.get(key)
-    if hit is not None:
-        return replace(hit, cached=True)
     by_size, nodes = _count(g, kl.k, kl.l)
-    result = CountResult(sum(by_size.values()), MappingProxyType(by_size), nodes)
-    _COUNT_CACHE[key] = result
-    return result
+    return CountResult(sum(by_size.values()), MappingProxyType(by_size), nodes)
 
 
 def enumerate_maximum(
@@ -404,7 +387,8 @@ def enumerate_maximum(
     lam = lambda_exact(g, kl, limit=None).max_size
     if lam == 0:
         return [Subset.empty(g)]
-    _, _, _, order, cap = _EXACT_CACHE[g.factors, kl.k, kl.l]
+    _, cap = _EXACT_CACHE[g.factors, kl.k, kl.l]
+    order = [x for orbit in automorphism_orbits(g) for x in orbit]
     found: list[tuple[int, ...]] = []
 
     def visit(level, depth, chosen):

@@ -340,6 +340,21 @@ def test_scan_order_range_below_2_exits_2(capsys):
     assert code == 2 and out == "" and "no order >= 2" in err
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        (("--order", "2..5"), "error: --order requires --family all-abelian\n"),
+        (
+            ("--n", "2..5", "--family", "all-abelian"),
+            "error: --family all-abelian requires --order, not --n\n",
+        ),
+    ],
+)
+def test_scan_family_goes_with_order_only(capsys, source, message):
+    code, out, err = run(capsys, "scan", *source, "--k", "2", "--l", "1")
+    assert (code, out, err) == (2, "", message)
+
+
 def test_scan_json_deterministic(capsys):
     args = ("scan", "--n", "2..16", "--k", "2", "--l", "1", "--check", "bounds", "--json")
     code1, out1, _ = run(capsys, *args)

@@ -200,6 +200,22 @@ def test_lambda_exact_cache_hit_is_marked():
         first.max_size, first.witness, first.nodes_explored)
 
 
+def test_lambda_exact_cache_grows_one_entry_per_miss():
+    from klsumfree.oracle import _EXACT_CACHE
+
+    g = make_group([2, 6])
+    for k, l in [(2, 1), (3, 1)]:
+        _EXACT_CACHE.pop((g.factors, k, l), None)
+    size = len(_EXACT_CACHE)
+    lambda_exact(g, KL21)
+    assert len(_EXACT_CACHE) == size + 1 and (g.factors, 2, 1) in _EXACT_CACHE
+    lambda_exact(g, KL21)
+    enumerate_maximum(g, KL21)  # reuses the cached search
+    assert len(_EXACT_CACHE) == size + 1
+    enumerate_maximum(g, KLParams(3, 1))  # a miss through enumerate adds one
+    assert len(_EXACT_CACHE) == size + 2
+
+
 def test_count_examples():
     res = count_sum_free(make_group([7]), KL21)
     assert res.by_size[0] == 1
@@ -347,16 +363,14 @@ def test_enumerate_matches_index_order_walk():
     "factors, k, l, total, nodes",
     [_pin([8], 2, 1, 30, 15), _pin([2, 8], 2, 1, 985, 335), _pin([32], 2, 1, 146648, 48738)],
 )
-def test_count_effort_and_cache_hit(factors, k, l, total, nodes):
-    from klsumfree.oracle import _COUNT_CACHE
-
+def test_count_effort_pinned_and_repeated(factors, k, l, total, nodes):
     g, kl = make_group(factors), KLParams(k, l)
-    _COUNT_CACHE.pop((g.factors, k, l), None)
     first = count_sum_free(g, kl, limit=None)
     again = count_sum_free(g, kl, limit=None)
     # the walks visit only the sets that contain an orbit's first element
-    assert (first.total, first.nodes_explored, first.cached) == (total, nodes, False)
-    assert (again.nodes_explored, again.cached) == (nodes, True)
+    assert (first.total, first.nodes_explored) == (total, nodes)
+    # counts are not cached: a second call walks again, to the same effort
+    assert again.nodes_explored == nodes
     assert again == first and again.by_size == first.by_size
 
 
