@@ -5,22 +5,22 @@ order.  Sum-freeness is hereditary (any subset of a sum-free set is
 sum-free), so each level passes its children only the candidates that
 stayed individually addable.  The walk carries a floor: a branch is cut
 as soon as the current size plus the surviving candidates cannot exceed
-it, or, given per-element caps, as soon as the current size plus the cap
-of the next candidate cannot.  State per candidate is the tower of sumset
-layers 1A, 2A, ..., kA, updated incrementally when an element is added.
+it.  Where the floor can cut, the walk may colour a level instead: the
+candidates a set adds are pairwise compatible, so a greedy colouring of
+the level's compatibility graph bounds how many it can add (MCQ,
+Tomita-Seki 2003).  State per candidate is the tower of sumset layers
+1A, 2A, ..., kA, updated incrementally when an element is added.
 
 The maximum search breaks the symmetry of Aut(G): it lists the elements
 orbit by orbit, and for each orbit, from the last to the first, searches
 only the sets that contain the orbit's first element and lie in that orbit
-and the later ones.  Each such branch leaves the maximum inside its suffix
-of orbits, which caps every later branch's candidates from that orbit
-(Russian-doll bounds, Ostergard 2002).  Neither cut uses a formula the
-oracle checks.  The count walks the same orbit branches with the floor at
-0 (no cut) and weights each set by its orbit: every automorphism fixes
-each orbit, so the sets whose first orbit is b follow from those that
-contain the orbit's first element.  The enumeration of maximum sets walks
-the maximum search's orbit order with its caps and the floor at
-lambda - 1, then sorts what it found into element-index order.
+and the later ones, coloured, with the floor starting at the constructive
+witness.  Neither cut uses a formula the oracle checks.  The count walks
+the same orbit branches with the floor at 0 (no cut) and weights each set
+by its orbit: every automorphism fixes each orbit, so the sets whose first
+orbit is b follow from those that contain the orbit's first element.  The
+enumeration of maximum sets walks the orbit order, coloured, with the
+floor at lambda - 1, then sorts what it found into element-index order.
 
 Progression maxima (alpha/beta/gamma) do not enumerate subsets at all: for
 a progression with difference q and start a, the difference set kA - lA is
@@ -132,6 +132,33 @@ def _make_extend(g: GroupSpec, k: int):
     return extend
 
 
+def _colour_classes(adj: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Greedy colouring of the graph with adjacency bitsets adj, one colour
+    class at a time: (order, colours), order listing the vertices class by
+    class and colours[p] the colour, from 1, of order[p].
+
+    Each class takes, in vertex order, every uncoloured vertex adjacent to
+    none it has taken.  A class is an independent set, so a clique meets it
+    at most once, and a clique inside order[:p + 1] has at most colours[p]
+    vertices.  Colours never decrease along order.
+    """
+    order: list[int] = []
+    colours: list[int] = []
+    left = (1 << len(adj)) - 1
+    colour = 0
+    while left:
+        colour += 1
+        free = left
+        while free:
+            low = free & -free
+            v = low.bit_length() - 1
+            order.append(v)
+            colours.append(colour)
+            left ^= low
+            free &= ~(adj[v] | low)
+    return order, colours
+
+
 def _walk(
     g: GroupSpec,
     k: int,
@@ -139,8 +166,8 @@ def _walk(
     floor: list[int],
     visit,
     order: Optional[Sequence[int]] = None,
-    cap: Optional[Sequence[int]] = None,
     base: tuple[int, ...] = (),
+    coloured: bool = False,
 ) -> None:
     """Walk the tree of (k,l)-sum-free sets of g that contain base, adding
     elements in the given order (element-index order by default).
@@ -149,20 +176,30 @@ def _walk(
     one element, layers being the reduced padded masks of the extended
     set's sumset layers.  visit(level, depth, chosen) sees each level once,
     depth being the size of the extended sets, and returns False to skip
-    its subtree.  A sibling loop stops as soon as the chosen set plus the
-    remaining siblings cannot exceed floor[0], or, when a cap is given, as
-    soon as the chosen set plus cap[x] cannot: cap[x] must bound every
-    sum-free set made of x and the elements after it in the order, and must
-    not increase along the order (only candidates' caps are read).  A child
-    level is entered only when it could exceed floor[0]; visitors may raise
-    floor[0] as they go.  base must itself be sum-free.
+    its subtree.  A child level is entered only when it could exceed
+    floor[0]; visitors may raise floor[0] as they go.  base must itself be
+    sum-free.
+
+    By default a level branches on its candidates in its order, the child
+    of x being the candidates after x that stay addable with it, and the
+    sibling loop stops as soon as the chosen set plus the remaining
+    siblings cannot exceed floor[0].
+
+    With coloured, a level that the floor can cut is coloured instead
+    (MCQ, Tomita-Seki 2003).  Sum-freeness is hereditary, so the elements
+    a set adds to the chosen one are pairwise compatible: each pair of them
+    keeps the chosen set sum-free.  The level extends every pair once, and
+    _colour_classes colours the compatibility graph.  The level branches
+    from the highest colour down, the child of v being the compatible
+    candidates before v in colour order, with the pair's layers; a set
+    added below v takes at most one candidate per colour, so the sibling
+    loop stops at the first v whose colour plus the chosen set cannot
+    exceed floor[0].  The bound depends only on the instance.
     """
     extend = _make_extend(g, k)
     layers = [1] + [0] * k
     for x in base:
         layers = extend(layers, x)
-    if cap is None:
-        cap = [g.n] * g.n  # never cuts: no set exceeds the group
     root = []
     for x in range(g.n) if order is None else order:
         lx = extend(layers, x)
@@ -172,9 +209,11 @@ def _walk(
     def walk(level, depth, chosen):
         if not visit(level, depth + 1, chosen):
             return
+        if coloured and floor[0] > depth:
+            branch_coloured(level, depth, chosen)
+            return
         for i, (x, lx) in enumerate(level):
-            room = floor[0] - depth
-            if len(level) - i <= room or cap[x] <= room:
+            if len(level) - i <= floor[0] - depth:
                 return
             child = []
             for y, _ in level[i + 1:]:
@@ -183,6 +222,25 @@ def _walk(
                     child.append((y, ly))
             if child and depth + 1 + len(child) > floor[0]:
                 walk(child, depth + 1, chosen + (x,))
+
+    def branch_coloured(level, depth, chosen):
+        adj = [0] * len(level)
+        pairs = {}
+        for i, (_, lx) in enumerate(level):
+            for j in range(i + 1, len(level)):
+                ly = extend(lx, level[j][0])
+                if not ly[k] & ly[l]:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+                    pairs[i, j] = pairs[j, i] = ly
+        by_colour, colours = _colour_classes(adj)
+        for p in range(len(level) - 1, -1, -1):
+            if depth + colours[p] <= floor[0]:
+                return
+            v = by_colour[p]
+            child = [(level[u][0], pairs[u, v]) for u in by_colour[:p] if adj[v] >> u & 1]
+            if child and depth + 1 + len(child) > floor[0]:
+                walk(child, depth + 1, chosen + (level[v][0],))
 
     if len(base) + len(root) > floor[0]:
         walk(root, len(base), base)
@@ -209,30 +267,24 @@ def _search_max(
     seed: tuple[int, ...],
     progress: Optional[Callable[[int, int, int], None]],
     progress_interval: int = 65536,
-) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
-    """The max visitor: (largest size, a set of that size, nodes visited,
-    the caps).
+) -> tuple[int, tuple[int, ...], int]:
+    """The max visitor: (largest size, a set of that size, nodes visited).
 
-    The branches are _orbit_branches'.  Let u[b] be the size of the largest
-    sum-free set inside orbits b and later.  Branch b walks the sets that
-    contain the orbit's first element r_b and lie inside orbits b and later;
-    its floor starts at u[b+1] and ends at u[b].  An automorphism maps a set
-    whose first orbit is b to one that contains r_b, and it keeps every
-    suffix of orbits, so u[0] is the maximum.  Below the branch root, u of
-    its orbit caps each candidate of a later orbit (Russian-doll bounds);
-    u does not increase along the order, so a sibling loop stops at the
-    first cap that fails.  The caps, u of each element's orbit (g.n in the
-    skipped orbits, whose elements are never candidates), hold for every
-    walk in the orbit order.
+    The branches are _orbit_branches'.  Branch b walks, coloured, the sets
+    that contain the orbit's first element r_b and lie inside orbits b and
+    later.  An automorphism maps a set whose first orbit is b to one that
+    contains r_b, and it keeps every suffix of orbits, so the branches
+    together reach the maximum.  The floor starts at the seed's size (the
+    seed is a verified witness) and rises with every larger set found.
 
     The witness is the seed when the seed is maximum, else the first
     maximum set in element-index order (enumerate_maximum's first set):
-    a walk with the floor one below the maximum stops at its first hit.
-    nodes counts the empty set, each branch root and every set either walk
-    visits.
+    an index-order walk with the floor one below the maximum stops at its
+    first hit.  nodes counts the empty set, each branch root and every set
+    either walk visits.
     """
-    floor = [0]
-    best = len(seed)  # the progress report never drops below the seed
+    floor = [len(seed)]
+    best = 0  # the maximum, once known: the witness walk's floor sits below it
     nodes = 1  # the empty set
 
     def tick(level, depth):
@@ -247,17 +299,13 @@ def _search_max(
         floor[0] = max(floor[0], depth)
         return True
 
-    cap = [g.n] * g.n
     for orbit, later in _orbit_branches(g, k, l):
         nodes += 1
         floor[0] = max(floor[0], 1)
-        _walk(g, k, l, floor, visit, later, cap, orbit[:1])
-        for x in orbit:
-            cap[x] = floor[0]
+        _walk(g, k, l, floor, visit, later, orbit[:1], coloured=True)
     lam = floor[0]
-    cap = tuple(cap)
     if lam == len(seed):
-        return lam, seed, nodes, cap
+        return lam, seed, nodes
 
     best = lam
     witness = seed
@@ -273,11 +321,11 @@ def _search_max(
 
     floor[0] = lam - 1
     _walk(g, k, l, floor, first_hit)
-    return lam, witness, nodes, cap
+    return lam, witness, nodes
 
 
-# (g.factors, k, l) -> (the search's result, its caps); grows by one entry per miss
-_EXACT_CACHE: dict[tuple, tuple[SearchResult, tuple[int, ...]]] = {}
+# (g.factors, k, l) -> the search's result; grows by one entry per miss
+_EXACT_CACHE: dict[tuple, SearchResult] = {}
 
 
 def lambda_exact(
@@ -289,9 +337,9 @@ def lambda_exact(
 ) -> SearchResult:
     """Exact maximum size of a (k,l)-sum-free subset of g, with a witness.
 
-    Branch-and-bound over automorphism orbits with Russian-doll bounds (see
-    _search_max).  The witness is the constructive one when that is
-    maximum, else the first maximum set in element-index order.
+    Branch-and-bound over automorphism orbits with a colouring bound (see
+    _search_max and _walk).  The witness is the constructive one when that
+    is maximum, else the first maximum set in element-index order.
     nodes_explored counts the sets the search visits.  progress, when
     given, is called as progress(nodes, depth, best) with nodes a multiple
     of progress_interval, once per level that crosses one; best never drops
@@ -304,13 +352,13 @@ def lambda_exact(
     key = (g.factors, kl.k, kl.l)
     hit = _EXACT_CACHE.get(key)
     if hit is not None:
-        return replace(hit[0], cached=True)
+        return replace(hit, cached=True)
     seed = best_witness(g, kl)
-    size, indices, nodes, cap = _search_max(
+    size, indices, nodes = _search_max(
         g, kl.k, kl.l, tuple(seed.members.indices()), progress, progress_interval
     )
     result = SearchResult(size, Subset.from_indices(g, indices), nodes)
-    _EXACT_CACHE[key] = result, cap
+    _EXACT_CACHE[key] = result
     return result
 
 
@@ -343,7 +391,7 @@ def _count(g: GroupSpec, k: int, l: int) -> tuple[dict[int, int], int]:
             tally[depth, m] += len(level) - inside
             return True
 
-        _walk(g, k, l, [0], visit, later, None, orbit[:1])
+        _walk(g, k, l, [0], visit, later, orbit[:1])
         for (size, m), sets in tally.items():
             if not sets:
                 continue
@@ -379,15 +427,13 @@ def enumerate_maximum(
     """All (k,l)-sum-free subsets of maximum size, in lexicographic
     index order.  For the degenerate maximum 0 this is just the empty set.
 
-    The walk takes the maximum search's orbit order and caps (see
-    _search_max) with the floor one below the maximum.  limit caps g.n
-    (None lifts it).
+    The walk takes the maximum search's orbit order, coloured (see _walk),
+    with the floor one below the maximum.  limit caps g.n (None lifts it).
     """
     _check_limit(g.n, limit, "maximum enumeration")
     lam = lambda_exact(g, kl, limit=None).max_size
     if lam == 0:
         return [Subset.empty(g)]
-    _, cap = _EXACT_CACHE[g.factors, kl.k, kl.l]
     order = [x for orbit in automorphism_orbits(g) for x in orbit]
     found: list[tuple[int, ...]] = []
 
@@ -397,7 +443,7 @@ def enumerate_maximum(
         found.extend(chosen + (x,) for x, _ in level)
         return False
 
-    _walk(g, kl.k, kl.l, [lam - 1], visit, order, cap)
+    _walk(g, kl.k, kl.l, [lam - 1], visit, order, coloured=True)
     return [Subset.from_indices(g, ch) for ch in sorted(tuple(sorted(ch)) for ch in found)]
 
 

@@ -180,7 +180,7 @@ def test_witness_and_verify_build_no_translation_table(capsys):
 # output is a stable wire format, so any change here must be deliberate
 PINNED_JSON = [
     ("lambda --group 30 --k 2 --l 1", 0,
-     "3270d0ea329c01540b184b5ed606d380850097c1a174b7fc6ec5579f0b07fcc9"),
+     "4494cf3b61e0628fed05e3014afe204c3952e67b5c7df2bf9de1be5c6fe67d23"),
     ("count --group 2x6 --k 3 --l 1", 0,
      "ca5a320872a6d1fd42f5db85ce644ab9560b73f71fa387ea88821ff44691f94f"),
     ("enumerate --group 14 --k 3 --l 1", 0,
@@ -190,7 +190,7 @@ PINNED_JSON = [
     ("witness --group 2x20 --k 3 --l 2", 0,
      "0b0e83ff31dd2be9bb18b5986bea3c9cdea7907baa7c0e6148e18b1429f5bb1f"),
     ("lambda --group 2x4 --k 2 --l 1", 0,
-     "e067ba3172d948518782b90e38a025baf2a75351f5d38a9defc72158231d165e"),
+     "f5c5a3c6d1c93102f6623a3843472f42e9e17c848a4e2b81cd70a7bc720402e8"),
     ("lambda --group 4 --k 5 --l 1", 0,
      "1780b0b8923d6c883b9e58e2302f08b791962e1a5e2520bb1f2c49a22a5e4908"),
     ("verify --group 2x4 --k 2 --l 1 --set 0:1,1:1", 0,

@@ -94,11 +94,11 @@ def _pin(factors, k, l, *expected):
 @pytest.mark.parametrize(
     "factors, k, l, nodes",
     [
-        _pin([30], 2, 1, 791),
-        _pin([36], 3, 1, 1036),
-        _pin([2, 2, 8], 2, 1, 3837),
-        _pin([3, 9], 5, 2, 149),
-        _pin([2, 20], 2, 1, 6716),
+        _pin([30], 2, 1, 53),
+        _pin([36], 3, 1, 115),
+        _pin([2, 2, 8], 2, 1, 35),
+        _pin([3, 9], 5, 2, 86),
+        _pin([2, 20], 2, 1, 66),
     ],
 )
 def test_lambda_exact_nodes_explored_pinned(factors, k, l, nodes):
@@ -110,20 +110,26 @@ def test_lambda_exact_nodes_explored_pinned(factors, k, l, nodes):
 @pytest.mark.parametrize(
     "factors, k, l, value, nodes",
     [
-        _pin([2, 2, 2, 6], 2, 1, 24, 31030),
-        _pin([2, 2, 12], 5, 2, 24, 9475),
-        _pin([64], 3, 1, 16, 45430),
+        _pin([2, 2, 2, 6], 2, 1, 24, 322),
+        _pin([2, 2, 12], 5, 2, 24, 103),
+        _pin([64], 3, 1, 16, 4346),
+        _pin([4, 16], 2, 1, 32, 658),
+        _pin([8, 8], 2, 1, 32, 65),
+        _pin([2, 32], 2, 1, 32, 127),
+        _pin([2, 2, 2, 2, 4], 2, 1, 32, 65),
+        _pin([128], 2, 1, 64, 133),
     ],
 )
 def test_hard_instances_value_and_effort_pinned(factors, k, l, value, nodes):
-    # beyond the default limit; the index-order walk seeded with the
-    # constructive witness visits 7 to 32 times as many sets here
+    # beyond the default limit; the colouring bound keeps each to a few
+    # thousand sets, where the orbit branches without it visit thousands
+    # (2x2x12) to millions (2x2x2x2x4)
     g, kl = make_group(factors), KLParams(k, l)
     res = lambda_exact(g, kl, limit=None)
     assert (res.max_size, res.nodes_explored) == (value, nodes)
     assert res.witness.size == value and is_kl_sum_free(res.witness, k, l)
     if g.is_cyclic:
-        assert value == lambda_cyclic_31(g.n)
+        assert value == {(2, 1): lambda_cyclic_21, (3, 1): lambda_cyclic_31}[k, l](g.n)
     else:
         bounds = lambda_bounds_general(g, kl)
         assert bounds.lower == bounds.upper == value
@@ -190,10 +196,10 @@ def test_lambda_exact_cache_hit_is_marked():
     g = make_group([40])
     _EXACT_CACHE.pop((g.factors, 2, 1), None)
     calls = []
-    first = lambda_exact(g, KL21, progress=lambda *a: calls.append(a), progress_interval=256)
+    first = lambda_exact(g, KL21, progress=lambda *a: calls.append(a), progress_interval=16)
     assert not first.cached and calls
     calls.clear()
-    second = lambda_exact(g, KL21, progress=lambda *a: calls.append(a), progress_interval=256)
+    second = lambda_exact(g, KL21, progress=lambda *a: calls.append(a), progress_interval=16)
     # a hit searches nothing: no progress, and the first search's effort
     assert second.cached and not calls
     assert (second.max_size, second.witness, second.nodes_explored) == (

@@ -31,6 +31,7 @@ from klsumfree import (
     pair_sumset,
 )
 from klsumfree.abelian import _height_keys, padded_layout, translation_ops
+from klsumfree.oracle import _colour_classes
 from klsumfree.sumset import _product_sumset, _shifted_sumset
 
 from conftest import move_padded
@@ -154,3 +155,50 @@ def test_orbit_key_invariant_under_unit_scaling(g, data):
     for u in range(1, g.v):
         if gcd(u, g.v) == 1:
             assert keys[g.scale_index(u, x)] == keys[x], (g, x, u)
+
+
+@st.composite
+def graphs(draw, max_vertices: int = 10):
+    """Adjacency bitsets of a simple graph on at most max_vertices vertices;
+    the edge mask is up to three random masks joined by & or |, so sparse
+    and dense graphs both occur."""
+    m = draw(st.integers(0, max_vertices))
+    pairs = list(itertools.combinations(range(m), 2))
+    edges = draw(st.integers(0, (1 << len(pairs)) - 1))
+    for _ in range(draw(st.integers(0, 2))):
+        other = draw(st.integers(0, (1 << len(pairs)) - 1))
+        edges = edges & other if draw(st.booleans()) else edges | other
+    adj = [0] * m
+    for bit, (i, j) in enumerate(pairs):
+        if edges >> bit & 1:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+def clique_number(adj, vertices):
+    """Size of the largest clique among vertices, by trying every subset."""
+    best = 0
+    for r in range(1, len(vertices) + 1):
+        for combo in itertools.combinations(vertices, r):
+            if all(adj[u] >> v & 1 for u, v in itertools.combinations(combo, 2)):
+                best = r
+                break
+        else:
+            break
+    return best
+
+
+@fixed
+@given(graphs())
+def test_colour_classes_bound_the_cliques_of_each_prefix(adj):
+    # the exact search cuts a branch on colours[p]: it must bound every
+    # clique among the candidates up to order[p]
+    order, colours = _colour_classes(adj)
+    assert sorted(order) == list(range(len(adj)))
+    assert colours == sorted(colours) and colours[:1] in ([], [1])
+    for a, b in itertools.combinations(range(len(order)), 2):
+        if colours[a] == colours[b]:
+            assert not adj[order[a]] >> order[b] & 1, (order, colours)
+    for p in range(len(order)):
+        assert colours[p] >= clique_number(adj, order[:p + 1]), (order, colours, p)
