@@ -16,7 +16,9 @@ one fold per axis brings the sums back.  Sumsets pad and unpad; the
 exhaustive oracle keeps its masks reduced padded, one slot per element,
 and moves them by the per-element moves of translation_ops.  The
 automorphism orbits (automorphism_orbits) serve the oracle's symmetry
-breaking; every per-group table is cached in a bounded cache.
+breaking, and orbit_transversal gives, per element, an automorphism that
+carries its orbit's first element to it; every per-group table is cached
+in a bounded cache.
 
 Everything here is immutable and pure; values can be shared freely between
 concurrent callers.
@@ -47,6 +49,7 @@ __all__ = [
     "PaddedLayout",
     "padded_layout",
     "automorphism_orbits",
+    "orbit_transversal",
 ]
 
 
@@ -392,6 +395,56 @@ def automorphism_orbits(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
     for x, key in enumerate(_height_keys(g)):
         orbits.setdefault(key, []).append(x)
     return tuple(tuple(orbit) for orbit in orbits.values())
+
+
+def _generator_moves(g: GroupSpec) -> list[tuple[int, ...]]:
+    """The unit scalings x_i -> u*x_i and the transvections
+    x_j -> x_j + (d_j / gcd(d_i, d_j))*x_i of g, as index maps.  The
+    transvection's coefficient makes d_i*x_i vanish mod d_j, so it is well
+    defined; each map is additive, and the inverse unit or subtracting the
+    same multiple undoes it."""
+    coords = [g.coords_of(x) for x in range(g.n)]
+    moves = []
+    for i, d in enumerate(g.factors):
+        for u in range(2, d):
+            if gcd(u, d) == 1:
+                moves.append(tuple(g.index_of(c[:i] + (u * c[i],) + c[i + 1:]) for c in coords))
+        for j, dj in enumerate(g.factors):
+            if j != i:
+                step = dj // gcd(d, dj)
+                moves.append(
+                    tuple(g.index_of(c[:j] + (c[j] + step * c[i],) + c[j + 1:]) for c in coords)
+                )
+    return moves
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_GROUPS)
+def orbit_transversal(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
+    """orbit_transversal(g)[e] is an automorphism of g, as the tuple of its
+    index images, that maps the first element of e's orbit (in
+    automorphism_orbits) to e.
+
+    A breadth-first search from each orbit's first element over the unit
+    scalings and transvections (_generator_moves) composes the map of each
+    element it reaches; RuntimeError if it does not reach exactly the orbit.
+    """
+    gens = _generator_moves(g)
+    movers: list[Optional[tuple[int, ...]]] = [None] * g.n
+    for orbit in automorphism_orbits(g):
+        movers[orbit[0]] = tuple(range(g.n))
+        reached = [orbit[0]]
+        for x in reached:  # reached grows as the search goes
+            for phi in gens:
+                y = phi[x]
+                if movers[y] is None:
+                    movers[y] = tuple(phi[z] for z in movers[x])
+                    reached.append(y)
+        if sorted(reached) != list(orbit):
+            raise RuntimeError(
+                f"automorphism search in group {g} from {orbit[0]} reached "
+                f"{len(reached)} elements, not its orbit of {len(orbit)}"
+            )
+    return tuple(movers)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,10 @@ witness.  Neither cut uses a formula the oracle checks.  The count walks
 the same orbit branches with the floor at 0 (no cut) and weights each set
 by its orbit: every automorphism fixes each orbit, so the sets whose first
 orbit is b follow from those that contain the orbit's first element.  The
-enumeration of maximum sets walks the orbit order, coloured, with the
-floor at lambda - 1, then sorts what it found into element-index order.
+enumeration of maximum sets walks the same branches, coloured, with the
+floor at lambda - 1, maps each set it finds through one automorphism per
+element of the branch's orbit (abelian.orbit_transversal), and sorts the
+union into element-index order.
 
 Progression maxima (alpha/beta/gamma) do not enumerate subsets at all: for
 a progression with difference q and start a, the difference set kA - lA is
@@ -46,7 +48,7 @@ from math import gcd
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
-from .abelian import GroupSpec, automorphism_orbits, divisors, translation_ops
+from .abelian import GroupSpec, automorphism_orbits, divisors, orbit_transversal, translation_ops
 from .formulas import KLParams
 from .sumset import Subset
 from .witness import best_witness
@@ -427,24 +429,36 @@ def enumerate_maximum(
     """All (k,l)-sum-free subsets of maximum size, in lexicographic
     index order.  For the degenerate maximum 0 this is just the empty set.
 
-    The walk takes the maximum search's orbit order, coloured (see _walk),
-    with the floor one below the maximum.  limit caps g.n (None lifts it).
+    The branches are _orbit_branches', as in _search_max.  Branch b walks,
+    coloured (see _walk) with the floor one below the maximum, the maximum
+    sets that contain the orbit's first element r_b and lie inside orbits
+    b and later, and maps each through orbit_transversal's automorphism for
+    every element e of orbit b.  Automorphisms fix every orbit, so each
+    maximum set whose first orbit is b and that contains e is the image of
+    one that contains r_b; the union, without repeats, is every maximum
+    set.  limit caps g.n (None lifts it).
     """
     _check_limit(g.n, limit, "maximum enumeration")
     lam = lambda_exact(g, kl, limit=None).max_size
     if lam == 0:
         return [Subset.empty(g)]
-    order = [x for orbit in automorphism_orbits(g) for x in orbit]
-    found: list[tuple[int, ...]] = []
+    movers = orbit_transversal(g)
+    found: set[tuple[int, ...]] = set()
+    branch: list[tuple[int, ...]] = []
 
     def visit(level, depth, chosen):
         if depth < lam:
             return True
-        found.extend(chosen + (x,) for x, _ in level)
+        branch.extend(chosen + (x,) for x, _ in level)
         return False
 
-    _walk(g, kl.k, kl.l, [lam - 1], visit, order, coloured=True)
-    return [Subset.from_indices(g, ch) for ch in sorted(tuple(sorted(ch)) for ch in found)]
+    for orbit, later in _orbit_branches(g, kl.k, kl.l):
+        branch[:] = [orbit[:1]] if lam == 1 else []  # no level visits the root {r_b}
+        _walk(g, kl.k, kl.l, [lam - 1], visit, later, orbit[:1], coloured=True)
+        for e in orbit:
+            sigma = movers[e]
+            found.update(tuple(sorted(sigma[x] for x in s)) for s in branch)
+    return [Subset.from_indices(g, s) for s in sorted(found)]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from klsumfree import (
 )
 from klsumfree.abelian import (
     automorphism_orbits,
+    orbit_transversal,
     padded_layout,
     prime_factors,
     smallest_prime,
@@ -181,14 +182,13 @@ def test_padded_layout_adds_without_carry():
 
 
 def test_table_caches_are_bounded():
-    cached = [translation_ops, padded_layout, automorphism_orbits]
+    cached = [translation_ops, padded_layout, automorphism_orbits, orbit_transversal]
     for fn in cached:
         fn.cache_clear()
     for n in range(2, 132):  # 130 groups
         g = make_group([n])
-        translation_ops(g)
-        padded_layout(g)
-        automorphism_orbits(g)
+        for fn in cached:
+            fn(g)
     for fn in cached:
         assert fn.cache_info().currsize <= 128, fn
         assert fn.cache_info().maxsize == 128, fn
@@ -241,6 +241,44 @@ def test_automorphism_orbits_match_orbit_closure():
     # an automorphism invariant, so equality pins both to the true orbits
     for g in groups_up_to(32):
         assert automorphism_orbits(g) == _orbit_closure(g), g
+
+
+def test_orbit_transversal_builds_to_order_128():
+    # the search reaches every orbit (else RuntimeError) of all 246 groups
+    for g in groups_up_to(128):
+        assert len(orbit_transversal(g)) == g.n
+
+
+def test_orbit_transversal_maps_are_automorphisms():
+    for g in groups_up_to(64):
+        m = len(g.factors)
+        axes = [g.index_of([int(j == i) for j in range(m)]) for i in range(m)]
+        translates = {}  # y -> [a + y for every a]
+
+        def plus(y):
+            if y not in translates:
+                translates[y] = [g.add_index(a, y) for a in range(g.n)]
+            return translates[y]
+
+        movers = orbit_transversal(g)
+        for orbit in automorphism_orbits(g):
+            for e in orbit:
+                sigma = movers[e]
+                assert sorted(sigma) == list(range(g.n)) and sigma[orbit[0]] == e, (g, e)
+                # additive on a + e_i for every a and axis generator e_i,
+                # hence on all sums (every b is a sum of generators)
+                for x in axes:
+                    moved, image = plus(x), plus(sigma[x])
+                    assert all(sigma[moved[a]] == image[sigma[a]] for a in range(g.n)), (g, e, x)
+
+
+def test_orbit_transversal_rejects_a_search_that_misses_an_orbit(monkeypatch):
+    from klsumfree import abelian
+
+    # without generators the search reaches only each orbit's first element
+    monkeypatch.setattr(abelian, "_generator_moves", lambda g: [])
+    with pytest.raises(RuntimeError, match="not its orbit"):
+        abelian.orbit_transversal.__wrapped__(make_group([8]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ and progression maxima."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -335,7 +337,8 @@ def _count_reference(g, k, l):
 
 
 def _enumerate_reference(g, k, l, lam):
-    """The enumeration before the capped walk: element-index order, no caps."""
+    """The enumeration without orbit branches or colouring: one walk in
+    element-index order, the floor one below the maximum."""
     found = []
 
     def visit(level, depth, chosen):
@@ -363,6 +366,23 @@ def test_enumerate_matches_index_order_walk():
                 sets = enumerate_maximum(g, KLParams(k, l))
                 found = [tuple(s.indices()) for s in sets]
                 assert found == _enumerate_reference(g, k, l, lam), (g, k, l)
+
+
+@pytest.mark.parametrize(
+    "factors, k, l, count, digest",
+    [
+        _pin([34], 3, 1, 128, "ebe83ed179efbb10b70707f44e7ed698e6e3fe8c4ec14c378dcf182f4e85e4d5"),
+        _pin([2, 16], 3, 1, 100, "93943a69d1767883b1a5d540c4e5b297a43d72301eab4ebbb003589cf36020dd"),
+        _pin([2] * 5, 5, 2, 31, "c115c5ba49b42f893881a896d8e2a0b321098a7c4e2eab70cb76a10f88959dff"),
+        _pin([2] * 5, 2, 1, 31, "c115c5ba49b42f893881a896d8e2a0b321098a7c4e2eab70cb76a10f88959dff"),
+    ],
+)
+def test_enumerate_pinned_on_large_orbits(factors, k, l, count, digest):
+    # most sets here are images of another under an automorphism, so the
+    # transversal maps supply them; the digest is of the index lists in order
+    sets = enumerate_maximum(make_group(factors), KLParams(k, l))
+    lists = json.dumps([list(s.indices()) for s in sets])
+    assert (len(sets), hashlib.sha256(lists.encode()).hexdigest()) == (count, digest)
 
 
 @pytest.mark.parametrize(
