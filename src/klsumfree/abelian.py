@@ -17,8 +17,12 @@ exhaustive oracle keeps its masks reduced padded, one slot per element,
 and moves them by the per-element moves of translation_ops.  The
 automorphism orbits (automorphism_orbits) serve the oracle's symmetry
 breaking, and orbit_transversal gives, per element, an automorphism that
-carries its orbit's first element to it; every per-group table is cached
-in a bounded cache.
+carries its orbit's first element to it.  Both come from one
+breadth-first search over unit scalings and transvections: its components
+are the orbits.  That they are the whole Aut(g)-orbits only saves search
+effort; the oracle is correct for any orbits that every automorphism
+fixes, with each map one of the automorphisms.  Every per-group table is
+cached in a bounded cache.
 
 Everything here is immutable and pure; values can be shared freely between
 concurrent callers.
@@ -30,6 +34,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -41,7 +46,6 @@ __all__ = [
     "format_group_spec",
     "invariant_factors",
     "divisors",
-    "smallest_prime",
     "prime_factors",
     "divisor_sets",
     "invariant_factor_chains",
@@ -78,18 +82,6 @@ def divisors(x: int) -> list[int]:
     for p, e in prime_factors(x).items():
         divs = [d * p**i for d in divs for i in range(e + 1)]
     return sorted(divs)
-
-
-def smallest_prime(x: int) -> int:
-    """Smallest prime divisor of x >= 2."""
-    if x < 2:
-        raise ValueError(f"expected an integer >= 2, got {x}")
-    p = 2
-    while p * p <= x:
-        if x % p == 0:
-            return p
-        p += 1 if p == 2 else 2
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -352,99 +344,74 @@ def translation_ops(g: GroupSpec) -> tuple[tuple[int, tuple[tuple[int, int], ...
 
 # ---------------------------------------------------------------------------
 # automorphism orbits
-#
-# Aut(G) is the product of the automorphism groups of the p-parts, and in a
-# finite abelian p-group two elements share an orbit iff they share the
-# height sequence h(x), h(p*x), h(p^2*x), ... (Kaplansky, Infinite Abelian
-# Groups), where h(y) is the largest h with y in p^h*G.  Since
-# p^h*G = (+) gcd(p^h, d_i)*Z_{d_i}, an axis whose p-part has exponent a
-# and whose coordinate has p-valuation t puts y = p^j*x in p^h*G exactly
-# when t + j >= a or h <= t + j; so h(p^j*x) is the least t + j < a over
-# the axes, and "infinite" (encoded as the exponent of p in v, which no
-# finite height reaches) when there is none.
-
-def _height_keys(g: GroupSpec) -> list[tuple[int, ...]]:
-    """Per element index, its height sequences at every prime p | v,
-    h_p(p^j*x) for j = 0..e_p, concatenated prime by prime."""
-    exps = prime_factors(g.v)
-    axes = []
-    for d in g.factors:
-        # a coordinate's p-valuations, capped by the axis, are those of its
-        # gcd with d, so one key per divisor of d serves every residue
-        pd = prime_factors(d)
-        by_gcd = {}
-        for q in divisors(d):
-            pq = prime_factors(q)
-            key = []
-            for p, e in exps.items():
-                t, a = pq.get(p, 0), pd.get(p, 0)
-                key.extend(t + j if t + j < a else e for j in range(e + 1))
-            by_gcd[q] = tuple(key)
-        axes.append([by_gcd[gcd(c, d)] for c in range(d)])
-    # an element's key is the entry-wise minimum of its coordinates' keys;
-    # the all-infinite key lets map(min, ...) take a single axis too
-    top = [tuple(e for e in exps.values() for _ in range(e + 1))]
-    return [tuple(map(min, *vecs)) for vecs in itertools.product(*axes, top)]
-
-
-@functools.lru_cache(maxsize=_TABLE_CACHE_GROUPS)
-def automorphism_orbits(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
-    """The Aut(g)-orbits of the element indices, each in ascending index
-    order, ordered by their smallest index (so {0} comes first)."""
-    orbits: dict[tuple[int, ...], list[int]] = {}
-    for x, key in enumerate(_height_keys(g)):
-        orbits.setdefault(key, []).append(x)
-    return tuple(tuple(orbit) for orbit in orbits.values())
-
 
 def _generator_moves(g: GroupSpec) -> list[tuple[int, ...]]:
     """The unit scalings x_i -> u*x_i and the transvections
     x_j -> x_j + (d_j / gcd(d_i, d_j))*x_i of g, as index maps.  The
     transvection's coefficient makes d_i*x_i vanish mod d_j, so it is well
     defined; each map is additive, and the inverse unit or subtracting the
-    same multiple undoes it."""
-    coords = [g.coords_of(x) for x in range(g.n)]
+    same multiple undoes it.  A map changes one coordinate c_j to c'_j, so
+    it moves index x to x + (c'_j - c_j)*stride_j."""
+    # stride_i is the product of the factors after axis i; cols[i][x] is
+    # the coordinate of index x on axis i
+    strides = [g.n // d for d in itertools.accumulate(g.factors, mul)]
+    cols = [[x // s % d for x in range(g.n)] for d, s in zip(g.factors, strides)]
     moves = []
-    for i, d in enumerate(g.factors):
+    for i, (d, s) in enumerate(zip(g.factors, strides)):
         for u in range(2, d):
             if gcd(u, d) == 1:
-                moves.append(tuple(g.index_of(c[:i] + (u * c[i],) + c[i + 1:]) for c in coords))
-        for j, dj in enumerate(g.factors):
+                moves.append(tuple(x + (u * c % d - c) * s for x, c in enumerate(cols[i])))
+        for j, (dj, sj) in enumerate(zip(g.factors, strides)):
             if j != i:
                 step = dj // gcd(d, dj)
                 moves.append(
-                    tuple(g.index_of(c[:j] + (c[j] + step * c[i],) + c[j + 1:]) for c in coords)
+                    tuple(x + ((cj + step * ci) % dj - cj) * sj
+                          for x, ci, cj in zip(range(g.n), cols[i], cols[j]))
                 )
     return moves
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_GROUPS)
-def orbit_transversal(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
-    """orbit_transversal(g)[e] is an automorphism of g, as the tuple of its
-    index images, that maps the first element of e's orbit (in
-    automorphism_orbits) to e.
+def _orbit_table(g: GroupSpec) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """(orbits, movers): the orbits of the automorphisms that _generator_moves
+    generate, and per element index an automorphism, as the tuple of its
+    index images, that maps the first element of its orbit to it.
 
-    A breadth-first search from each orbit's first element over the unit
-    scalings and transvections (_generator_moves) composes the map of each
-    element it reaches; RuntimeError if it does not reach exactly the orbit.
+    A breadth-first search from each index not yet reached, in ascending
+    order, over the generator moves composes the map of each element it
+    reaches; each search is one orbit, sorted, so the orbits come ordered by
+    their smallest index.  A test checks that these are the Aut(g)-orbits
+    to order 128; the oracle needs only orbits that every automorphism
+    fixes, with each map one of the automorphisms.
     """
     gens = _generator_moves(g)
     movers: list[Optional[tuple[int, ...]]] = [None] * g.n
-    for orbit in automorphism_orbits(g):
-        movers[orbit[0]] = tuple(range(g.n))
-        reached = [orbit[0]]
-        for x in reached:  # reached grows as the search goes
-            for phi in gens:
-                y = phi[x]
-                if movers[y] is None:
-                    movers[y] = tuple(phi[z] for z in movers[x])
-                    reached.append(y)
-        if sorted(reached) != list(orbit):
-            raise RuntimeError(
-                f"automorphism search in group {g} from {orbit[0]} reached "
-                f"{len(reached)} elements, not its orbit of {len(orbit)}"
-            )
-    return tuple(movers)
+    orbits = []
+    for start in range(g.n):
+        if movers[start] is None:
+            movers[start] = tuple(range(g.n))
+            reached = [start]
+            for x in reached:  # reached grows as the search goes
+                for phi in gens:
+                    y = phi[x]
+                    if movers[y] is None:
+                        movers[y] = tuple(map(phi.__getitem__, movers[x]))
+                        reached.append(y)
+            orbits.append(tuple(sorted(reached)))
+    return tuple(orbits), tuple(movers)
+
+
+def automorphism_orbits(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
+    """The Aut(g)-orbits of the element indices, each in ascending index
+    order, ordered by their smallest index (so {0} comes first)."""
+    return _orbit_table(g)[0]
+
+
+def orbit_transversal(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
+    """orbit_transversal(g)[e] is an automorphism of g, as the tuple of its
+    index images, that maps the first element of e's orbit (in
+    automorphism_orbits) to e."""
+    return _orbit_table(g)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .abelian import GroupSpec, divisor_sets, divisors, prime_factors, smallest_prime
+from .abelian import GroupSpec, divisor_sets, divisors, prime_factors
 
 __all__ = [
     "KLParams",
@@ -230,7 +230,7 @@ def beta_report(n: int, kl: KLParams) -> BetaReport:
     if kl.diff % n == 0:
         return BetaReport(0, 0, "divides")
     if gcd(n, kl.diff) == 1:
-        exact = n // smallest_prime(n)
+        exact = n // min(prime_factors(n))
         return BetaReport(exact, exact, "coprime")
     ds = divisor_sets(n, kl.k, kl.l)
     assert ds.rho1 is not None and ds.rho2 is not None

@@ -22,7 +22,11 @@ orbit is b follow from those that contain the orbit's first element.  The
 enumeration of maximum sets walks the same branches, coloured, with the
 floor at lambda - 1, maps each set it finds through one automorphism per
 element of the branch's orbit (abelian.orbit_transversal), and sorts the
-union into element-index order.
+union into element-index order.  The orbits are the components of a
+breadth-first search over automorphisms (abelian.automorphism_orbits).
+The search, the count and the enumeration need only that every
+automorphism fixes each orbit and that each map is an automorphism; that
+the orbits are the whole Aut(G)-orbits only keeps the branches few.
 
 Progression maxima (alpha/beta/gamma) do not enumerate subsets at all: for
 a progression with difference q and start a, the difference set kA - lA is

@@ -20,15 +20,15 @@ from klsumfree import (
     parse_group_spec,
 )
 from klsumfree.abelian import (
+    _orbit_table,
     automorphism_orbits,
     orbit_transversal,
     padded_layout,
     prime_factors,
-    smallest_prime,
     translation_ops,
 )
 
-from conftest import groups_up_to, move_padded, subset
+from conftest import groups_up_to, height_key_orbits, move_padded, subset
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,8 @@ def test_padded_layout_adds_without_carry():
 
 
 def test_table_caches_are_bounded():
-    cached = [translation_ops, padded_layout, automorphism_orbits, orbit_transversal]
+    # automorphism_orbits and orbit_transversal both read _orbit_table
+    cached = [translation_ops, padded_layout, _orbit_table]
     for fn in cached:
         fn.cache_clear()
     for n in range(2, 132):  # 130 groups
@@ -237,16 +238,17 @@ def _orbit_closure(g):
 
 
 def test_automorphism_orbits_match_orbit_closure():
-    # the closure's orbits lie inside the true orbits, and the height key is
-    # an automorphism invariant, so equality pins both to the true orbits
+    # a second set of generating automorphisms, closed by a depth-first
+    # search, gives the same orbits
     for g in groups_up_to(32):
         assert automorphism_orbits(g) == _orbit_closure(g), g
 
 
-def test_orbit_transversal_builds_to_order_128():
-    # the search reaches every orbit (else RuntimeError) of all 246 groups
+def test_automorphism_orbits_match_height_keys_to_order_128():
+    # the height sequences name the true Aut(g)-orbits, so the search's
+    # components are whole orbits for all 246 groups, not parts of them
     for g in groups_up_to(128):
-        assert len(orbit_transversal(g)) == g.n
+        assert automorphism_orbits(g) == height_key_orbits(g), g
 
 
 def test_orbit_transversal_maps_are_automorphisms():
@@ -272,23 +274,12 @@ def test_orbit_transversal_maps_are_automorphisms():
                     assert all(sigma[moved[a]] == image[sigma[a]] for a in range(g.n)), (g, e, x)
 
 
-def test_orbit_transversal_rejects_a_search_that_misses_an_orbit(monkeypatch):
-    from klsumfree import abelian
-
-    # without generators the search reaches only each orbit's first element
-    monkeypatch.setattr(abelian, "_generator_moves", lambda g: [])
-    with pytest.raises(RuntimeError, match="not its orbit"):
-        abelian.orbit_transversal.__wrapped__(make_group([8]))
-
-
 # ---------------------------------------------------------------------------
 # number-theory helpers and divisor sets
 
 def test_divisors_and_primes():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
-    assert smallest_prime(15) == 3
-    assert smallest_prime(7) == 7
 
 
 def test_divisor_sets_split():

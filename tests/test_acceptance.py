@@ -38,7 +38,7 @@ from klsumfree import (
     pair_sumset,
     stabilizer,
 )
-from klsumfree.abelian import divisors, smallest_prime
+from klsumfree.abelian import divisors, prime_factors
 from klsumfree.formulas import delta, theorem16_condition
 
 from conftest import groups_up_to, kl_pairs
@@ -124,7 +124,7 @@ def test_c06_progression_bounds():
                 rep = beta_report(n, kl)
                 assert rep.lower <= b <= rep.upper, (n, kl)
                 if rep.case_tag == "coprime":
-                    assert b == n // smallest_prime(n), (n, kl)
+                    assert b == n // min(prime_factors(n)), (n, kl)
                 lo, hi = gamma_bounds(n, kl)
                 assert lo <= gamma_exact(n, kl) <= hi, (n, kl)
 

@@ -30,11 +30,11 @@ from klsumfree import (
     negate,
     pair_sumset,
 )
-from klsumfree.abelian import _height_keys, padded_layout, translation_ops
+from klsumfree.abelian import padded_layout, translation_ops
 from klsumfree.oracle import _colour_classes
 from klsumfree.sumset import _product_sumset, _shifted_sumset
 
-from conftest import move_padded
+from conftest import height_keys, move_padded
 
 GROUPS = all_abelian_groups(64)
 PAIRS = [(2, 1), (3, 1), (3, 2), (4, 1), (5, 2)]
@@ -150,7 +150,7 @@ def test_find_violation_exactly_on_non_sum_free_sets(gs, kl):
 def test_orbit_key_invariant_under_unit_scaling(g, data):
     # x -> u*x is an automorphism for every unit u mod v, so it keeps the
     # height sequences that name the orbit of x
-    keys = _height_keys(g)
+    keys = height_keys(g)
     x = data.draw(st.integers(0, g.n - 1))
     for u in range(1, g.v):
         if gcd(u, g.v) == 1:
