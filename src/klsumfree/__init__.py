@@ -6,11 +6,9 @@ at desk scale.
 """
 
 from .abelian import (
-    DivisorSet,
     Element,
     GroupSpec,
     all_abelian_groups,
-    divisor_sets,
     divisors,
     format_group_spec,
     invariant_factor_chains,

@@ -7,7 +7,9 @@ Every element is identified with its mixed-radix index in [0, n) (last
 coordinate least significant), so a subset is an n-bit mask, and the
 group operations are index arithmetic (GroupSpec.add_index, neg_index,
 scale_index).  An Element, the coordinate vector of an index, is only
-the form in which elements are shown.
+the form in which elements are shown.  The only number theory here is
+prime_factors and divisors (its lists cached for 1024 orders); every
+rule that ranges over divisors for a (k,l) pair lives in formulas.
 
 A mask moves in one way, through a padded layout of the same masks
 (PaddedLayout): axis i gets 2*d_i - 1 slots, so adding two padded offsets
@@ -40,14 +42,12 @@ from typing import Iterable, Optional, Sequence
 __all__ = [
     "GroupSpec",
     "Element",
-    "DivisorSet",
     "make_group",
     "parse_group_spec",
     "format_group_spec",
     "invariant_factors",
     "divisors",
     "prime_factors",
-    "divisor_sets",
     "invariant_factor_chains",
     "all_abelian_groups",
     "PaddedLayout",
@@ -58,7 +58,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# small number-theory helpers (desk scale; trial division is plenty)
+# prime factors and divisors (desk scale; trial division is plenty)
 
 def prime_factors(x: int) -> dict[int, int]:
     """Prime factorization of x >= 1 as {prime: exponent}."""
@@ -78,10 +78,16 @@ def prime_factors(x: int) -> dict[int, int]:
 
 def divisors(x: int) -> list[int]:
     """All divisors of x >= 1, sorted ascending."""
+    return list(_divisor_tuple(x))
+
+
+# every divisor rule in formulas walks the divisors of the same few orders
+@functools.lru_cache(maxsize=1024)
+def _divisor_tuple(x: int) -> tuple[int, ...]:
     divs = [1]
     for p, e in prime_factors(x).items():
         divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
+    return tuple(sorted(divs))
 
 
 # ---------------------------------------------------------------------------
@@ -412,47 +418,6 @@ def orbit_transversal(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
     index images, that maps the first element of e's orbit (in
     automorphism_orbits) to e."""
     return _orbit_table(g)[1]
-
-
-# ---------------------------------------------------------------------------
-# divisor bookkeeping for the (k, l) parameter pair
-
-@dataclass(frozen=True)
-class DivisorSet:
-    """Divisors of n split by whether they divide k - l.
-
-    d_gt1 is the set of divisors of n greater than 1; d1 are those not
-    dividing k - l, d2 those dividing it.  rho1/rho2 are the smallest
-    members (None when the set is empty): d1 is empty iff n | k - l, and
-    d2 is empty iff gcd(n, k - l) = 1.
-    """
-
-    d_all: tuple[int, ...]
-    d_gt1: tuple[int, ...]
-    d1: tuple[int, ...]
-    d2: tuple[int, ...]
-    rho1: Optional[int]
-    rho2: Optional[int]
-
-
-def divisor_sets(n: int, k: int, l: int) -> DivisorSet:
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if not k > l >= 1:
-        raise ValueError(f"need k > l >= 1, got k={k}, l={l}")
-    d_all = tuple(divisors(n))
-    d_gt1 = tuple(d for d in d_all if d > 1)
-    diff = k - l
-    d1 = tuple(d for d in d_gt1 if diff % d != 0)
-    d2 = tuple(d for d in d_gt1 if diff % d == 0)
-    return DivisorSet(
-        d_all=d_all,
-        d_gt1=d_gt1,
-        d1=d1,
-        d2=d2,
-        rho1=d1[0] if d1 else None,
-        rho2=d2[0] if d2 else None,
-    )
 
 
 # ---------------------------------------------------------------------------

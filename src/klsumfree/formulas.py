@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .abelian import GroupSpec, divisor_sets, divisors, prime_factors
+from .abelian import GroupSpec, divisors, make_group, prime_factors
 
 __all__ = [
     "KLParams",
@@ -220,23 +220,23 @@ def beta_report(n: int, kl: KLParams) -> BetaReport:
     """Bounds for the longest (k,l)-sum-free progression whose difference
     shares a factor with n.
 
-    Exact when n | k-l (zero) or gcd(n, k-l) = 1 (n/p, p the smallest prime
-    divisor); otherwise sandwiched between n/rho1 and max(n/rho1,
-    floor(n/(2 rho2))).  The n/(2 rho2) term is floored: it bounds a
-    cardinality.
+    rho1 is the smallest divisor d > 1 of n that does not divide k-l, and
+    rho2 the smallest that does.  Exact when n | k-l (zero) or
+    gcd(n, k-l) = 1 (n/rho1, rho1 then being the smallest prime divisor);
+    otherwise sandwiched between n/rho1 and max(n/rho1, floor(n/(2 rho2))).
+    The n/(2 rho2) term is floored: it bounds a cardinality.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if kl.diff % n == 0:
         return BetaReport(0, 0, "divides")
-    if gcd(n, kl.diff) == 1:
-        exact = n // min(prime_factors(n))
-        return BetaReport(exact, exact, "coprime")
-    ds = divisor_sets(n, kl.k, kl.l)
-    assert ds.rho1 is not None and ds.rho2 is not None
-    lower = n // ds.rho1
-    upper = max(lower, n // (2 * ds.rho2))
-    return BetaReport(lower, upper, "intermediate")
+    diff, above_1 = kl.diff, divisors(n)[1:]  # ascending
+    rho1 = next(d for d in above_1 if diff % d)
+    if gcd(n, diff) == 1:
+        return BetaReport(n // rho1, n // rho1, "coprime")
+    rho2 = next(d for d in above_1 if diff % d == 0)
+    lower = n // rho1
+    return BetaReport(lower, max(lower, n // (2 * rho2)), "intermediate")
 
 
 class GammaBounds(NamedTuple):
@@ -318,7 +318,8 @@ def lambda_cyclic_via_alpha(n: int, kl: KLParams, alpha_source: str = "formula")
         alpha = lambda d: alpha_exact(d, kl)
     else:
         raise ValueError(f"alpha_source must be 'formula' or 'exact', got {alpha_source!r}")
-    return max(alpha(d) * (n // d) for d in divisors(n))
+    # ascending d, so the first divisor without a value raises first
+    return hp_general_bounds(make_group([n]), kl, {d: alpha(d) for d in divisors(n)})[0]
 
 
 def hp_general_bounds(
@@ -444,8 +445,7 @@ def lambda_formula(g: GroupSpec, kl: KLParams) -> tuple[int, str]:
         if (kl.k, kl.l) == (3, 1):
             return lambda_cyclic_31(m), "(3,1) closed form"
         if gcd(m, kl.diff) == 1:
-            value = max(_upper_term(d, kl) * (m // d) for d in divisors(m))
-            return value, "coprime-case divisor maximum"
+            return lambda_bounds_general(make_group([m]), kl).upper, "coprime-case divisor maximum"
         raise FormulaUnavailableError(
             f"no exact closed form for (k,l)=({kl.k},{kl.l}) on Z_{m}: "
             f"1 < gcd({m},{kl.diff}) < {m} leaves only bounds; "

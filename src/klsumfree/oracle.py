@@ -5,11 +5,11 @@ order.  Sum-freeness is hereditary (any subset of a sum-free set is
 sum-free), so each level passes its children only the candidates that
 stayed individually addable.  The walk carries a floor: a branch is cut
 as soon as the current size plus the surviving candidates cannot exceed
-it.  Where the floor can cut, the walk may colour a level instead: the
-candidates a set adds are pairwise compatible, so a greedy colouring of
-the level's compatibility graph bounds how many it can add (MCQ,
-Tomita-Seki 2003).  State per candidate is the tower of sumset layers
-1A, 2A, ..., kA, updated incrementally when an element is added.
+it.  A coloured walk bounds each level instead: the candidates a set adds
+are pairwise compatible, so a greedy colouring of the level's
+compatibility graph bounds how many it can add (MCQ, Tomita-Seki 2003).
+State per candidate is the tower of sumset layers 1A, 2A, ..., kA,
+updated incrementally when an element is added.
 
 The maximum search breaks the symmetry of Aut(G): it lists the elements
 orbit by orbit, and for each orbit, from the last to the first, searches
@@ -191,10 +191,12 @@ def _walk(
     sibling loop stops as soon as the chosen set plus the remaining
     siblings cannot exceed floor[0].
 
-    With coloured, a level that the floor can cut is coloured instead
-    (MCQ, Tomita-Seki 2003).  Sum-freeness is hereditary, so the elements
-    a set adds to the chosen one are pairwise compatible: each pair of them
-    keeps the chosen set sum-free.  The level extends every pair once, and
+    With coloured, every level is coloured instead (MCQ, Tomita-Seki
+    2003); coloured callers keep floor[0] at or above the depth their
+    visitor is given, so the floor can cut every coloured level.
+    Sum-freeness is hereditary, so the elements a set adds to the chosen
+    one are pairwise compatible: each pair of them keeps the chosen set
+    sum-free.  The level extends every pair once, and
     _colour_classes colours the compatibility graph.  The level branches
     from the highest colour down, the child of v being the compatible
     candidates before v in colour order, with the pair's layers; a set
@@ -215,7 +217,7 @@ def _walk(
     def walk(level, depth, chosen):
         if not visit(level, depth + 1, chosen):
             return
-        if coloured and floor[0] > depth:
+        if coloured:
             branch_coloured(level, depth, chosen)
             return
         for i, (x, lx) in enumerate(level):

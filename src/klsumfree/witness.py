@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Union
 
-from .abelian import GroupSpec, divisors, make_group
-from .formulas import KLParams, _lower_term, delta
+from .abelian import GroupSpec, make_group
+from .formulas import KLParams, _lower_term, delta, lambda_bounds_general
 from .sumset import Subset, is_kl_sum_free
 
 __all__ = [
@@ -168,16 +168,15 @@ def ap_witness(d: int, kl: KLParams, c: int) -> APWitness:
 
 
 def ap_witness_max(d: int, kl: KLParams) -> APWitness:
-    """Interval witness with the largest admissible c for this modulus:
-    c = floor((d - 1 - delta(d)) / (k+l)), matching the per-divisor
-    lower-bound term.  When d | k-l no progression exists and an explicit
-    size-0 witness is returned.
+    """Interval witness with the largest admissible c for this modulus: its
+    size is the per-divisor lower-bound term (formulas._lower_term),
+    floor((d - 1 - delta(d)) / (k+l)) + 1.  When d | k-l that term is 0,
+    no progression exists, and an explicit size-0 witness is returned.
     """
     if d < 2:
         raise ValueError(f"modulus must be >= 2, got {d}")
-    head = d - 1 - delta(d, kl)
-    if head < 0:
-        group = make_group([d])
+    size = _lower_term(d, kl)
+    if size == 0:
         return APWitness(
             modulus=d,
             start=0,
@@ -186,9 +185,9 @@ def ap_witness_max(d: int, kl: KLParams) -> APWitness:
             kl=kl,
             kind="empty",
             certificate=None,
-            members=Subset.empty(group),
+            members=Subset.empty(make_group([d])),
         )
-    return _build_interval(d, kl, head // kl.weight, "interval")
+    return _build_interval(d, kl, size - 1, "interval")
 
 
 def coset_union_witness(n: int, d: int, kl: KLParams) -> Subset:
@@ -272,18 +271,17 @@ def best_witness(g: GroupSpec, kl: KLParams) -> LiftedWitness:
 
     Realizes the general lower bound exactly: size
     max over d | v of (floor((d-1-delta(d))/(k+l)) + 1) * n/d.
-    Ties go to the smallest divisor (longer progression, fewer cosets).
-    The modulus is chosen from the closed-form term sizes, so only the
-    winning interval is built and verified.  When v | k-l the only
-    sum-free set is empty and a size-0 witness is returned.
+    The modulus d is the bound report's argmax_lower (lambda_bounds_general;
+    ties go to the smallest divisor: longer progression, fewer cosets), so
+    only the winning interval is built and verified.  When v | k-l the
+    only sum-free set is empty and a size-0 witness is returned.
     """
-    if kl.diff % g.v == 0:
+    bounds = lambda_bounds_general(g, kl)
+    if bounds.degenerate:
         return LiftedWitness(
             base=None, group=g, members=Subset.empty(g), kl=kl, divisor=None
         )
-    # divisors() is ascending and max() keeps the first maximum
-    d = max(divisors(g.v)[1:], key=lambda d: _lower_term(d, kl) * (g.n // d))
-    best = ap_witness_max(d, kl)
+    best = ap_witness_max(bounds.argmax_lower, kl)
     assert best.size > 0
     return _lift(best, g, kl)
 

@@ -1,4 +1,4 @@
-"""Group construction, element arithmetic, divisor sets, and quotient lifts."""
+"""Group construction, element arithmetic, divisors, and quotient lifts."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 from klsumfree import (
     Subset,
     cyclic_quotient_lift,
-    divisor_sets,
     divisors,
     format_group_spec,
     invariant_factor_chains,
@@ -275,40 +274,13 @@ def test_orbit_transversal_maps_are_automorphisms():
 
 
 # ---------------------------------------------------------------------------
-# number-theory helpers and divisor sets
+# number-theory helpers
 
 def test_divisors_and_primes():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    divisors(12).append(5)  # the cache hands out copies
+    assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
-
-
-def test_divisor_sets_split():
-    ds = divisor_sets(10, 3, 1)
-    assert ds.d_gt1 == (2, 5, 10)
-    assert ds.d1 == (5, 10) and ds.d2 == (2,)
-    assert ds.rho1 == 5 and ds.rho2 == 2
-
-
-def test_divisor_sets_coprime_case():
-    ds = divisor_sets(7, 2, 1)
-    assert ds.d2 == () and ds.rho2 is None
-    assert ds.rho1 == 7
-
-
-def test_divisor_sets_divides_case():
-    ds = divisor_sets(4, 5, 1)
-    assert ds.d1 == () and ds.rho1 is None
-    assert ds.d2 == (2, 4)
-
-
-def test_divisor_set_empty_iff_conditions():
-    from math import gcd
-
-    for n in range(2, 60):
-        for k, l in [(2, 1), (3, 1), (5, 1), (7, 3), (6, 2)]:
-            ds = divisor_sets(n, k, l)
-            assert (not ds.d1) == ((k - l) % n == 0)
-            assert (not ds.d2) == (gcd(n, k - l) == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -133,8 +133,20 @@ def test_alpha_31_values():
 def test_beta_report_cases():
     assert beta_report(4, KLParams(5, 1)) == (0, 0, "divides")
     assert beta_report(15, KL21) == (5, 5, "coprime")
-    lower, upper, tag = beta_report(10, KL31)
-    assert (lower, upper, tag) == (2, 2, "intermediate")
+    assert beta_report(10, KL31) == (2, 2, "intermediate")  # rho1 = 5, rho2 = 2
+
+
+def test_beta_report_rho2_sets_the_upper_bound():
+    # rho1 = 7 and rho2 = 2, so floor(n / (2 rho2)) = 3 exceeds n / rho1 = 2
+    assert beta_report(14, KLParams(7, 1)) == (2, 3, "intermediate")
+
+
+def test_beta_report_case_tags():
+    for n in range(2, 60):
+        for k, l in [(2, 1), (3, 1), (5, 1), (7, 3), (6, 2)]:
+            tag = beta_report(n, KLParams(k, l)).case_tag
+            assert (tag == "divides") == ((k - l) % n == 0), (n, k, l)
+            assert (tag == "coprime") == (gcd(n, k - l) == 1), (n, k, l)
 
 
 def test_gamma_bounds_cases():

@@ -181,6 +181,19 @@ def test_best_witness_achieves_lower_bound():
             assert is_kl_sum_free(w.members, kl.k, kl.l)
 
 
+def test_best_witness_divisor_is_the_bound_argmax():
+    pairs = [KLParams(k, l) for k, l in [(2, 1), (3, 1), (3, 2), (4, 1), (5, 2), (5, 1), (6, 1)]]
+    checked = 0
+    for g in groups_up_to(64):
+        for kl in pairs:
+            bounds = lambda_bounds_general(g, kl)
+            if bounds.degenerate:
+                continue
+            assert best_witness(g, kl).divisor == bounds.argmax_lower, (g, kl)
+            checked += 1
+    assert checked == 783
+
+
 def test_best_witness_matches_all_candidates():
     # reference: build every divisor's interval and keep the first largest lift
     pairs = [KLParams(k, l) for k, l in [(2, 1), (3, 1), (3, 2), (4, 1), (5, 2)]]
