@@ -8,6 +8,8 @@ as soon as the current size plus the surviving candidates cannot exceed
 it.  A coloured walk bounds each level instead: the candidates a set adds
 are pairwise compatible, so a greedy colouring of the level's
 compatibility graph bounds how many it can add (MCQ, Tomita-Seki 2003).
+The colouring is first-fit and tests a pair of candidates only when it
+needs the answer; the walk tests the others only where it branches.
 State per candidate is the tower of sumset layers 1A, 2A, ..., kA,
 updated incrementally when an element is added.
 
@@ -138,30 +140,35 @@ def _make_extend(g: GroupSpec, k: int):
     return extend
 
 
-def _colour_classes(adj: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Greedy colouring of the graph with adjacency bitsets adj, one colour
-    class at a time: (order, colours), order listing the vertices class by
-    class and colours[p] the colour, from 1, of order[p].
+def _first_fit(n: int, compatible: Callable[[int, int], bool]) -> tuple[list[int], list[int]]:
+    """First-fit colouring of the compatibility graph on vertices 0..n-1:
+    (order, colours), order listing the vertices class by class, each class
+    in vertex order, and colours[p] the colour, from 1, of order[p].
 
-    Each class takes, in vertex order, every uncoloured vertex adjacent to
-    none it has taken.  A class is an independent set, so a clique meets it
-    at most once, and a clique inside order[:p + 1] has at most colours[p]
-    vertices.  Colours never decrease along order.
+    Vertex v joins the first class with no member compatible with it.
+    compatible(u, v), always with u < v and never twice for one pair, is
+    asked only until v meets a compatible member in each class it skips,
+    and for every member of the class it joins.  Each class is what a
+    class-by-class greedy colouring builds from the whole graph: by
+    induction on v, both put v in class c iff v has no neighbour among the
+    class-c members below it and has one among those of each lower class.
+    A class is an independent set, so a clique meets it at most once, and
+    a clique inside order[:p + 1] has at most colours[p] vertices.
+    Colours never decrease along order.
     """
-    order: list[int] = []
-    colours: list[int] = []
-    left = (1 << len(adj)) - 1
-    colour = 0
-    while left:
-        colour += 1
-        free = left
-        while free:
-            low = free & -free
-            v = low.bit_length() - 1
-            order.append(v)
-            colours.append(colour)
-            left ^= low
-            free &= ~(adj[v] | low)
+    classes: list[list[int]] = []
+    for v in range(n):
+        for members in classes:
+            for u in members:
+                if compatible(u, v):
+                    break
+            else:
+                members.append(v)
+                break
+        else:
+            classes.append([v])
+    order = [v for members in classes for v in members]
+    colours = [c for c, members in enumerate(classes, 1) for _ in members]
     return order, colours
 
 
@@ -196,13 +203,16 @@ def _walk(
     visitor is given, so the floor can cut every coloured level.
     Sum-freeness is hereditary, so the elements a set adds to the chosen
     one are pairwise compatible: each pair of them keeps the chosen set
-    sum-free.  The level extends every pair once, and
-    _colour_classes colours the compatibility graph.  The level branches
-    from the highest colour down, the child of v being the compatible
-    candidates before v in colour order, with the pair's layers; a set
-    added below v takes at most one candidate per colour, so the sibling
-    loop stops at the first v whose colour plus the chosen set cannot
-    exceed floor[0].  The bound depends only on the instance.
+    sum-free.  _first_fit colours the compatibility graph, testing a pair
+    (one extend) only when the colouring reads it, and the level keeps
+    each tested pair's layers, or None.  The level branches from the
+    highest colour down, the child of v being the compatible candidates
+    before v in colour order, with the pair's layers: kept ones are
+    reused, and only the pairs not yet tested are extended, so child
+    layers are computed only where the walk goes.  A set added below v
+    takes at most one candidate per colour, so the sibling loop stops at
+    the first v whose colour plus the chosen set cannot exceed floor[0].
+    The bound depends only on the instance.
     """
     extend = _make_extend(g, k)
     layers = [1] + [0] * k
@@ -232,23 +242,30 @@ def _walk(
                 walk(child, depth + 1, chosen + (x,))
 
     def branch_coloured(level, depth, chosen):
-        adj = [0] * len(level)
-        pairs = {}
-        for i, (_, lx) in enumerate(level):
-            for j in range(i + 1, len(level)):
-                ly = extend(lx, level[j][0])
-                if not ly[k] & ly[l]:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-                    pairs[i, j] = pairs[j, i] = ly
-        by_colour, colours = _colour_classes(adj)
+        tested = {}  # (u, v), u < v: the pair's layers, or None if incompatible
+
+        def compatible(u, v):
+            ly = extend(level[u][1], level[v][0])
+            tested[u, v] = ly = None if ly[k] & ly[l] else ly
+            return ly is not None
+
+        by_colour, colours = _first_fit(len(level), compatible)
         for p in range(len(level) - 1, -1, -1):
             if depth + colours[p] <= floor[0]:
                 return
             v = by_colour[p]
-            child = [(level[u][0], pairs[u, v]) for u in by_colour[:p] if adj[v] >> u & 1]
+            xv, lv = level[v]
+            child = []
+            for u in by_colour[:p]:
+                ly = tested.get((u, v) if u < v else (v, u), False)
+                if ly is False:  # untested: the colouring never needed this pair
+                    ly = extend(lv, level[u][0])
+                    if ly[k] & ly[l]:
+                        continue
+                if ly is not None:
+                    child.append((level[u][0], ly))
             if child and depth + 1 + len(child) > floor[0]:
-                walk(child, depth + 1, chosen + (level[v][0],))
+                walk(child, depth + 1, chosen + (xv,))
 
     if len(base) + len(root) > floor[0]:
         walk(root, len(base), base)
@@ -394,7 +411,13 @@ def _count(g: GroupSpec, k: int, l: int) -> tuple[dict[int, int], int]:
 
         def visit(level, depth, chosen):
             m = len(members.intersection(chosen))
-            inside = sum(x in members for x, _ in level)
+            # later lists orbit b's own elements first and uncoloured levels
+            # keep its order, so the orbit's members lead every level
+            inside = 0
+            for x, _ in level:
+                if x not in members:
+                    break
+                inside += 1
             tally[depth, m + 1] += inside
             tally[depth, m] += len(level) - inside
             return True

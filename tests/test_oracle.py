@@ -115,6 +115,7 @@ def test_lambda_exact_nodes_explored_pinned(factors, k, l, nodes):
         _pin([2, 2, 2, 6], 2, 1, 24, 322),
         _pin([2, 2, 12], 5, 2, 24, 103),
         _pin([64], 3, 1, 16, 4346),
+        _pin([100], 3, 1, 25, 44209),
         _pin([4, 16], 2, 1, 32, 658),
         _pin([8, 8], 2, 1, 32, 65),
         _pin([2, 32], 2, 1, 32, 127),
@@ -124,8 +125,8 @@ def test_lambda_exact_nodes_explored_pinned(factors, k, l, nodes):
 )
 def test_hard_instances_value_and_effort_pinned(factors, k, l, value, nodes):
     # beyond the default limit; the colouring bound keeps each to a few
-    # thousand sets, where the orbit branches without it visit thousands
-    # (2x2x12) to millions (2x2x2x2x4)
+    # thousand sets (Z_100 (3,1), the slowest, to 44,209), where the orbit
+    # branches without it visit thousands (2x2x12) to millions (2x2x2x2x4)
     g, kl = make_group(factors), KLParams(k, l)
     res = lambda_exact(g, kl, limit=None)
     assert (res.max_size, res.nodes_explored) == (value, nodes)

@@ -5,8 +5,9 @@ index arithmetic against coordinate arithmetic (every other property
 takes it as its reference), bitmask translation and both sumset kernels
 against coordinate addition, negation
 against coordinate negation, the two sum-free characterizations against
-each other, quotient lifts, the violation search, and the
-automorphism-orbit key under unit scaling.
+each other, quotient lifts, the violation search, the
+automorphism-orbit key under unit scaling, and the exact search's
+first-fit colouring against a class-by-class one.
 Examples are derandomized, so every run draws the same cases.
 """
 
@@ -31,7 +32,7 @@ from klsumfree import (
     pair_sumset,
 )
 from klsumfree.abelian import padded_layout, translation_ops
-from klsumfree.oracle import _colour_classes
+from klsumfree.oracle import _first_fit
 from klsumfree.sumset import _product_sumset, _shifted_sumset
 
 from conftest import height_keys, move_padded
@@ -189,12 +190,42 @@ def clique_number(adj, vertices):
     return best
 
 
+def colour_classes(adj):
+    """The reference colouring, one class at a time from the whole graph:
+    (order, colours) as _first_fit returns them.  Each class takes, in
+    vertex order, every uncoloured vertex adjacent to none it has taken."""
+    order: list[int] = []
+    colours: list[int] = []
+    left = (1 << len(adj)) - 1
+    colour = 0
+    while left:
+        colour += 1
+        free = left
+        while free:
+            low = free & -free
+            v = low.bit_length() - 1
+            order.append(v)
+            colours.append(colour)
+            left ^= low
+            free &= ~(adj[v] | low)
+    return order, colours
+
+
 @fixed
 @given(graphs())
 def test_colour_classes_bound_the_cliques_of_each_prefix(adj):
     # the exact search cuts a branch on colours[p]: it must bound every
-    # clique among the candidates up to order[p]
-    order, colours = _colour_classes(adj)
+    # clique among the candidates up to order[p]; first-fit asks for the
+    # pairs it reads and must colour as the whole graph's classes do
+    asked = []
+
+    def compatible(u, v):
+        asked.append((u, v))
+        return bool(adj[u] >> v & 1)
+
+    order, colours = _first_fit(len(adj), compatible)
+    assert (order, colours) == colour_classes(adj)
+    assert all(u < v for u, v in asked) and len(set(asked)) == len(asked), asked
     assert sorted(order) == list(range(len(adj)))
     assert colours == sorted(colours) and colours[:1] in ([], [1])
     for a, b in itertools.combinations(range(len(order)), 2):
