@@ -410,9 +410,16 @@ def _count(g: GroupSpec, k: int, l: int) -> tuple[dict[int, int], int]:
         tally[1, 1] = 1  # the branch root {r_b}
 
         def visit(level, depth, chosen):
-            m = len(members.intersection(chosen))
             # later lists orbit b's own elements first and uncoloured levels
-            # keep its order, so the orbit's members lead every level
+            # keep its order, so the orbit's members lead every level; chosen
+            # is r_b and then elements in later's order, so they lead chosen
+            # too, and m is its leading run: all of it once its last element
+            # is a member, else the run that ends before the first non-member
+            m = len(chosen)
+            if chosen[-1] not in members:
+                m = 1  # chosen[0] is r_b
+                while chosen[m] in members:
+                    m += 1
             inside = 0
             for x, _ in level:
                 if x not in members:

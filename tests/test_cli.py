@@ -430,6 +430,56 @@ def test_negative_env_limit_exits_2(capsys, monkeypatch):
     assert code == 2 and out == "" and "KLSF_LIMIT_EXACT" in err
 
 
+# one parser serves every main() call in a process: nothing may carry over
+# from one call to the next
+
+def test_parser_reuse_leaks_no_flag(capsys):
+    argv = ["lambda", "--group", "30", "--k", "2", "--l", "1", "--method", "exact"]
+    assert run(capsys, *argv, "--limit", "10")[0] == 3
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and out.startswith("group Z30")
+
+
+def test_parser_reuse_after_usage_error(capsys):
+    code, _, err = run(capsys, "lambda", "--group", "10", "--k", "3")
+    assert code == 2 and "--l" in err
+    command, exit_code, digest = PINNED_JSON[0]
+    code, out, _ = run(capsys, *command.split(), "--json")
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: klsf")
+
+
+def test_parser_reuse_reads_env_per_call(capsys, monkeypatch):
+    argv = ["lambda", "--group", "30", "--k", "2", "--l", "1", "--method", "exact"]
+    monkeypatch.delenv("KLSF_LIMIT_EXACT", raising=False)
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setenv("KLSF_LIMIT_EXACT", "5")
+    assert run(capsys, *argv)[0] == 3
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    builds = []
+
+    def counted(build=cli.build_parser):
+        builds.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for n in (10, 12, 14):
+            assert run(capsys, "lambda", "--group", str(n), "--k", "2", "--l", "1")[0] == 0
+        assert run(capsys, "nope")[0] == 2
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+
+
 def test_import_does_not_load_numpy():
     # the package has no runtime dependency; a stray import would bring
     # its load time back into every klsf call
