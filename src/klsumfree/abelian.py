@@ -36,7 +36,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
+from operator import floordiv, mod, mul
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -118,6 +118,17 @@ class GroupSpec:
             coords.append(index % d)
             index //= d
         return tuple(reversed(coords))
+
+    def coords_of_all(self, indices: Sequence[int]) -> list[tuple[int, ...]]:
+        """coords_of for many indices in [0, n) at once, unchecked: the
+        coordinates are taken column by column, one % and one // pass over
+        the indices per axis, last axis first."""
+        columns, rest = [], indices
+        for d in reversed(self.factors[1:]):
+            columns.append(list(map(mod, rest, itertools.repeat(d))))
+            rest = list(map(floordiv, rest, itertools.repeat(d)))
+        columns.append(rest)
+        return list(zip(*reversed(columns)))
 
     def index_of(self, coords: Iterable[int]) -> int:
         idx = 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import os
 import sys
@@ -58,8 +59,48 @@ def _payload(command: str, kl: KLParams, g: Optional[GroupSpec] = None, **fields
     return {**head, **fields}
 
 
+def _json_layout(value, pad: str = "") -> str:
+    """value laid out as json lays it out with sorted keys and an indent
+    of 2, pad being the indent of the line the value starts on.  json's
+    indented encoder runs in pure Python, so containers are laid out here
+    and only keys and scalars go through json.dumps, which encodes them
+    in C.  A list of ints, or of equal-length non-empty int lists (member
+    indices and coordinates), is joined in one step.  A key that is not
+    a str raises TypeError, where json would convert it to a string."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            body = sep.join(map(str, value))
+        elif (
+            kinds <= {list, tuple}
+            and len(set(map(len, value))) == 1
+            and value[0]
+            and set(map(type, itertools.chain.from_iterable(value))) == {int}
+        ):
+            cell = "\n" + inner + "  "
+            row = "[" + cell + ("," + cell).join(["{}"] * len(value[0])) + "\n" + inner + "]"
+            body = sep.join([row.format(*r) for r in value])
+        else:
+            body = sep.join([_json_layout(v, inner) for v in value])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        inner = pad + "  "
+        items = [json.dumps(k) + ": " + _json_layout(value[k], inner) for k in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    return json.dumps(value)
+
+
 def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_json_layout(payload) + "\n")
 
 
 def _limit_value(text: str) -> int:

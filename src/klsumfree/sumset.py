@@ -110,7 +110,7 @@ class Subset:
         return _set_bits(self.bits)
 
     def elements(self) -> list[Element]:
-        return [self.group.element_at(i) for i in self.indices()]
+        return list(map(Element, self.group.coords_of_all(self.indices())))
 
     def contains_index(self, i: int) -> bool:
         if not 0 <= i < self.group.n:

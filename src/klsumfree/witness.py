@@ -291,9 +291,10 @@ def best_witness(g: GroupSpec, kl: KLParams) -> LiftedWitness:
 
 def members_json(members: Subset):
     """Element indices for a cyclic group, coordinate lists otherwise."""
-    if members.group.is_cyclic:
+    g = members.group
+    if g.is_cyclic:
         return members.indices()
-    return [list(e.coords) for e in members.elements()]
+    return list(map(list, g.coords_of_all(members.indices())))
 
 
 def _progression_json(w: APWitness, kind: str) -> dict:

@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import klsumfree
 from klsumfree import abelian, cli
@@ -204,6 +206,13 @@ PINNED_JSON = [
     ("scan --family all-abelian --order 2..12 --k 2 --l 1 "
      "--check lift-identity,green-ruzsa,theorem16", 0,
      "5cf0210fa9a97c6658f83e1b02c66f0e64aab1be0fb3c32ebbc570e020970a92"),
+    # 5,600 coordinate rows (184,414 bytes) and 10,000 indices (104,796 bytes)
+    ("witness --group 2x8400 --k 3 --l 1", 0,
+     "8ba31b39fee706570a8be98231bf808d2f02a5ca5544f81bae8ba7fbf1a5ad3f"),
+    ("witness --group 20000 --k 3 --l 2", 0,
+     "0ea825bccbdf9bdfe37c123c9db90213004013330930a6beb31efa67d20a0035"),
+    ("verify --group 2x4 --k 2 --l 1 --set 0:1,0:2,1:3", 1,
+     "6619ae7f72d983965cce3d2829ec76deb21c643739f67b786f9ae664f2a916a4"),
 ]
 
 
@@ -212,6 +221,54 @@ def test_json_output_pinned(capsys, command, exit_code, digest):
     code, out, _ = run(capsys, *command.split(), "--json")
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the text stdout: members shown as indices or coordinate tuples
+PINNED_TEXT = [
+    ("witness --group 2x20 --k 3 --l 2", 0,
+     "c3d33d8814b28bbab952246e2af74d257e2fea36af1ec7f91fb9e37d1fe248ab"),
+    ("verify --group 2x4 --k 2 --l 1 --set 0:1,0:2,1:3", 1,
+     "205a8af40f84825d7c74c7834774e74d7df9b61816ca7725b426c1ad6e697869"),
+]
+
+
+@pytest.mark.parametrize("command, exit_code, digest", PINNED_TEXT)
+def test_text_output_pinned(capsys, command, exit_code, digest):
+    code, out, _ = run(capsys, *command.split())
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_KEYS = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\n\t\x7f\u00e9\u2028\U0001f600'), st.characters()))
+_INTS = st.one_of(st.integers(-5, 5), st.integers(-(2**80), 2**80))
+_ROWS = st.integers(1, 4).flatmap(
+    lambda w: st.lists(st.one_of(st.lists(_INTS, min_size=w, max_size=w), st.tuples(*[_INTS] * w)))
+)
+_SCALARS = st.one_of(_INTS, st.booleans(), st.none(), st.floats(), _KEYS)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(_KEYS, inner),
+        _ROWS,
+        st.lists(st.lists(_INTS)),
+        st.lists(st.one_of(st.booleans(), _INTS)),
+        st.lists(st.lists(st.one_of(st.booleans(), _INTS), min_size=2, max_size=2)),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_JSON)
+def test_json_layout_equals_json_dumps(value):
+    assert cli._json_layout(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_json_layout_rejects_non_str_keys():
+    with pytest.raises(TypeError):
+        cli._json_layout({"rows": [{1: "one"}]})
 
 
 # the same lambda payloads without exact.nodes_explored: the search's

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from klsumfree import (
@@ -24,6 +26,7 @@ from klsumfree import (
     witness_json,
 )
 from klsumfree.formulas import delta
+from klsumfree.witness import members_json
 
 from conftest import groups_up_to, kl_pairs, subset
 
@@ -224,3 +227,20 @@ def test_witness_json_shape():
 
     doc = witness_json(best_witness(make_group([2, 2]), KL31))
     assert doc["size"] == 0 and doc["construction"]["kind"] == "empty"
+
+
+def test_members_json_matches_element_by_element_coordinates():
+    """members_json and Subset.elements take coordinates column by column;
+    coords_of, one index at a time, is the reference."""
+    rng = random.Random(20)
+    groups = groups_up_to(128)
+    names = {str(g) for g in groups}
+    assert {"2x2x2x2x4", "2x2x2x2x2x2x2"} <= names
+    for g in groups:
+        full = (1 << g.n) - 1
+        for bits in (0, full, rng.getrandbits(g.n), rng.getrandbits(g.n) & rng.getrandbits(g.n)):
+            s = Subset(g, bits)
+            idx = s.indices()
+            expected = idx if g.is_cyclic else [list(g.coords_of(i)) for i in idx]
+            assert members_json(s) == expected, (g, bits)
+            assert s.elements() == [g.element_at(i) for i in idx], (g, bits)
