@@ -16,15 +16,17 @@ A mask moves in one way, through a padded layout of the same masks
 adds the elements without a carry, a whole translate is one shift, and
 one fold per axis brings the sums back.  Sumsets pad and unpad; the
 exhaustive oracle keeps its masks reduced padded, one slot per element,
-and moves them by the per-element moves of translation_ops.  The
-automorphism orbits (automorphism_orbits) serve the oracle's symmetry
-breaking, and orbit_transversal gives, per element, an automorphism that
-carries its orbit's first element to it.  Both come from one
-breadth-first search over unit scalings and transvections: its components
-are the orbits.  That they are the whole Aut(g)-orbits only saves search
-effort; the oracle is correct for any orbits that every automorphism
-fixes, with each map one of the automorphisms.  Every per-group table is
-cached in a bounded cache.
+and moves them by the per-element moves of translation_ops.
+
+Automorphisms enter only as generators: unit scalings, a set of them that
+generates the units of each axis, and transvections (_generator_moves).
+automorphism_closure closes a collection of sets under them by a
+breadth-first search; the closure of each singleton not yet reached is
+one orbit (automorphism_orbits), and the oracle's enumeration closes the
+maximum sets it finds.  That the orbits are the whole Aut(g)-orbits only
+saves search effort; the oracle needs only that each generator is an
+automorphism and that the orbits are those of the group they generate.
+Every per-group table is cached in a bounded cache.
 
 Everything here is immutable and pure; values can be shared freely between
 concurrent callers.
@@ -37,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 from operator import floordiv, mod, mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "GroupSpec",
@@ -53,7 +55,7 @@ __all__ = [
     "PaddedLayout",
     "padded_layout",
     "automorphism_orbits",
-    "orbit_transversal",
+    "automorphism_closure",
 ]
 
 
@@ -362,22 +364,31 @@ def translation_ops(g: GroupSpec) -> tuple[tuple[int, tuple[tuple[int, int], ...
 # ---------------------------------------------------------------------------
 # automorphism orbits
 
-def _generator_moves(g: GroupSpec) -> list[tuple[int, ...]]:
-    """The unit scalings x_i -> u*x_i and the transvections
-    x_j -> x_j + (d_j / gcd(d_i, d_j))*x_i of g, as index maps.  The
-    transvection's coefficient makes d_i*x_i vanish mod d_j, so it is well
-    defined; each map is additive, and the inverse unit or subtracting the
-    same multiple undoes it.  A map changes one coordinate c_j to c'_j, so
-    it moves index x to x + (c'_j - c_j)*stride_j."""
+@functools.lru_cache(maxsize=_TABLE_CACHE_GROUPS)
+def _generator_moves(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
+    """Unit scalings x_i -> u*x_i and the transvections
+    x_j -> x_j + (d_j / gcd(d_i, d_j))*x_i of g, as index maps.  A scaling
+    is kept only when u is not in the subgroup of units of Z_{d_i} that
+    the scalings kept before it generate, so the kept ones still generate
+    all the units (Z_128 keeps 2 of its 63).  The transvection's
+    coefficient makes d_i*x_i vanish mod d_j, so it is well defined; each
+    map is additive, and the inverse unit or subtracting the same multiple
+    undoes it.  A map changes one coordinate c_j to c'_j, so it moves index
+    x to x + (c'_j - c_j)*stride_j."""
     # stride_i is the product of the factors after axis i; cols[i][x] is
     # the coordinate of index x on axis i
     strides = [g.n // d for d in itertools.accumulate(g.factors, mul)]
     cols = [[x // s % d for x in range(g.n)] for d, s in zip(g.factors, strides)]
     moves = []
     for i, (d, s) in enumerate(zip(g.factors, strides)):
+        generated = {1}
         for u in range(2, d):
-            if gcd(u, d) == 1:
+            if gcd(u, d) == 1 and u not in generated:
                 moves.append(tuple(x + (u * c % d - c) * s for x, c in enumerate(cols[i])))
+                powers = [1]  # the kept units now generate generated * <u>
+                while powers[-1] * u % d != 1:
+                    powers.append(powers[-1] * u % d)
+                generated = {a * b % d for a in generated for b in powers}
         for j, (dj, sj) in enumerate(zip(g.factors, strides)):
             if j != i:
                 step = dj // gcd(d, dj)
@@ -385,50 +396,38 @@ def _generator_moves(g: GroupSpec) -> list[tuple[int, ...]]:
                     tuple(x + ((cj + step * ci) % dj - cj) * sj
                           for x, ci, cj in zip(range(g.n), cols[i], cols[j]))
                 )
-    return moves
+    return tuple(moves)
+
+
+def automorphism_closure(g: GroupSpec, sets: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The sets, as sorted index tuples, and every image of them under the
+    automorphisms that _generator_moves generate, each once, in
+    breadth-first order from the given sets.  The generated group is
+    finite, so the closure under the generators is closed under it."""
+    gens = _generator_moves(g)
+    reached = list(dict.fromkeys(sets))
+    seen = set(reached)
+    for s in reached:  # reached grows as the search goes
+        for phi in gens:
+            image = tuple(sorted(map(phi.__getitem__, s)))
+            if image not in seen:
+                seen.add(image)
+                reached.append(image)
+    return reached
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_GROUPS)
-def _orbit_table(g: GroupSpec) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """(orbits, movers): the orbits of the automorphisms that _generator_moves
-    generate, and per element index an automorphism, as the tuple of its
-    index images, that maps the first element of its orbit to it.
-
-    A breadth-first search from each index not yet reached, in ascending
-    order, over the generator moves composes the map of each element it
-    reaches; each search is one orbit, sorted, so the orbits come ordered by
-    their smallest index.  A test checks that these are the Aut(g)-orbits
-    to order 128; the oracle needs only orbits that every automorphism
-    fixes, with each map one of the automorphisms.
-    """
-    gens = _generator_moves(g)
-    movers: list[Optional[tuple[int, ...]]] = [None] * g.n
-    orbits = []
-    for start in range(g.n):
-        if movers[start] is None:
-            movers[start] = tuple(range(g.n))
-            reached = [start]
-            for x in reached:  # reached grows as the search goes
-                for phi in gens:
-                    y = phi[x]
-                    if movers[y] is None:
-                        movers[y] = tuple(map(phi.__getitem__, movers[x]))
-                        reached.append(y)
-            orbits.append(tuple(sorted(reached)))
-    return tuple(orbits), tuple(movers)
-
-
 def automorphism_orbits(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
-    """The Aut(g)-orbits of the element indices, each in ascending index
-    order, ordered by their smallest index (so {0} comes first)."""
-    return _orbit_table(g)[0]
-
-
-def orbit_transversal(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
-    """orbit_transversal(g)[e] is an automorphism of g, as the tuple of its
-    index images, that maps the first element of e's orbit (in
-    automorphism_orbits) to e."""
-    return _orbit_table(g)[1]
+    """The orbits of the automorphisms that _generator_moves generate,
+    each in ascending index order, ordered by their smallest index (so {0}
+    comes first): each is the closure of the smallest index not yet
+    reached.  A test checks that these are the Aut(g)-orbits to order 128."""
+    orbits, reached = [], set()
+    for start in range(g.n):
+        if start not in reached:
+            orbits.append(tuple(sorted(x for x, in automorphism_closure(g, [(start,)]))))
+            reached.update(orbits[-1])
+    return tuple(orbits)
 
 
 # ---------------------------------------------------------------------------

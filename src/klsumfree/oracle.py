@@ -22,13 +22,13 @@ the same orbit branches with the floor at 0 (no cut) and weights each set
 by its orbit: every automorphism fixes each orbit, so the sets whose first
 orbit is b follow from those that contain the orbit's first element.  The
 enumeration of maximum sets walks the same branches, coloured, with the
-floor at lambda - 1, maps each set it finds through one automorphism per
-element of the branch's orbit (abelian.orbit_transversal), and sorts the
-union into element-index order.  The orbits are the components of a
-breadth-first search over automorphisms (abelian.automorphism_orbits).
-The search, the count and the enumeration need only that every
-automorphism fixes each orbit and that each map is an automorphism; that
-the orbits are the whole Aut(G)-orbits only keeps the branches few.
+floor at lambda - 1, closes the sets it finds under the generating
+automorphisms (abelian.automorphism_closure), and sorts the closure into
+element-index order.  The orbits are the closures of single elements
+under the same generators (abelian.automorphism_orbits).  The search,
+the count and the enumeration need only that each generator is an
+automorphism and that the orbits are those of the group they generate;
+that the orbits are the whole Aut(G)-orbits only keeps the branches few.
 
 Progression maxima (alpha/beta/gamma) do not enumerate subsets at all: for
 a progression with difference q and start a, the difference set kA - lA is
@@ -54,7 +54,7 @@ from math import gcd
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
-from .abelian import GroupSpec, automorphism_orbits, divisors, orbit_transversal, translation_ops
+from .abelian import GroupSpec, automorphism_closure, automorphism_orbits, divisors, translation_ops
 from .formulas import KLParams
 from .sumset import Subset
 from .witness import best_witness
@@ -468,39 +468,40 @@ def enumerate_maximum(
     The branches are _orbit_branches', as in _search_max.  Branch b walks,
     coloured (see _walk) with the floor one below the maximum, the maximum
     sets that contain the orbit's first element r_b and lie inside orbits
-    b and later, and maps each through orbit_transversal's automorphism for
-    every element e of orbit b.  Automorphisms fix every orbit, so each
-    maximum set whose first orbit is b and that contains e is the image of
-    one that contains r_b; the union, without repeats, is every maximum
-    set.  limit caps g.n (None lifts it).
+    b and later; the sets all branches find are closed under the
+    generating automorphisms (abelian.automorphism_closure).  Each
+    generator is an automorphism, and the orbits are those of the group H
+    they generate, so H fixes every orbit and carries r_b to each element
+    of orbit b.  A maximum set whose first orbit is b holds some e in
+    orbit b, and the h in H with h(r_b) = e maps one of branch b's sets
+    onto it; so the closure, which holds every image under H of the sets
+    found, is every maximum set.  limit caps g.n (None lifts it).
     """
     _check_limit(g.n, limit, "maximum enumeration")
     lam = lambda_exact(g, kl, limit=None).max_size
     if lam == 0:
         return [Subset.empty(g)]
-    movers = orbit_transversal(g)
-    found: set[tuple[int, ...]] = set()
-    branch: list[tuple[int, ...]] = []
+    found: list[tuple[int, ...]] = []
 
     def visit(level, depth, chosen):
         if depth < lam:
             return True
-        branch.extend(chosen + (x,) for x, _ in level)
+        found.extend(tuple(sorted(chosen + (x,))) for x, _ in level)
         return False
 
     for orbit, later in _orbit_branches(g, kl.k, kl.l):
-        branch[:] = [orbit[:1]] if lam == 1 else []  # no level visits the root {r_b}
+        if lam == 1:  # no level visits the root {r_b}
+            found.append(orbit[:1])
         _walk(g, kl.k, kl.l, [lam - 1], visit, later, orbit[:1], coloured=True)
-        for e in orbit:
-            sigma = movers[e]
-            found.update(tuple(sorted(sigma[x] for x in s)) for s in branch)
-    return [Subset.from_indices(g, s) for s in sorted(found)]
+    return [Subset.from_indices(g, s) for s in sorted(automorphism_closure(g, found))]
 
 
 # ---------------------------------------------------------------------------
 # exact progression maxima
 
-@functools.lru_cache(maxsize=None)
+# bounded like abelian's divisor lists; a progressions-witness benchmark
+# round fills under 450 keys
+@functools.lru_cache(maxsize=1024)
 def _ap_maxima(n: int, k: int, l: int) -> tuple[int, int, int]:
     """(alpha, beta, gamma): longest (k,l)-sum-free progression in Z_n,
     overall / difference sharing a factor with n / difference coprime to n.

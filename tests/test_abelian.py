@@ -19,9 +19,9 @@ from klsumfree import (
     parse_group_spec,
 )
 from klsumfree.abelian import (
-    _orbit_table,
+    _generator_moves,
+    automorphism_closure,
     automorphism_orbits,
-    orbit_transversal,
     padded_layout,
     prime_factors,
     translation_ops,
@@ -181,8 +181,7 @@ def test_padded_layout_adds_without_carry():
 
 
 def test_table_caches_are_bounded():
-    # automorphism_orbits and orbit_transversal both read _orbit_table
-    cached = [translation_ops, padded_layout, _orbit_table]
+    cached = [translation_ops, padded_layout, _generator_moves, automorphism_orbits]
     for fn in cached:
         fn.cache_clear()
     for n in range(2, 132):  # 130 groups
@@ -250,8 +249,8 @@ def test_automorphism_orbits_match_height_keys_to_order_128():
         assert automorphism_orbits(g) == height_key_orbits(g), g
 
 
-def test_orbit_transversal_maps_are_automorphisms():
-    for g in groups_up_to(64):
+def test_generator_moves_are_automorphisms():
+    for g in groups_up_to(128):
         m = len(g.factors)
         axes = [g.index_of([int(j == i) for j in range(m)]) for i in range(m)]
         translates = {}  # y -> [a + y for every a]
@@ -261,16 +260,40 @@ def test_orbit_transversal_maps_are_automorphisms():
                 translates[y] = [g.add_index(a, y) for a in range(g.n)]
             return translates[y]
 
-        movers = orbit_transversal(g)
-        for orbit in automorphism_orbits(g):
-            for e in orbit:
-                sigma = movers[e]
-                assert sorted(sigma) == list(range(g.n)) and sigma[orbit[0]] == e, (g, e)
-                # additive on a + e_i for every a and axis generator e_i,
-                # hence on all sums (every b is a sum of generators)
-                for x in axes:
-                    moved, image = plus(x), plus(sigma[x])
-                    assert all(sigma[moved[a]] == image[sigma[a]] for a in range(g.n)), (g, e, x)
+        for phi in _generator_moves(g):
+            assert sorted(phi) == list(range(g.n)), g
+            # additive on a + e_i for every a and axis generator e_i,
+            # hence on all sums (every b is a sum of generators)
+            for x in axes:
+                moved, image = plus(x), plus(phi[x])
+                assert all(phi[moved[a]] == image[phi[a]] for a in range(g.n)), (g, x)
+    # a scaling is kept only when the kept ones do not already generate it
+    assert len(_generator_moves(make_group([128]))) == 2
+    assert len(_generator_moves(make_group([105]))) == 3
+
+
+def _set_closure(g, s):
+    """Every image of s under the group _generator_automorphisms generate."""
+    maps = _generator_automorphisms(g)
+    seen, frontier = {s}, [s]
+    while frontier:
+        t = frontier.pop()
+        for phi in maps:
+            image = tuple(sorted(phi[x] for x in t))
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return seen
+
+
+def test_automorphism_closure_matches_set_closure():
+    rng = random.Random(19)
+    for g in groups_up_to(24):
+        for size in range(1, min(3, g.n) + 1):
+            s = tuple(sorted(rng.sample(range(g.n), size)))
+            closed = automorphism_closure(g, [s])
+            assert closed[0] == s and len(set(closed)) == len(closed), (g, s)
+            assert set(closed) == _set_closure(g, s), (g, s)
 
 
 # ---------------------------------------------------------------------------

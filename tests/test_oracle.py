@@ -29,7 +29,7 @@ from klsumfree import (
     lambda_exact,
     make_group,
 )
-from klsumfree.oracle import _search_max, _walk
+from klsumfree.oracle import _ap_maxima, _search_max, _walk
 
 from conftest import brute_force_max, groups_up_to, kl_pairs
 
@@ -376,11 +376,15 @@ def test_enumerate_matches_index_order_walk():
         _pin([2, 16], 3, 1, 100, "93943a69d1767883b1a5d540c4e5b297a43d72301eab4ebbb003589cf36020dd"),
         _pin([2] * 5, 5, 2, 31, "c115c5ba49b42f893881a896d8e2a0b321098a7c4e2eab70cb76a10f88959dff"),
         _pin([2] * 5, 2, 1, 31, "c115c5ba49b42f893881a896d8e2a0b321098a7c4e2eab70cb76a10f88959dff"),
+        _pin([31], 3, 2, 75, "da547bda2d11ac3204918a53dd9a33902021fe75020ffc02a89e2ce8784b285e"),
+        _pin([33], 4, 1, 175, "2218f12013c7a260fd63fde54de12a598b0e43806f66294f6afc142ab6d56ce7"),
     ],
 )
 def test_enumerate_pinned_on_large_orbits(factors, k, l, count, digest):
     # most sets here are images of another under an automorphism, so the
-    # transversal maps supply them; the digest is of the index lists in order
+    # closure under the generators supplies them (on the cyclic groups it
+    # needs only the few unit scalings kept); the digest is of the index
+    # lists in order
     sets = enumerate_maximum(make_group(factors), KLParams(k, l))
     lists = json.dumps([list(s.indices()) for s in sets])
     assert (len(sets), hashlib.sha256(lists.encode()).hexdigest()) == (count, digest)
@@ -501,6 +505,15 @@ def test_alpha_is_max_of_beta_gamma():
     for n in range(2, 151):
         for kl in kl_pairs(5):
             assert alpha_exact(n, kl) == max(beta_exact(n, kl), gamma_exact(n, kl))
+
+
+def test_progression_maxima_cache_is_bounded():
+    _ap_maxima.cache_clear()
+    for n in range(2, 1100):  # 1098 keys
+        alpha_exact(n, KL21)
+    info = _ap_maxima.cache_info()
+    assert (info.maxsize, info.currsize) == (1024, 1024)
+    assert alpha_exact(50, KL21) == 25  # an evicted key is computed again
 
 
 def test_ap_limit():
