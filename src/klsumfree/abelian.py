@@ -115,16 +115,13 @@ class GroupSpec:
     def coords_of(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.n:
             raise ValueError(f"index {index} out of range for group of order {self.n}")
-        coords = []
-        for d in reversed(self.factors):
-            coords.append(index % d)
-            index //= d
-        return tuple(reversed(coords))
+        return self.coords_of_all([index])[0]
 
     def coords_of_all(self, indices: Sequence[int]) -> list[tuple[int, ...]]:
-        """coords_of for many indices in [0, n) at once, unchecked: the
-        coordinates are taken column by column, one % and one // pass over
-        the indices per axis, last axis first."""
+        """The coordinates of each index in [0, n), unchecked: the one
+        decoder from indices to coordinates.  They are taken column by
+        column, one % and one // pass over the indices per axis, last axis
+        first."""
         columns, rest = [], indices
         for d in reversed(self.factors[1:]):
             columns.append(list(map(mod, rest, itertools.repeat(d))))
@@ -328,9 +325,10 @@ def padded_layout(g: GroupSpec) -> PaddedLayout:
         strides.append(size)
         size *= 2 * d - 1
     strides.reverse()
+    # block j starts at index j*v, whose last coordinate is 0
     offsets = tuple(
         sum(c * s for c, s in zip(coords, strides))
-        for coords in itertools.product(*(range(d) for d in g.factors[:-1]))
+        for coords in g.coords_of_all(range(0, g.n, g.v))
     )
     folds = []
     for d, s in zip(g.factors, strides):
@@ -354,8 +352,7 @@ def translation_ops(g: GroupSpec) -> tuple[tuple[int, tuple[tuple[int, int], ...
     layout = padded_layout(g)
     top = layout.folds[0]
     table = []
-    for e in range(g.n):
-        coords = g.coords_of(e)
+    for e, coords in enumerate(g.coords_of_all(range(g.n))):
         folds = tuple(layout.folds[i] for i in range(1, len(coords)) if coords[i])
         table.append((layout.offset(e), folds) + (top if coords[0] else (-1, layout.size)))
     return tuple(table)
@@ -378,7 +375,7 @@ def _generator_moves(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
     # stride_i is the product of the factors after axis i; cols[i][x] is
     # the coordinate of index x on axis i
     strides = [g.n // d for d in itertools.accumulate(g.factors, mul)]
-    cols = [[x // s % d for x in range(g.n)] for d, s in zip(g.factors, strides)]
+    cols = list(zip(*g.coords_of_all(range(g.n))))
     moves = []
     for i, (d, s) in enumerate(zip(g.factors, strides)):
         generated = {1}

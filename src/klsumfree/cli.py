@@ -437,6 +437,8 @@ def _csv_cell(value):
 def cmd_scan(args) -> int:
     kl = _kl(args)
     checks = [c.strip() for c in args.check.split(",") if c.strip()]
+    if not checks:
+        raise ValueError(f"no check given; available: {', '.join(SCAN_CHECKS)}")
     for c in checks:
         if c not in SCAN_CHECKS:
             raise ValueError(f"unknown check {c!r}; available: {', '.join(SCAN_CHECKS)}")

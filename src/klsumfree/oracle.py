@@ -11,7 +11,8 @@ compatibility graph bounds how many it can add (MCQ, Tomita-Seki 2003).
 The colouring is first-fit and tests a pair of candidates only when it
 needs the answer; the walk tests the others only where it branches.
 State per candidate is the tower of sumset layers 1A, 2A, ..., kA,
-updated incrementally when an element is added.
+updated incrementally when an element is added; the one step that updates
+it (_make_extend) also answers whether the set is still sum-free.
 
 The maximum search breaks the symmetry of Aut(G): it lists the elements
 orbit by orbit, and for each orbit, from the last to the first, searches
@@ -114,8 +115,9 @@ class CountResult:
     nodes_explored: int = field(compare=False)
 
 
-def _make_extend(g: GroupSpec, k: int):
-    """extend(layers, x): sumset layers of A + {x} from those of A.
+def _make_extend(g: GroupSpec, k: int, l: int):
+    """extend(layers, x): the sumset layers of A + {x} from those of A, or
+    None when A + {x} is not (k,l)-sum-free (its kA and lA meet).
 
     layers[j] is the reduced padded mask of jA (layers[0] = {0}, bit 0
     being the identity); the new j-th layer is layers[j] union (new
@@ -135,7 +137,7 @@ def _make_extend(g: GroupSpec, k: int):
                 b = kept | (b ^ kept) >> down
             prev = layers[j] | (b & top) | b >> top_down
             out.append(prev)
-        return out
+        return None if prev & out[l] else out
 
     return extend
 
@@ -187,11 +189,13 @@ def _walk(
 
     A level lists the (x, layers) candidates that extend the chosen set by
     one element, layers being the reduced padded masks of the extended
-    set's sumset layers.  visit(level, depth, chosen) sees each level once,
-    depth being the size of the extended sets, and returns False to skip
-    its subtree.  A child level is entered only when it could exceed
-    floor[0]; visitors may raise floor[0] as they go.  base must itself be
-    sum-free.
+    set's sumset layers.  Each step is one extend (_make_extend), which
+    gives those layers, or None when the extended set is not sum-free:
+    that None is the walk's only sum-free test.  visit(level, depth,
+    chosen) sees each level once, depth being the size of the extended
+    sets, and returns False to skip its subtree.  A child level is entered
+    only when it could exceed floor[0]; visitors may raise floor[0] as
+    they go.  base must itself be sum-free.
 
     By default a level branches on its candidates in its order, the child
     of x being the candidates after x that stay addable with it, and the
@@ -214,14 +218,14 @@ def _walk(
     the first v whose colour plus the chosen set cannot exceed floor[0].
     The bound depends only on the instance.
     """
-    extend = _make_extend(g, k)
+    extend = _make_extend(g, k, l)
     layers = [1] + [0] * k
     for x in base:
         layers = extend(layers, x)
     root = []
     for x in range(g.n) if order is None else order:
         lx = extend(layers, x)
-        if not lx[k] & lx[l]:
+        if lx is not None:
             root.append((x, lx))
 
     def walk(level, depth, chosen):
@@ -236,7 +240,7 @@ def _walk(
             child = []
             for y, _ in level[i + 1:]:
                 ly = extend(lx, y)
-                if not ly[k] & ly[l]:
+                if ly is not None:
                     child.append((y, ly))
             if child and depth + 1 + len(child) > floor[0]:
                 walk(child, depth + 1, chosen + (x,))
@@ -245,8 +249,7 @@ def _walk(
         tested = {}  # (u, v), u < v: the pair's layers, or None if incompatible
 
         def compatible(u, v):
-            ly = extend(level[u][1], level[v][0])
-            tested[u, v] = ly = None if ly[k] & ly[l] else ly
+            ly = tested[u, v] = extend(level[u][1], level[v][0])
             return ly is not None
 
         by_colour, colours = _first_fit(len(level), compatible)
@@ -260,8 +263,6 @@ def _walk(
                 ly = tested.get((u, v) if u < v else (v, u), False)
                 if ly is False:  # untested: the colouring never needed this pair
                     ly = extend(lv, level[u][0])
-                    if ly[k] & ly[l]:
-                        continue
                 if ly is not None:
                     child.append((level[u][0], ly))
             if child and depth + 1 + len(child) > floor[0]:

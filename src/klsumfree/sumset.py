@@ -312,18 +312,18 @@ def find_violation(
     The tuples are the lexicographically first over index-sorted tuples:
     the first k-tuple whose sum lies in lA, then the first l-tuple with
     that sum.  Each is built one element at a time from the layers
-    0A..kA, taking the smallest a in A with which the remaining layer can
-    still reach the target, so no tuple is enumerated.
+    0A..kA (1A..kA from the doubling chain of _multiples), taking the
+    smallest a in A with which the remaining layer can still reach the
+    target, so no tuple is enumerated.
     """
     KLParams(k, l)  # raises ValueError unless k > l >= 1
     g = a.group
-    layers = [Subset(g, 1)]  # 0A = {0}, index 0 being the identity
-    for _ in range(k):
-        layers.append(pair_sumset(layers[-1], a))
-    if layers[k].bits & layers[l].bits == 0:
+    # 0A = {0}, index 0 being the identity
+    layers = [1] + _multiples(a, tuple(range(1, k + 1)))
+    if layers[k] & layers[l] == 0:
         return None
     layout = padded_layout(g)
-    padded = [layout.pad(layer.bits) for layer in layers[:k]]
+    padded = [layout.pad(layer) for layer in layers[:k]]
     idxs = a.indices()
 
     def first_tuple(h: int, goal: int) -> tuple[list[int], int]:
@@ -338,6 +338,6 @@ def find_violation(
                     break
         return combo, total
 
-    ktuple, target = first_tuple(k, layers[l].bits)
+    ktuple, target = first_tuple(k, layers[l])
     ltuple, _ = first_tuple(l, 1 << target)
     return tuple(map(g.element_at, ktuple)), tuple(map(g.element_at, ltuple))

@@ -373,6 +373,15 @@ def test_scan_unknown_check_exits_2(capsys):
     assert code == 2 and "unknown check" in err
 
 
+@pytest.mark.parametrize("checks", ["", ",", " , "])
+def test_scan_without_a_check_exits_2(capsys, checks):
+    # no check would mark every row as agreeing
+    code, out, err = run(capsys, "scan", "--n", "2..3", "--k", "2", "--l", "1", "--check", checks)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: no check given")
+    assert all(name in err for name in cli.SCAN_CHECKS)
+
+
 def test_scan_reversed_n_range_exits_2(capsys):
     code, out, err = run(capsys, "scan", "--n", "5..2", "--k", "2", "--l", "1")
     assert code == 2 and out == "" and "5 > 2" in err

@@ -547,3 +547,49 @@ def test_progress_callback_fires():
     assert seen, "expected progress reports on an unseeded search"
     nodes, depth, best = seen[0]
     assert nodes % 256 == 0 and depth >= 1 and best >= 0
+
+
+# ---------------------------------------------------------------------------
+# equivalence sweeps: digests of every result the walk produces on the
+# default instances, recorded before the walk's sum-free step, the sumset
+# layer chain and the coordinate decoder were each given one definition;
+# a change that keeps the search tree keeps these bytes
+
+def _sweep_digest(rows) -> str:
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def test_lambda_sweep_digest():
+    # 469 instances: every group of order <= 40 at SEARCH_PAIRS; the cache
+    # is bypassed so every search walks
+    rows = []
+    for g in groups_up_to(40):
+        for k, l in SEARCH_PAIRS:
+            seed = tuple(best_witness(g, KLParams(k, l)).members.indices())
+            size, witness, nodes = _search_max(g, k, l, seed, None)
+            rows.append([list(g.factors), k, l, size, list(witness), nodes])
+    assert len(rows) == 469
+    assert _sweep_digest(rows) == "ce1c6e64503965206166e76073b48667da17a613d49bb6b354ce7aab7360de71"
+
+
+def test_enumerate_sweep_digest():
+    # 427 instances: every group of order <= 36 at SEARCH_PAIRS
+    rows = [
+        [list(g.factors), k, l, [s.indices() for s in enumerate_maximum(g, KLParams(k, l))]]
+        for g in groups_up_to(36)
+        for k, l in SEARCH_PAIRS
+    ]
+    assert len(rows) == 427
+    assert _sweep_digest(rows) == "17591c8c5cb2e74bf633d13ebf6994cc6f76f3a43093b38aea0535435fcf2e31"
+
+
+def test_count_sweep_digest():
+    # 308 instances: every group of order <= 28 at SEARCH_PAIRS
+    rows = []
+    for g in groups_up_to(28):
+        for k, l in SEARCH_PAIRS:
+            res = count_sum_free(g, KLParams(k, l))
+            by_size = list(res.by_size.items())
+            rows.append([list(g.factors), k, l, res.total, by_size, res.nodes_explored])
+    assert len(rows) == 308
+    assert _sweep_digest(rows) == "a83042493c844484e95e533dd438d97ada4fc40d29707fe1fc36ccd9d89f9cad"

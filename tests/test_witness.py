@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from klsumfree import (
+    Element,
     KLParams,
     Subset,
     alpha_31,
@@ -15,6 +17,7 @@ from klsumfree import (
     best_witness,
     case51_witness,
     coset_union_witness,
+    cyclic_quotient_lift,
     divisors,
     h_fold,
     is_kl_sum_free,
@@ -229,18 +232,35 @@ def test_witness_json_shape():
     assert doc["size"] == 0 and doc["construction"]["kind"] == "empty"
 
 
+def test_witness_json_of_a_lifted_set():
+    base = subset(make_group([5]), 1, 4)
+    g = make_group([2, 10])
+    doc = witness_json(lift_witness(base, g, KL21))
+    assert doc["construction"] == {
+        "kind": "lifted-set", "params": {"modulus": 5}, "certificate": None}
+    assert doc["size"] == 8
+    assert doc["members"] == members_json(cyclic_quotient_lift(g, 5, base))
+    # the preimage of {1, 4} under index mod 5: last coordinate 1, 4, 6 or 9
+    assert doc["members"] == [[a, c] for a in range(2) for c in (1, 4, 6, 9)]
+
+
 def test_members_json_matches_element_by_element_coordinates():
-    """members_json and Subset.elements take coordinates column by column;
-    coords_of, one index at a time, is the reference."""
+    """coords_of, coords_of_all, members_json and Subset.elements all
+    decode through one function; the reference lists every coordinate
+    vector in index order (last coordinate fastest) without it."""
     rng = random.Random(20)
     groups = groups_up_to(128)
-    names = {str(g) for g in groups}
-    assert {"2x2x2x2x4", "2x2x2x2x2x2x2"} <= names
+    assert len(groups) == 246
+    assert {"2x2x2x2x4", "2x2x2x2x2x2x2"} <= {str(g) for g in groups}
     for g in groups:
+        coords = list(itertools.product(*(range(d) for d in g.factors)))
+        assert len(coords) == g.n
+        assert [g.coords_of(i) for i in range(g.n)] == coords, g
+        assert g.coords_of_all(range(g.n)) == coords, g
         full = (1 << g.n) - 1
         for bits in (0, full, rng.getrandbits(g.n), rng.getrandbits(g.n) & rng.getrandbits(g.n)):
             s = Subset(g, bits)
             idx = s.indices()
-            expected = idx if g.is_cyclic else [list(g.coords_of(i)) for i in idx]
+            expected = idx if g.is_cyclic else [list(coords[i]) for i in idx]
             assert members_json(s) == expected, (g, bits)
-            assert s.elements() == [g.element_at(i) for i in idx], (g, bits)
+            assert s.elements() == [Element(coords[i]) for i in idx], (g, bits)
