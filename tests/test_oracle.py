@@ -550,10 +550,9 @@ def test_progress_callback_fires():
 
 
 # ---------------------------------------------------------------------------
-# equivalence sweeps: digests of every result the walk produces on the
-# default instances, recorded before the walk's sum-free step, the sumset
-# layer chain and the coordinate decoder were each given one definition;
-# a change that keeps the search tree keeps these bytes
+# equivalence sweeps: digests of every value, witness, effort counter and
+# enumerated list the oracle gives on the default instances; a change that
+# keeps the search tree keeps these bytes
 
 def _sweep_digest(rows) -> str:
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
