@@ -20,6 +20,7 @@ import itertools
 import json
 import os
 import sys
+from operator import add, mul
 from typing import Optional
 
 from .abelian import (
@@ -139,14 +140,34 @@ def _kl(args) -> KLParams:
 
 def _parse_set(g: GroupSpec, text: str) -> Subset:
     """Element list: "1,3,5" for cyclic groups, "0:1,1:1" (colon-joined
-    coordinates) for product groups."""
-    items = [t for t in text.strip().split(",") if t != ""]
-    indices = []
-    for item in items:
-        try:
-            indices.append(g.checked_index([int(p) for p in item.split(":")]))
-        except ValueError as exc:
-            raise ValueError(f"element {item!r}: {exc}") from None
+    coordinates) for product groups; empty items are skipped.
+
+    The list is split into fields once, and each column of coordinates is
+    converted and range-checked at once; if a check fails, the first
+    element in list order that fails it is named, with the reason
+    GroupSpec.checked_index gives.
+    """
+    items = list(filter(None, text.strip().split(",")))
+    if not items:
+        return Subset.empty(g)
+    m = len(g.factors)
+    try:
+        if set(map(str.count, items, itertools.repeat(":"))) != {m - 1}:
+            raise ValueError
+        fields = ":".join(items).split(":")  # m fields per item
+        columns = [list(map(int, fields[j::m])) for j in range(m)]
+        if any(min(c) < 0 or max(c) >= d for c, d in zip(columns, g.factors)):
+            raise ValueError
+    except ValueError:
+        for item in items:
+            try:
+                g.checked_index([int(p) for p in item.split(":")])
+            except ValueError as exc:
+                raise ValueError(f"element {item!r}: {exc}") from None
+        raise AssertionError("a column check failed on a valid set") from None
+    indices = columns[0]
+    for column, d in zip(columns[1:], g.factors[1:]):
+        indices = list(map(add, map(mul, indices, itertools.repeat(d)), column))
     return Subset.from_indices(g, indices)
 
 
@@ -423,7 +444,8 @@ def _scan_row(g: GroupSpec, kl: KLParams, checks: list[str], limit: Optional[int
         ):
             lam_v = lambda_exact(make_group([g.v]), kl, limit=limit).max_size
             results.append(lam_v * (g.n // g.v) == exact)
-    row["agree"] = all(results) if results else True
+    # a row that no requested check applies to is skipped, not agreed
+    row["agree"] = all(results) if results else None
     return row
 
 

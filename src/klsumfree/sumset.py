@@ -6,6 +6,18 @@ elements of A; a set A is (k,l)-sum-free when kA and lA are disjoint, or
 equivalently when 0 is not in kA - lA.  Both characterizations are
 implemented so they can be checked against each other.
 
+is_kl_sum_free checks a set that is lifted from a cyclic quotient in that
+quotient.  For d | v the index mod d equals the last coordinate mod d, so
+pi(x) = index(x) mod d is a homomorphism G -> Z_d.  If A = pi^-1(R), then
+A + ker pi = A, and every h-fold sum of A is a sum of lifts of residues
+in R, so hA = pi^-1(hR) for every h >= 1.  Hence kA & lA = pi^-1(kR & lR),
+which is empty exactly when kR & lR is: A is (k,l)-sum-free iff R is.  A
+is such a lift iff its mask is its low d bits repeated n/d times (their
+product with the base-2^d repunit, _repeat), and the d that pass are
+closed under gcd, so the least one is found by dividing out one prime at
+a time (_least_quotient).  The difference characterization stays
+unreduced, as the independent reference.
+
 A + B is computed in the padded layout of the group (abelian.PaddedLayout),
 where adding offsets adds elements, by one of two kernels chosen from the
 operand sizes: a small operand shifts the padded mask of the other once
@@ -25,7 +37,7 @@ from itertools import accumulate, repeat
 from operator import add
 from typing import Iterable, Optional
 
-from .abelian import Element, GroupSpec, PaddedLayout, padded_layout
+from .abelian import Element, GroupSpec, PaddedLayout, make_group, padded_layout, prime_factors
 from .formulas import KLParams
 
 __all__ = [
@@ -232,11 +244,58 @@ def negate(a: Subset) -> Subset:
     return Subset(g, layout.translate(layout.pad(flipped), g.index_of([1] * len(g.factors))))
 
 
+def _repeat(mask: int, d: int, n: int) -> int:
+    """A mask of d bits repeated n/d times (d | n): its product with the
+    base-2^d repunit, the sum of 2^(jd) over 0 <= j < n/d, which has no
+    carries between the copies.  Each shift doubles the copies, so it
+    costs O(n) bit operations, where a product or a division by 2^d - 1
+    costs O(nd)."""
+    full = (1 << n) - 1  # sized first: an n too large for a mask stops here
+    width = d
+    while width < n:
+        mask |= mask << width
+        width <<= 1
+    return mask & full
+
+
+def _least_quotient(a: Subset) -> Optional[int]:
+    """The least d >= 2 dividing the exponent v such that A = pi^-1(R) for
+    pi: G -> Z_d, index mod d; None if A is no such lift with d < n.
+
+    The d that pass are the multiples of the least period of the mask
+    among the divisors of n, so if v fails, every d | v fails, and from a
+    passing m it suffices to try m/p for each prime p | m.
+    """
+    g, bits = a.group, a.bits
+    if bits in (0, (1 << g.n) - 1):
+        return None  # least period 1, and Z_1 is no group here
+
+    def lifted(d: int) -> bool:
+        return bits == _repeat(bits & ((1 << d) - 1), d, g.n)
+
+    m = g.v
+    if m < g.n and not lifted(m):
+        return None
+    for p in prime_factors(m):
+        while m % p == 0 and lifted(m // p):
+            m //= p
+    return m if m < g.n else None
+
+
 def is_kl_sum_free(a: Subset, k: int, l: int) -> bool:
-    """True iff kA and lA are disjoint."""
+    """True iff kA and lA are disjoint.
+
+    A set lifted from a cyclic quotient Z_d (d | v, d < n) is checked as
+    its residue set in Z_d, which gives the same answer (module
+    docstring); any other set, G itself and the empty set among them, is
+    checked in G.
+    """
     KLParams(k, l)  # raises ValueError unless k > l >= 1
     if a.bits == 0:
         return True
+    d = _least_quotient(a)
+    if d is not None:
+        a = Subset(make_group([d]), a.bits & ((1 << d) - 1))
     ka, la = _multiples(a, (k, l))
     return ka & la == 0
 

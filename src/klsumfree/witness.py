@@ -10,7 +10,10 @@ zero.  The start a is pinned down by a division step and a Bezout pair:
 
 Every witness records (q, r, u, w) as a machine-checkable certificate and
 re-verifies its own sum-freeness through the sumset predicate before it is
-returned; a verification failure is a bug, not an input error.
+returned; a verification failure is a bug, not an input error.  A lifted
+witness is a union of cosets of the kernel of G -> Z_d, so the predicate
+checks it in the least such quotient Z_d, with the same answer as in G
+(sumset module docstring).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Optional, Union
 
 from .abelian import GroupSpec, make_group
 from .formulas import KLParams, _lower_term, delta, lambda_bounds_general
-from .sumset import Subset, is_kl_sum_free
+from .sumset import Subset, _repeat, is_kl_sum_free
 
 __all__ = [
     "EuclidCertificate",
@@ -229,8 +232,9 @@ def cyclic_quotient_lift(g: GroupSpec, d: int, residues: Subset) -> Subset:
     The surjection is fixed as x -> (last coordinate of x) mod d, which for
     the mixed-radix index is simply index mod d; it is a homomorphism
     exactly because d divides the exponent v.  The preimage of a set of
-    size s has size s * n/d: the residue mask repeated n/d times, which is
-    one multiplication by the base-2^d repunit (no digit carries).
+    size s has size s * n/d: the residue mask repeated n/d times, its
+    product with the base-2^d repunit (sumset._repeat, which also tells
+    is_kl_sum_free whether a set is such a lift).
     """
     if d < 2 or g.v % d != 0:
         raise ValueError(f"{d} does not divide the exponent {g.v} of {g}")
@@ -240,7 +244,7 @@ def cyclic_quotient_lift(g: GroupSpec, d: int, residues: Subset) -> Subset:
         raise ValueError(
             f"residues live in {residues.group}, expected the cyclic group of order {d}"
         )
-    return Subset(g, residues.bits * (((1 << g.n) - 1) // ((1 << d) - 1)))
+    return Subset(g, _repeat(residues.bits, d, g.n))
 
 
 def _lift(base: Union[APWitness, Subset], g: GroupSpec, kl: KLParams) -> LiftedWitness:

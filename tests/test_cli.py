@@ -165,6 +165,41 @@ def test_verify_rejects_out_of_range_coordinates(capsys):
     assert err.startswith("error: element '0:5': ")  # names the offending element
 
 
+def _elements_4x5000(count):
+    return [f"{i % 4}:{i // 4}" for i in range(count)]
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        ("1:2:3", "do not fit group 4x5000, which needs 2"),
+        ("1:x", "invalid literal for int() with base 10: 'x'"),
+        ("1:-3", "coordinate -3 is outside [0, 5000)"),
+        ("1:5000", "coordinate 5000 is outside [0, 5000)"),
+    ],
+)
+def test_verify_names_the_first_bad_element_of_a_long_set(capsys, bad, reason):
+    # 10,000 elements with this one in the middle, and another bad one
+    # after it: the first in list order is named
+    elements = _elements_4x5000(10000)
+    elements[5000], elements[7000] = bad, "9:9"
+    code, out, err = run(
+        capsys, "verify", "--group", "4x5000", "--k", "3", "--l", "1", "--set", ",".join(elements)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: element '{bad}': ") and reason in err
+    assert err.count("\n") == 1
+
+
+def test_verify_set_skips_empty_items(capsys):
+    elements = _elements_4x5000(10000)
+    args = ("verify", "--group", "4x5000", "--k", "3", "--l", "1", "--set")
+    code, doc, _ = run_json(capsys, *args, ",".join(elements))
+    assert code == 1 and len(doc["set"]) == 10000
+    text = ",".join(elements[:3000]) + ",," + ",".join(elements[3000:]) + ","
+    assert run_json(capsys, *args, text) == (code, doc, "")
+
+
 def test_witness_and_verify_build_no_translation_table(capsys):
     abelian.translation_ops.cache_clear()
     common = ["--group", "20000", "--k", "3", "--l", "2"]
@@ -364,6 +399,17 @@ def test_scan_partial_rows_marked(capsys):
     skipped_rows = [r for r in doc["rows"] if r["agree"] is None]
     assert len(skipped_rows) == 10
     assert all(r["exact"] is None for r in skipped_rows)
+
+
+def test_scan_rows_no_check_applies_to_are_skipped(capsys):
+    # green-ruzsa applies to (2,1) only, so on (3,1) no row is checked
+    code, doc, _ = run_json(
+        capsys, "scan", "--n", "2..5", "--k", "3", "--l", "1", "--check", "green-ruzsa"
+    )
+    assert code == 0
+    assert [r["agree"] for r in doc["rows"]] == [None] * 4
+    assert (doc["instances"], doc["disagreements"], doc["skipped"]) == (4, 0, 4)
+    assert all(r["exact"] is not None for r in doc["rows"])
 
 
 def test_scan_unknown_check_exits_2(capsys):

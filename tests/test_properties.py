@@ -5,7 +5,8 @@ index arithmetic against coordinate arithmetic (every other property
 takes it as its reference), bitmask translation and both sumset kernels
 against coordinate addition, negation
 against coordinate negation, the two sum-free characterizations against
-each other, quotient lifts, the violation search, the
+each other, quotient lifts and the sum-free check of a lift in its
+quotient, the violation search, the
 automorphism-orbit key under unit scaling, and the exact search's
 first-fit colouring against a class-by-class one.
 Examples are derandomized, so every run draws the same cases.
@@ -124,7 +125,24 @@ def test_quotient_lift_keeps_size_and_sum_freeness(g, kl, data):
     base = Subset(make_group([d]), data.draw(st.integers(0, (1 << d) - 1)))
     lifted = cyclic_quotient_lift(g, d, base)
     assert lifted.size == base.size * (g.n // d)
-    assert is_kl_sum_free(lifted, *kl) == is_kl_sum_free(base, *kl)
+    # is_kl_sum_free checks a lift in its quotient, so the lift is checked
+    # in G by the difference characterization
+    assert is_kl_sum_free_via_difference(lifted, *kl) == is_kl_sum_free(base, *kl)
+
+
+@fixed
+@given(st.sampled_from(GROUPS), st.sampled_from(PAIRS), st.data())
+def test_sum_free_check_of_lifts_and_near_lifts(g, kl, data):
+    # a lift is checked in Z_d, the lift with one index toggled (rarely a
+    # lift) in G; either way both characterizations and the violation
+    # search agree
+    d = data.draw(st.sampled_from(divisors(g.v)[1:]))
+    lifted = cyclic_quotient_lift(g, d, Subset(make_group([d]), data.draw(st.integers(0, (1 << d) - 1))))
+    toggled = Subset(g, lifted.bits ^ 1 << data.draw(st.integers(0, g.n - 1)))
+    for a in (lifted, toggled):
+        free = is_kl_sum_free(a, *kl)
+        assert free == is_kl_sum_free_via_difference(a, *kl)
+        assert (find_violation(a, *kl) is None) == free
 
 
 @fixed

@@ -13,6 +13,7 @@ from klsumfree import (
     KLParams,
     Subset,
     best_witness,
+    cyclic_quotient_lift,
     find_violation,
     h_fold,
     is_kl_sum_free,
@@ -248,6 +249,53 @@ def test_is_kl_sum_free_rejects_bad_kl():
         is_kl_sum_free(subset(g, 1), 1, 1)
     with pytest.raises(ValueError):
         is_kl_sum_free(subset(g, 1), 2, 0)
+
+
+def test_lift_is_checked_in_its_least_quotient(monkeypatch):
+    quotients = []
+    made = sumset.make_group
+
+    def recording(factors):
+        quotients.append(tuple(factors))
+        return made(factors)
+
+    monkeypatch.setattr(sumset, "make_group", recording)
+    g = make_group([24])
+    # {1} mod d has least period d; the descent from 24 divides out a prime
+    # as often as it can (24 -> 12 -> 6 -> 3)
+    for d in (2, 3, 4, 6, 8, 12):
+        assert sumset._least_quotient(cyclic_quotient_lift(g, d, subset(make_group([d]), 1))) == d
+    # {1} mod 4 also repeats with period 8 and 12, and the descent must
+    # still reach 4
+    a = cyclic_quotient_lift(g, 4, subset(make_group([4]), 1))
+    for d in (8, 12):
+        assert a == cyclic_quotient_lift(g, d, Subset(make_group([d]), a.bits & ((1 << d) - 1)))
+    # 3 - 1 = 2 moves 1 off itself mod 4, 5 - 1 = 4 does not
+    assert is_kl_sum_free(a, 3, 1) and not is_kl_sum_free(a, 5, 1)
+    assert quotients == [(4,), (4,)]
+    # in a product group the probe starts at the exponent: {1} mod 3 in Z_2 x Z_6
+    g = make_group([2, 6])
+    a = cyclic_quotient_lift(g, 3, subset(make_group([3]), 1))
+    assert sumset._least_quotient(a) == 3
+    assert sumset._least_quotient(Subset(g, a.bits ^ 1)) is None
+
+
+def test_group_and_singletons_are_checked_in_the_group(monkeypatch):
+    def no_quotient(factors):
+        raise AssertionError(f"reduced to {factors}")
+
+    monkeypatch.setattr(sumset, "make_group", no_quotient)
+    for g in groups_up_to(16):
+        full = Subset.full(g)
+        singletons = [Subset(g, 1 << i) for i in range(g.n)]
+        assert sumset._least_quotient(full) is None
+        for k, l in [(2, 1), (3, 1), (3, 2), (5, 2)]:
+            assert not is_kl_sum_free(full, k, l)
+            for a in singletons:
+                assert sumset._least_quotient(a) is None
+                # {x} is sum-free iff (k - l)x != 0
+                x = a.indices()[0]
+                assert is_kl_sum_free(a, k, l) == (g.scale_index(k - l, x) != 0)
 
 
 def test_characterizations_agree_exhaustively_small():
