@@ -38,7 +38,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from operator import floordiv, mod, mul
+from operator import add, floordiv, mod, mul
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -155,8 +155,11 @@ class GroupSpec:
         return Element(self.coords_of(index))
 
     def add_index(self, i: int, j: int) -> int:
-        ci, cj = self.coords_of(i), self.coords_of(j)
-        return self.index_of(a + b for a, b in zip(ci, cj))
+        for x in (i, j):
+            if not 0 <= x < self.n:
+                raise ValueError(f"index {x} out of range for group of order {self.n}")
+        ci, cj = self.coords_of_all((i, j))
+        return self.index_of(map(add, ci, cj))
 
     def neg_index(self, i: int) -> int:
         return self.index_of(-c for c in self.coords_of(i))

@@ -20,7 +20,8 @@ import itertools
 import json
 import os
 import sys
-from operator import add, mul
+from bisect import bisect_left
+from operator import add, mul, sub
 from typing import Optional
 
 from .abelian import (
@@ -40,14 +41,16 @@ from .formulas import (
 )
 from .oracle import DEFAULT_LIMIT_AP, DEFAULT_LIMIT_COUNT, DEFAULT_LIMIT_EXACT, LimitExceededError
 from .oracle import alpha_exact, count_sum_free, enumerate_maximum, lambda_exact
-from .sumset import Subset, find_violation, is_kl_sum_free
-from .witness import best_witness, members_json, witness_json
+from .sumset import Subset, _scatter, find_violation, is_kl_sum_free
+from .witness import _witness_fields, best_witness
 
 SCHEMA = "klsumfree/1"
 
 SCAN_CHECKS = ("bounds", "formula-vs-exact", "green-ruzsa", "theorem16", "lift-identity")
 
 _SCAN_COLUMNS = ("group", "k", "l", "formula", "lower", "upper", "exact", "witness_size", "agree")
+
+_DIGITS = b"0123456789"
 
 _DEFAULT_LIMITS = {"EXACT": DEFAULT_LIMIT_EXACT, "COUNT": DEFAULT_LIMIT_COUNT, "AP": DEFAULT_LIMIT_AP}
 
@@ -65,28 +68,16 @@ def _json_layout(value, pad: str = "") -> str:
     of 2, pad being the indent of the line the value starts on.  json's
     indented encoder runs in pure Python, so containers are laid out here
     and only keys and scalars go through json.dumps, which encodes them
-    in C.  A list of ints, or of equal-length non-empty int lists (member
-    indices and coordinates), is joined in one step.  A key that is not
-    a str raises TypeError, where json would convert it to a string."""
+    in C.  A Subset is laid out as members_json would give it, straight
+    from its indices (_members_layout).  A key that is not a str raises
+    TypeError, where json would convert it to a string."""
+    if isinstance(value, Subset):
+        return _members_layout(value, pad)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = pad + "  "
-        sep = ",\n" + inner
-        kinds = set(map(type, value))
-        if kinds == {int}:
-            body = sep.join(map(str, value))
-        elif (
-            kinds <= {list, tuple}
-            and len(set(map(len, value))) == 1
-            and value[0]
-            and set(map(type, itertools.chain.from_iterable(value))) == {int}
-        ):
-            cell = "\n" + inner + "  "
-            row = "[" + cell + ("," + cell).join(["{}"] * len(value[0])) + "\n" + inner + "]"
-            body = sep.join([row.format(*r) for r in value])
-        else:
-            body = sep.join([_json_layout(v, inner) for v in value])
+        body = (",\n" + inner).join([_json_layout(v, inner) for v in value])
         return "[\n" + inner + body + "\n" + pad + "]"
     if isinstance(value, dict):
         if not value:
@@ -98,6 +89,37 @@ def _json_layout(value, pad: str = "") -> str:
         items = [json.dumps(k) + ": " + _json_layout(value[k], inner) for k in sorted(value)]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     return json.dumps(value)
+
+
+def _members_layout(s: Subset, pad: str) -> str:
+    """The json layout of members_json(s), with no list built per member.
+
+    A cyclic group's indices are joined in one step.  In a product group,
+    index i is block i // v, which holds the leading coordinates, then
+    i % v; the members of a block are consecutive in index order, so each
+    block the set meets is one join of its residues, with the rows' shared
+    text, the block's prefix and the row's end, as the separator."""
+    indices = s.indices()
+    if not indices:
+        return "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    g = s.group
+    if g.is_cyclic:
+        return "[\n" + inner + sep.join(map(str, indices)) + "\n" + pad + "]"
+    v, cell, end = g.v, "\n" + inner + "  ", "\n" + inner + "]"
+    bounds, lo = [], 0
+    while lo < len(indices):
+        base = indices[lo] - indices[lo] % v
+        hi = bisect_left(indices, base + v, lo)
+        bounds.append((base, lo, hi))
+        lo = hi
+    blocks = []
+    for (base, lo, hi), coords in zip(bounds, g.coords_of_all([b for b, _, _ in bounds])):
+        prefix = "[" + cell + ("," + cell).join(map(str, coords[:-1])) + "," + cell
+        residues = map(sub, indices[lo:hi], itertools.repeat(base)) if base else indices[lo:hi]
+        blocks.append(prefix + (end + sep + prefix).join(map(str, residues)) + end)
+    return "[\n" + inner + sep.join(blocks) + "\n" + pad + "]"
 
 
 def _emit_json(payload: dict) -> None:
@@ -142,32 +164,47 @@ def _parse_set(g: GroupSpec, text: str) -> Subset:
     """Element list: "1,3,5" for cyclic groups, "0:1,1:1" (colon-joined
     coordinates) for product groups; empty items are skipped.
 
-    The list is split into fields once, and each column of coordinates is
-    converted and range-checked at once; if a check fails, the first
-    element in list order that fails it is named, with the reason
-    GroupSpec.checked_index gives.
+    Canonical text, ASCII digits with ":" and "," in the pattern the
+    group needs, is checked in one pass (the text with its digits deleted
+    must be that pattern) and split into fields once.  Each column of
+    coordinates is converted at once: through a table of numerals when
+    its axis has at most as many elements as the list has items, so no
+    table grows with the group, else by int and a range check; the
+    columns then combine into indices.  Any other text, or a failed
+    conversion or check, goes element by element (int, then
+    GroupSpec.checked_index), which accepts what int accepts (spaces,
+    "+", "_", leading zeros, non-ASCII digits) and names the first bad
+    element in list order.
     """
-    items = list(filter(None, text.strip().split(",")))
-    if not items:
-        return Subset.empty(g)
-    m = len(g.factors)
+    text = text.strip()
+    m, count = len(g.factors), text.count(",") + 1
     try:
-        if set(map(str.count, items, itertools.repeat(":"))) != {m - 1}:
+        if text.encode().translate(None, _DIGITS) != ((b"," + b":" * (m - 1)) * count)[1:]:
             raise ValueError
-        fields = ":".join(items).split(":")  # m fields per item
-        columns = [list(map(int, fields[j::m])) for j in range(m)]
-        if any(min(c) < 0 or max(c) >= d for c, d in zip(columns, g.factors)):
-            raise ValueError
-    except ValueError:
-        for item in items:
-            try:
-                g.checked_index([int(p) for p in item.split(":")])
-            except ValueError as exc:
-                raise ValueError(f"element {item!r}: {exc}") from None
-        raise AssertionError("a column check failed on a valid set") from None
-    indices = columns[0]
-    for column, d in zip(columns[1:], g.factors[1:]):
-        indices = list(map(add, map(mul, indices, itertools.repeat(d)), column))
+        fields = text.replace(",", ":").split(":")
+        place, indices = 1, None
+        for j in reversed(range(m)):
+            d = g.factors[j]
+            if d <= count:
+                numerals = dict(zip(map(str, range(d)), range(0, d * place, place)))
+                column = map(numerals.__getitem__, fields[j::m])
+            else:
+                column = list(map(int, fields[j::m]))
+                if max(column) >= d:
+                    raise ValueError
+                if place > 1:
+                    column = map(mul, column, itertools.repeat(place))
+            indices = column if indices is None else map(add, column, indices)
+            place *= d
+        return Subset(g, _scatter(g.n, indices))  # every column is in range
+    except (ValueError, KeyError):
+        pass
+    indices = []
+    for item in filter(None, text.split(",")):
+        try:
+            indices.append(g.checked_index([int(p) for p in item.split(":")]))
+        except ValueError as exc:
+            raise ValueError(f"element {item!r}: {exc}") from None
     return Subset.from_indices(g, indices)
 
 
@@ -241,7 +278,7 @@ def cmd_lambda(args) -> int:
             payload["exact"] = {
                 "value": res.max_size,
                 "nodes_explored": res.nodes_explored,
-                "witness": members_json(res.witness),
+                "witness": res.witness,
             }
             lines.append(
                 f"exact: {res.max_size}  (witness {_format_element(res.witness)}, "
@@ -270,7 +307,7 @@ def cmd_witness(args) -> int:
     kl = _kl(args)
     w = best_witness(g, kl)
     if args.json:
-        _emit_json(_payload("witness", kl, **witness_json(w)))
+        _emit_json(_payload("witness", kl, **_witness_fields(w)))
         return 0
     print(f"group {_group_name(g)}, (k,l)=({kl.k},{kl.l})")
     print(f"witness size {w.size}: {_format_element(w.members)}")
@@ -301,7 +338,7 @@ def cmd_verify(args) -> int:
                 "k_tuple": [list(e.coords) for e in ktuple],
                 "l_tuple": [list(e.coords) for e in ltuple],
             }
-        _emit_json(_payload("verify", kl, g, set=members_json(subset), sum_free=ok, violation=tuples))
+        _emit_json(_payload("verify", kl, g, set=subset, sum_free=ok, violation=tuples))
     elif ok:
         print(f"{_format_element(subset)} is ({kl.k},{kl.l})-sum-free in {_group_name(g)}")
     else:
@@ -368,8 +405,7 @@ def cmd_enumerate(args) -> int:
     sets = enumerate_maximum(g, kl, limit=_limit_for(args, "EXACT"))
     lam = sets[0].size  # at least one set: the empty set when the maximum is 0
     if args.json:
-        members = [members_json(s) for s in sets]
-        _emit_json(_payload("enumerate", kl, g, max_size=lam, count=len(sets), sets=members))
+        _emit_json(_payload("enumerate", kl, g, max_size=lam, count=len(sets), sets=sets))
     else:
         print(f"{len(sets)} maximum ({kl.k},{kl.l})-sum-free sets of size {lam} in {_group_name(g)}:")
         for s in sets:

@@ -84,6 +84,17 @@ def _set_bits(x: int) -> list[int]:
     return out
 
 
+def _scatter(n: int, indices: Iterable[int]) -> int:
+    """The n-bit mask of indices in [0, n), unchecked.  Each index sets
+    its binary digit, least significant first, with one bare store (which
+    CPython runs faster than a map of operator.setitem), and one reversal
+    and one base-2 parse make the mask."""
+    digits = bytearray(b"0" * n)
+    for i in indices:
+        digits[i] = 0x31  # "1"
+    return int(digits[::-1], 2)
+
+
 @dataclass(frozen=True)
 class Subset:
     """A subset of a group, stored as a bitmask over element indices."""
@@ -105,13 +116,16 @@ class Subset:
 
     @classmethod
     def from_indices(cls, group: GroupSpec, indices: Iterable[int]) -> "Subset":
+        """The set of the given indices, in any order and with repeats.
+
+        They are range-checked at once (min and max), and a failing check
+        names the first index outside [0, n) in iteration order."""
         n = group.n
-        digits = bytearray(b"0" * n)  # most significant bit first
-        for i in indices:
-            if not 0 <= i < n:
-                raise ValueError(f"index {i} out of range for group of order {n}")
-            digits[n - 1 - i] = 0x31  # "1"
-        return cls(group, int(digits, 2))
+        indices = list(indices)
+        if indices and (min(indices) < 0 or max(indices) >= n):
+            bad = next(i for i in indices if not 0 <= i < n)
+            raise ValueError(f"index {bad} out of range for group of order {n}")
+        return cls(group, _scatter(n, indices))
 
     @property
     def size(self) -> int:

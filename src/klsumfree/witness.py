@@ -294,7 +294,10 @@ def best_witness(g: GroupSpec, kl: KLParams) -> LiftedWitness:
 # serialization
 
 def members_json(members: Subset):
-    """Element indices for a cyclic group, coordinate lists otherwise."""
+    """Element indices for a cyclic group, coordinate lists otherwise: the
+    members as witness_json gives them to library callers.  The CLI lays a
+    Subset out as json would lay out this value, from its indices, without
+    building the lists (cli._members_layout)."""
     g = members.group
     if g.is_cyclic:
         return members.indices()
@@ -311,8 +314,9 @@ def _progression_json(w: APWitness, kind: str) -> dict:
     }
 
 
-def witness_json(w: Union[APWitness, LiftedWitness]) -> dict:
-    """The wire format: {group, k, l, size, members, construction}."""
+def _witness_fields(w: Union[APWitness, LiftedWitness]) -> dict:
+    """witness_json's fields, with members left as their Subset (the CLI
+    lays a Subset out directly)."""
     if isinstance(w, APWitness):
         construction = _progression_json(w, w.kind)
     elif isinstance(w.base, APWitness):
@@ -326,6 +330,11 @@ def witness_json(w: Union[APWitness, LiftedWitness]) -> dict:
         "k": w.kl.k,
         "l": w.kl.l,
         "size": w.size,
-        "members": members_json(w.members),
+        "members": w.members,
         "construction": construction,
     }
+
+
+def witness_json(w: Union[APWitness, LiftedWitness]) -> dict:
+    """The wire format: {group, k, l, size, members, construction}."""
+    return {**_witness_fields(w), "members": members_json(w.members)}

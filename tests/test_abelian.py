@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -120,6 +121,24 @@ def test_index_arithmetic_rejects_indices_outside_the_group():
             call()
     # index_of stays the helper that reduces each coordinate mod d_i
     assert g.index_of([3, 9]) == g.index_of([1, 1]) == 5
+
+
+def test_add_index_matches_coordinate_addition():
+    # every pair of every group of order <= 64: add_index decodes both
+    # operands at once, and the sum is the coordinate-wise sum mod each d_i
+    for g in groups_up_to(64):
+        coords = list(itertools.product(*(range(d) for d in g.factors)))
+        index = {c: i for i, c in enumerate(coords)}
+        for i, ci in enumerate(coords):
+            row = [index[tuple((a + b) % d for a, b, d in zip(ci, cj, g.factors))] for cj in coords]
+            assert [g.add_index(i, j) for j in range(g.n)] == row, (g, i)
+
+
+def test_add_index_names_the_first_operand_out_of_range():
+    g = make_group([2, 4])
+    for i, j, bad in [(8, 0, 8), (0, 8, 8), (-1, 3, -1), (3, -2, -2), (9, -1, 9), (0, 2**70, 2**70)]:
+        with pytest.raises(ValueError, match=rf"^index {bad} out of range for group of order 8$"):
+            g.add_index(i, j)
 
 
 def test_scale_distributes_over_exponents():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 import klsumfree
 from klsumfree import abelian, cli
 from klsumfree.cli import main
+from klsumfree.sumset import Subset
+from klsumfree.witness import members_json
 
 
 def run(capsys, *argv):
@@ -165,6 +168,21 @@ def test_verify_rejects_out_of_range_coordinates(capsys):
     assert err.startswith("error: element '0:5': ")  # names the offending element
 
 
+@pytest.mark.parametrize(
+    "group, text, bad, reason",
+    [
+        ("10", "3,10", "10", "coordinate 10 is outside [0, 10)"),
+        ("2x4", "1:3,0:4", "0:4", "coordinate 4 is outside [0, 4)"),  # would wrap to 1:0
+        ("2x4", "1:3,2:0", "2:0", "coordinate 2 is outside [0, 2)"),
+        ("2x2x6", "0:0:1,1:1:6", "1:1:6", "coordinate 6 is outside [0, 6)"),
+    ],
+)
+def test_verify_rejects_a_coordinate_equal_to_its_modulus(capsys, group, text, bad, reason):
+    code, out, err = run(capsys, "verify", "--group", group, "--k", "2", "--l", "1", "--set", text)
+    assert code == 2 and out == ""
+    assert err == f"error: element '{bad}': coordinates {tuple(map(int, bad.split(':')))} do not fit group {group}: {reason}\n"
+
+
 def _elements_4x5000(count):
     return [f"{i % 4}:{i // 4}" for i in range(count)]
 
@@ -248,6 +266,14 @@ PINNED_JSON = [
      "0ea825bccbdf9bdfe37c123c9db90213004013330930a6beb31efa67d20a0035"),
     ("verify --group 2x4 --k 2 --l 1 --set 0:1,0:2,1:3", 1,
      "6619ae7f72d983965cce3d2829ec76deb21c643739f67b786f9ae664f2a916a4"),
+    # members laid out by block: four blocks of 15 rows, and the same set parsed back
+    ("witness --group 2x2x30 --k 5 --l 2", 0,
+     "c704628ea6f809771ecfccba5477fe96eab0b24511c2c78bbf1c722a308dbc9e"),
+    ("verify --group 2x2x30 --k 5 --l 2 --set "
+     + ",".join(f"{a}:{b}:{c}" for a in range(2) for b in range(2) for c in range(1, 30, 2)), 0,
+     "5b74bdbc769848db6132e9be8a293a75ac48903f9f4c38dd2f82ae6eb7233f01"),
+    ("enumerate --group 2x2x4 --k 2 --l 1", 0,
+     "d96cdcfeb6f9d9f82e4891f2e35fac9c9d3449636ae982fdfbf26f2f9f3e35b4"),
 ]
 
 
@@ -299,6 +325,22 @@ _JSON = st.recursive(
 @given(_JSON)
 def test_json_layout_equals_json_dumps(value):
     assert cli._json_layout(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_members_layout_equals_json_dumps():
+    # every group of order <= 128: a Subset is laid out as json lays out
+    # members_json of it, at the top level and nested under a key
+    rng = random.Random(22)
+    for g in abelian.all_abelian_groups(128):
+        n = g.n
+        sets = [Subset.empty(g), Subset.full(g)]
+        sets += [Subset.from_indices(g, [i]) for i in sorted({0, 1, g.v - 1, g.v, n // 2, n - 1} & set(range(n)))]
+        sets += [Subset(g, rng.getrandbits(n) & rng.getrandbits(n)) for _ in range(3)]
+        sets.append(Subset.from_indices(g, rng.sample(range(n), min(n, 8))))
+        for s in sets:
+            for pad in ("", "    "):
+                expected = json.dumps(members_json(s), indent=2).replace("\n", "\n" + pad)
+                assert cli._json_layout(s, pad) == expected, (g, s, pad)
 
 
 def test_json_layout_rejects_non_str_keys():

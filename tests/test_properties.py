@@ -6,7 +6,8 @@ takes it as its reference), bitmask translation and both sumset kernels
 against coordinate addition, negation
 against coordinate negation, the two sum-free characterizations against
 each other, quotient lifts and the sum-free check of a lift in its
-quotient, the violation search, the
+quotient, the violation search, the --set text reader against a
+per-element reading, the
 automorphism-orbit key under unit scaling, and the exact search's
 first-fit colouring against a class-by-class one.
 Examples are derandomized, so every run draws the same cases.
@@ -32,6 +33,7 @@ from klsumfree import (
     negate,
     pair_sumset,
 )
+from klsumfree import cli
 from klsumfree.abelian import padded_layout, translation_ops
 from klsumfree.oracle import _first_fit
 from klsumfree.sumset import _product_sumset, _shifted_sumset
@@ -162,6 +164,41 @@ def test_find_violation_exactly_on_non_sum_free_sets(gs, kl):
         for e in ltuple:
             lsum = g.add_index(lsum, g.index_of(e.coords))
         assert ksum == lsum
+
+
+@st.composite
+def numerals(draw, value: int) -> str:
+    """value as int still reads it: leading zeros, a "+", one "_" between
+    digits and spaces around it, each drawn or not."""
+    text = "0" * draw(st.integers(0, 2)) + str(value)
+    if len(text) > 1 and draw(st.booleans()):
+        cut = draw(st.integers(1, len(text) - 1))
+        text = text[:cut] + "_" + text[cut:]
+    text = draw(st.sampled_from(["", "+"])) + text
+    return " " * draw(st.integers(0, 1)) + text + " " * draw(st.integers(0, 1))
+
+
+def reference_parse(g, text: str) -> Subset:
+    """The per-element reading of a --set list: int per field, then checked_index."""
+    items = [item for item in text.strip().split(",") if item]
+    return Subset.from_indices(g, [g.checked_index([int(p) for p in item.split(":")]) for item in items])
+
+
+@fixed
+@given(group_and_set(max_density=2), st.data())
+def test_set_text_parses_to_its_set(gs, data):
+    # canonical text, in any order and with repeats, takes the column path;
+    # a non-canonical spelling (leading zeros, spaces, "+", "_", empty
+    # items, a trailing comma) reads as the per-element reference reads it
+    g, a = gs
+    coords = g.coords_of_all(a.indices())
+    rows = data.draw(st.permutations(coords)) + data.draw(st.lists(st.sampled_from(coords), max_size=3) if coords else st.just([]))
+    assert cli._parse_set(g, ",".join(":".join(map(str, c)) for c in rows)) == a
+    items = [":".join(data.draw(numerals(x)) for x in c) for c in rows]
+    for _ in range(data.draw(st.integers(0, 3))):
+        items.insert(data.draw(st.integers(0, len(items))), "")
+    text = ",".join(items) + data.draw(st.sampled_from(["", ","]))
+    assert cli._parse_set(g, text) == reference_parse(g, text) == a
 
 
 @fixed

@@ -101,6 +101,16 @@ def test_subset_index_round_trip():
         Subset.from_indices(make_group([5]), [-1])
 
 
+def test_from_indices_names_the_first_bad_index_of_an_iterator():
+    g = make_group([2, 50])
+    assert Subset.from_indices(g, iter([7, 3, 7, 99, 0])) == Subset(g, 1 << 99 | 1 << 7 | 1 << 3 | 1)
+    # a generator with bad indices in the middle: the first in iteration order is named
+    for bad, later in [(100, -1), (-3, 100), (10**30, -5)]:
+        indices = (i if i != 50 else bad for i in [*range(60), later, *range(60, 100)])
+        with pytest.raises(ValueError, match=rf"^index {bad} out of range for group of order 100$"):
+            Subset.from_indices(g, indices)
+
+
 def test_contains_rejects_elements_outside_the_group():
     g = make_group([2, 4])
     a = Subset.from_indices(g, [1])
