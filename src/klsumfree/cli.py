@@ -91,23 +91,19 @@ def _json_layout(value, pad: str = "") -> str:
     return json.dumps(value)
 
 
-def _members_layout(s: Subset, pad: str) -> str:
-    """The json layout of members_json(s), with no list built per member.
-
-    A cyclic group's indices are joined in one step.  In a product group,
-    index i is block i // v, which holds the leading coordinates, then
+def _rows(s: Subset, sep: str, start: str, comma: str, end: str) -> str:
+    """The members of s as rows joined by sep, with no object built per
+    member.  A cyclic group's rows are its bare indices.  A product
+    group's row is start, the coordinates joined by comma, then end.
+    Index i is block i // v, which holds the leading coordinates, then
     i % v; the members of a block are consecutive in index order, so each
     block the set meets is one join of its residues, with the rows' shared
     text, the block's prefix and the row's end, as the separator."""
     indices = s.indices()
-    if not indices:
-        return "[]"
-    inner = pad + "  "
-    sep = ",\n" + inner
     g = s.group
     if g.is_cyclic:
-        return "[\n" + inner + sep.join(map(str, indices)) + "\n" + pad + "]"
-    v, cell, end = g.v, "\n" + inner + "  ", "\n" + inner + "]"
+        return sep.join(map(str, indices))
+    v = g.v
     bounds, lo = [], 0
     while lo < len(indices):
         base = indices[lo] - indices[lo] % v
@@ -116,10 +112,21 @@ def _members_layout(s: Subset, pad: str) -> str:
         lo = hi
     blocks = []
     for (base, lo, hi), coords in zip(bounds, g.coords_of_all([b for b, _, _ in bounds])):
-        prefix = "[" + cell + ("," + cell).join(map(str, coords[:-1])) + "," + cell
+        prefix = start + comma.join(map(str, coords[:-1])) + comma
         residues = map(sub, indices[lo:hi], itertools.repeat(base)) if base else indices[lo:hi]
         blocks.append(prefix + (end + sep + prefix).join(map(str, residues)) + end)
-    return "[\n" + inner + sep.join(blocks) + "\n" + pad + "]"
+    return sep.join(blocks)
+
+
+def _members_layout(s: Subset, pad: str) -> str:
+    """The json layout of members_json(s): one row per member (_rows),
+    an index or a list of coordinates."""
+    if not s.bits:
+        return "[]"
+    inner = pad + "  "
+    cell = "\n" + inner + "  "
+    rows = _rows(s, ",\n" + inner, "[" + cell, "," + cell, "\n" + inner + "]")
+    return "[\n" + inner + rows + "\n" + pad + "]"
 
 
 def _emit_json(payload: dict) -> None:
@@ -213,7 +220,9 @@ def _group_name(g: GroupSpec) -> str:
 
 
 def _format_element(s: Subset) -> str:
-    return "{" + ",".join(str(e) for e in s.elements()) + "}"
+    """The text form of a set: its members as Element prints them, "3" in
+    a cyclic group and "(0,1,3)" in a product group, in braces."""
+    return "{" + _rows(s, ",", "(", ",", ")") + "}"
 
 
 def _terms_pairs(terms: dict[int, int]) -> list[list[int]]:
@@ -417,10 +426,10 @@ def cmd_enumerate(args) -> int:
 # scan
 
 def _parse_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise ValueError(f"range must look like 2..36, got {text!r}")
-    lo, hi = int(lo), int(hi)
+    try:
+        lo, hi = map(int, text.split(".."))
+    except ValueError:  # no "..", more than one, or an end that is no int
+        raise ValueError(f"range must look like 2..36, got {text!r}") from None
     if lo > hi:
         raise ValueError(f"range {text!r} is empty: {lo} > {hi}")
     if hi < 2:

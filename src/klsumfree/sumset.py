@@ -19,12 +19,9 @@ a time (_least_quotient).  The difference characterization stays
 unreduced, as the independent reference.
 
 A + B is computed in the padded layout of the group (abelian.PaddedLayout),
-where adding offsets adds elements, by one of two kernels chosen from the
-operand sizes: a small operand shifts the padded mask of the other once
-per element; large operands become 0/1 polynomials with one field of w
-decimal digits per slot (Kronecker substitution), and one exact product
-(a square when A = B) counts the representations of every slot at once.
-Neither kernel builds a per-group translation table.
+where adding offsets adds elements, by one kernel (_sumset_bits): the
+padded mask of the larger operand is shifted once per element of the
+smaller, and no per-group translation table is built.
 
 All functions are pure; callers may parallelize sweeps freely.
 """
@@ -32,7 +29,6 @@ All functions are pure; callers may parallelize sweeps freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from itertools import accumulate, repeat
 from operator import add
 from typing import Iterable, Optional
@@ -53,22 +49,6 @@ __all__ = [
     "kneser_check",
     "find_violation",
 ]
-
-
-# decimal digit -> b"0"/b"1" (is it nonzero)
-_NONZERO = bytes.maketrans(b"0123456789", b"0111111111")
-
-# The product kernel multiplies in decimal: CPython's int product is
-# Karatsuba, while libmpdec switches to a number-theoretic transform and
-# squares a 260,000-digit operand about 5x faster.  The context is exact
-# for integer operands of any length; Inexact is trapped all the same.
-# The shifts cost count * (padded size) bit operations, the product about
-# (padded size) * width * log, so the product pays off above a fixed
-# count, twice as high for two operands as for a square (measured on
-# CPython 3.11, cyclic and product groups of order 1,024-65,536).
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
-_PRODUCT_MIN = 8192
-_PRODUCT_MIN_SQUARE = 4096
 
 
 def _set_bits(x: int) -> list[int]:
@@ -155,50 +135,17 @@ def _require_same_group(a: Subset, b: Subset) -> None:
         raise ValueError(f"subsets live in different groups: {a.group} vs {b.group}")
 
 
-def _shifted_sumset(layout: PaddedLayout, small: int, large: int) -> int:
-    """Padded A + B as the union of the translates of B by each a in A."""
-    padded = layout.pad(large)
-    out = 0
-    for offset in _set_bits(layout.pad(small)):
-        out |= padded << offset
-    return out
-
-
-def _spread(padded: int, size: int, width: int) -> Decimal:
-    """The padded mask as a polynomial in 10**width: bit p becomes field p."""
-    return Decimal(("0" * (width - 1)).join(format(padded, f"0{size}b")))
-
-
-def _product_sumset(layout: PaddedLayout, a: int, b: int, count: int) -> int:
-    """Padded A + B from one product of polynomials (a square when A = B).
-
-    Field p of the product counts the pairs with padded sum p, at most
-    count = min(|A|, |B|), so fields of that many decimal digits never
-    carry into each other.
-    """
-    size = layout.size
-    width = len(str(count))
-    x = _spread(layout.pad(a), size, width)
-    y = x if a == b else _spread(layout.pad(b), size, width)
-    digits = str(_EXACT.multiply(x, y)).zfill(size * width).encode().translate(_NONZERO)
-    out = 0
-    for j in range(width):
-        out |= int(digits[j::width], 2)
-    return out
-
-
 def _sumset_bits(layout: PaddedLayout, x: int, y: int) -> int:
-    """The mask of A + B from the masks of A and B, by the kernel that
-    suits their sizes."""
-    cx, cy = x.bit_count(), y.bit_count()
-    count = min(cx, cy)
-    if count == 0:
-        return 0
-    if count <= (_PRODUCT_MIN_SQUARE if x == y else _PRODUCT_MIN):
-        padded = _shifted_sumset(layout, x, y) if cx <= cy else _shifted_sumset(layout, y, x)
-    else:
-        padded = _product_sumset(layout, x, y, count)
-    return layout.unpad(padded)
+    """The mask of A + B from the masks of A and B: the union of the
+    translates of the larger operand's padded mask by each element of the
+    smaller, shifts costing (smaller count) * (padded size) bit operations."""
+    if x.bit_count() > y.bit_count():
+        x, y = y, x
+    padded = layout.pad(y)
+    out = 0
+    for offset in _set_bits(layout.pad(x)):
+        out |= padded << offset
+    return layout.unpad(out)
 
 
 def pair_sumset(a: Subset, b: Subset) -> Subset:

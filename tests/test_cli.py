@@ -327,10 +327,9 @@ def test_json_layout_equals_json_dumps(value):
     assert cli._json_layout(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
-def test_members_layout_equals_json_dumps():
-    # every group of order <= 128: a Subset is laid out as json lays out
-    # members_json of it, at the top level and nested under a key
-    rng = random.Random(22)
+def _layout_cases(rng):
+    """(group, set) over every group of order <= 128: the empty set, G,
+    singletons at the block edges, and random sets."""
     for g in abelian.all_abelian_groups(128):
         n = g.n
         sets = [Subset.empty(g), Subset.full(g)]
@@ -338,9 +337,23 @@ def test_members_layout_equals_json_dumps():
         sets += [Subset(g, rng.getrandbits(n) & rng.getrandbits(n)) for _ in range(3)]
         sets.append(Subset.from_indices(g, rng.sample(range(n), min(n, 8))))
         for s in sets:
-            for pad in ("", "    "):
-                expected = json.dumps(members_json(s), indent=2).replace("\n", "\n" + pad)
-                assert cli._json_layout(s, pad) == expected, (g, s, pad)
+            yield g, s
+
+
+def test_members_layout_equals_json_dumps():
+    # a Subset is laid out as json lays out members_json of it, at the top
+    # level and nested under a key
+    for g, s in _layout_cases(random.Random(22)):
+        for pad in ("", "    "):
+            expected = json.dumps(members_json(s), indent=2).replace("\n", "\n" + pad)
+            assert cli._json_layout(s, pad) == expected, (g, s, pad)
+
+
+def test_format_element_equals_the_element_form():
+    # the text form of a set, laid out from its indices, is its Elements
+    # printed in braces
+    for g, s in _layout_cases(random.Random(23)):
+        assert cli._format_element(s) == "{" + ",".join(str(e) for e in s.elements()) + "}", (g, s)
 
 
 def test_json_layout_rejects_non_str_keys():
@@ -492,6 +505,16 @@ def test_scan_order_range_below_2_exits_2(capsys):
         capsys, "scan", "--family", "all-abelian", "--order", "1..1", "--k", "2", "--l", "1"
     )
     assert code == 2 and out == "" and "no order >= 2" in err
+
+
+@pytest.mark.parametrize(
+    "source",
+    [("--n", "2..x"), ("--n", "..5"), ("--family", "all-abelian", "--order", "2..3..4")],
+)
+def test_scan_malformed_range_is_named(capsys, source):
+    # an end that is no integer gets the range's message, not int's
+    code, out, err = run(capsys, "scan", *source, "--k", "2", "--l", "1")
+    assert (code, out, err) == (2, "", f"error: range must look like 2..36, got {source[-1]!r}\n")
 
 
 @pytest.mark.parametrize(

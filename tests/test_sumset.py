@@ -25,7 +25,6 @@ from klsumfree import (
     stabilizer,
 )
 from klsumfree import sumset
-from klsumfree.abelian import padded_layout
 
 from conftest import all_subsets, groups_up_to, subset
 
@@ -41,7 +40,7 @@ def _h_fold_naive(a: Subset, h: int) -> Subset:
 def _pair_sumset_reference(a: Subset, b: Subset) -> Subset:
     """A + B on the plain n-bit masks, one translate per element of the
     smaller operand (the per-axis rotation kernel that the padded-layout
-    kernels replaced): adding e rotates every block of axis i by e's
+    kernel replaced): adding e rotates every block of axis i by e's
     coordinate on it, two masked shifts for the whole mask."""
     g = a.group
     small, large = (a, b) if a.size <= b.size else (b, a)
@@ -144,31 +143,25 @@ def test_pair_sumset_matches_table_reference():
             assert pair_sumset(interval, interval) == _pair_sumset_reference(interval, interval)
 
 
-def test_product_kernel_above_the_crossover(monkeypatch):
-    # operands large enough that pair_sumset picks the product, against the shifts
-    products = []
-    product = sumset._product_sumset
-    monkeypatch.setattr(sumset, "_product_sumset", lambda *args: products.append(1) or product(*args))
+def test_pair_sumset_of_large_operands():
+    # operands of thousands of elements, as large as the verify sets of
+    # the witness groups: closed forms, and scattered sets by reference
     rng = random.Random(37)
-    for g, square_only in [(make_group([9000]), True), (make_group([2, 8400]), False)]:
-        layout = padded_layout(g)
+    for g in [make_group([9000]), make_group([2, 8400])]:
         n = g.n
-        coset = Subset.from_indices(g, range(1, n, 2))
+        coset = Subset.from_indices(g, range(1, n, 2))  # the odd last coordinates
         interval = Subset.from_indices(g, range(n // 2 + 7))
         scattered = Subset.from_indices(g, rng.sample(range(n), n // 2 + 300))
-        cases = [(coset, coset), (scattered, scattered)]
-        if not square_only:
-            cases += [(coset, scattered), (interval, coset)]
-        for a, b in cases:
-            threshold = sumset._PRODUCT_MIN_SQUARE if a is b else sumset._PRODUCT_MIN
-            assert min(a.size, b.size) > threshold
-            shifted = layout.unpad(sumset._shifted_sumset(layout, a.bits, b.bits))
-            products.clear()
-            assert pair_sumset(a, b).bits == shifted, (g, a.size, b.size)
-            assert products == [1]
-    g = make_group([9000])
-    odd = Subset.from_indices(g, range(1, 9000, 2))
-    assert pair_sumset(odd, odd) == Subset.from_indices(g, range(0, 9000, 2))
+        # odd + odd = even, and an interval of more than n/2 indices holds
+        # a whole block of the last axis and spills into the next; one of
+        # m <= (v + 1) / 2 indices adds within block 0, to 2m - 1 indices
+        assert pair_sumset(coset, coset) == Subset.from_indices(g, range(0, n, 2))
+        assert pair_sumset(interval, interval) == Subset.full(g)
+        assert pair_sumset(interval, coset) == Subset.full(g)
+        quarter = Subset.from_indices(g, range(n // 4))
+        assert pair_sumset(quarter, quarter) == Subset.from_indices(g, range(2 * (n // 4) - 1))
+        for a, b in [(scattered, scattered), (coset, scattered)]:
+            assert pair_sumset(a, b) == _pair_sumset_reference(a, b), (g, a.size, b.size)
 
 
 def test_pair_sumset_on_many_axes():
