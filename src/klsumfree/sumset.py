@@ -13,15 +13,17 @@ A + ker pi = A, and every h-fold sum of A is a sum of lifts of residues
 in R, so hA = pi^-1(hR) for every h >= 1.  Hence kA & lA = pi^-1(kR & lR),
 which is empty exactly when kR & lR is: A is (k,l)-sum-free iff R is.  A
 is such a lift iff its mask is its low d bits repeated n/d times (their
-product with the base-2^d repunit, _repeat), and the d that pass are
-closed under gcd, so the least one is found by dividing out one prime at
-a time (_least_quotient).  The difference characterization stays
-unreduced, as the independent reference.
+product with the base-2^d repunit, _repeat); a lift has |R| n/d members,
+so n divides |A| d, and _least_quotient takes the first divisor of v, in
+ascending order, that passes both tests.  The difference characterization
+stays unreduced, as the independent reference.
 
 A + B is computed in the padded layout of the group (abelian.PaddedLayout),
 where adding offsets adds elements, by one kernel (_sumset_bits): the
 padded mask of the larger operand is shifted once per element of the
-smaller, and no per-group translation table is built.
+smaller, and no per-group translation table is built.  The layers hA
+come from one chain, jA = (j-1)A + A (_multiples), in which A is the
+smaller operand of every sumset.
 
 All functions are pure; callers may parallelize sweeps freely.
 """
@@ -33,7 +35,7 @@ from itertools import accumulate, repeat
 from operator import add
 from typing import Iterable, Optional
 
-from .abelian import Element, GroupSpec, PaddedLayout, make_group, padded_layout, prime_factors
+from .abelian import Element, GroupSpec, PaddedLayout, divisors, make_group, padded_layout
 from .formulas import KLParams
 
 __all__ = [
@@ -155,32 +157,22 @@ def pair_sumset(a: Subset, b: Subset) -> Subset:
 
 
 def _multiples(a: Subset, hs: tuple[int, ...]) -> list[int]:
-    """The masks of hA for h in hs, from one chain of doublings A, 2A, 4A, ...
+    """The masks of hA for h in hs, from one chain jA = (j-1)A + A.
 
-    hA is the sum of the powers 2^j A over the set bits of h, added from
-    the lowest bit up, (i+j)A = iA + jA; a partial sum that several h
-    share (the same low bits) is built once.
+    Layer j costs one shift per element of A, which is never larger than
+    (j-1)A; only the layers in hs are kept.
     """
-    layout = padded_layout(a.group)
-    powers = [a.bits]
-    while 1 << len(powers) <= max(hs):
-        powers.append(_sumset_bits(layout, powers[-1], powers[-1]))
-    built: dict[int, int] = {}
-    out = []
-    for h in hs:
-        part = 0
-        for j, power in enumerate(powers):
-            if h >> j & 1:
-                low = part
-                part |= 1 << j
-                if part not in built:
-                    built[part] = power if low == 0 else _sumset_bits(layout, built[low], power)
-        out.append(built[part])
-    return out
+    layout, layer = padded_layout(a.group), a.bits
+    kept = dict.fromkeys(hs, layer)
+    for j in range(2, max(hs) + 1):
+        layer = _sumset_bits(layout, a.bits, layer)
+        if j in kept:
+            kept[j] = layer
+    return [kept[h] for h in hs]
 
 
 def h_fold(a: Subset, h: int) -> Subset:
-    """The h-fold sumset hA, computed by doubling.
+    """The h-fold sumset hA, from the chain of _multiples.
 
     h = 0 is rejected: 0A never comes up and its natural value ({0}) is a
     trap for callers expecting a multiple of A.
@@ -223,24 +215,17 @@ def _least_quotient(a: Subset) -> Optional[int]:
     """The least d >= 2 dividing the exponent v such that A = pi^-1(R) for
     pi: G -> Z_d, index mod d; None if A is no such lift with d < n.
 
-    The d that pass are the multiples of the least period of the mask
-    among the divisors of n, so if v fails, every d | v fails, and from a
-    passing m it suffices to try m/p for each prime p | m.
+    The divisors of v are tried in ascending order.  A lift of R has
+    |R| n/d members, so a d for which n does not divide |A| d is skipped
+    without the period check.
     """
-    g, bits = a.group, a.bits
-    if bits in (0, (1 << g.n) - 1):
+    g, bits, size = a.group, a.bits, a.size
+    if not 0 < size < g.n:
         return None  # least period 1, and Z_1 is no group here
-
-    def lifted(d: int) -> bool:
-        return bits == _repeat(bits & ((1 << d) - 1), d, g.n)
-
-    m = g.v
-    if m < g.n and not lifted(m):
-        return None
-    for p in prime_factors(m):
-        while m % p == 0 and lifted(m // p):
-            m //= p
-    return m if m < g.n else None
+    for d in divisors(g.v)[1:]:
+        if d < g.n and size * d % g.n == 0 and bits == _repeat(bits & ((1 << d) - 1), d, g.n):
+            return d
+    return None
 
 
 def is_kl_sum_free(a: Subset, k: int, l: int) -> bool:
@@ -332,7 +317,7 @@ def find_violation(
     The tuples are the lexicographically first over index-sorted tuples:
     the first k-tuple whose sum lies in lA, then the first l-tuple with
     that sum.  Each is built one element at a time from the layers
-    0A..kA (1A..kA from the doubling chain of _multiples), taking the
+    0A..kA (1A..kA from the chain of _multiples), taking the
     smallest a in A with which the remaining layer can still reach the
     target, so no tuple is enumerated.
     """
@@ -360,4 +345,4 @@ def find_violation(
 
     ktuple, target = first_tuple(k, layers[l])
     ltuple, _ = first_tuple(l, 1 << target)
-    return tuple(map(g.element_at, ktuple)), tuple(map(g.element_at, ltuple))
+    return tuple(tuple(map(Element, g.coords_of_all(t))) for t in (ktuple, ltuple))

@@ -6,7 +6,8 @@ takes it as its reference), bitmask translation and the sumset kernel
 against coordinate addition, negation
 against coordinate negation, the two sum-free characterizations against
 each other, quotient lifts and the sum-free check of a lift in its
-quotient, the violation search, the --set text reader against a
+quotient, the least quotient against a scan of every divisor, the
+violation search, the --set text reader against a
 per-element reading, the
 automorphism-orbit key under unit scaling, and the exact search's
 first-fit colouring against a class-by-class one.
@@ -33,7 +34,7 @@ from klsumfree import (
     negate,
     pair_sumset,
 )
-from klsumfree import cli
+from klsumfree import cli, sumset
 from klsumfree.abelian import padded_layout, translation_ops
 from klsumfree.oracle import _first_fit
 
@@ -136,6 +137,31 @@ def test_sum_free_check_of_lifts_and_near_lifts(g, kl, data):
         free = is_kl_sum_free(a, *kl)
         assert free == is_kl_sum_free_via_difference(a, *kl)
         assert (find_violation(a, *kl) is None) == free
+
+
+def _least_quotient_by_scan(a: Subset):
+    """The least divisor 2 <= d < n of v with i in A iff i mod d in A for
+    every index i, with no size filter; None for {} and G, whose least
+    period is 1."""
+    g, members = a.group, set(a.indices())
+    if len(members) in (0, g.n):
+        return None
+    for d in divisors(g.v):
+        if 2 <= d < g.n and all((i in members) == (i % d in members) for i in range(g.n)):
+            return d
+    return None
+
+
+@fixed
+@given(st.sampled_from(GROUPS), st.data())
+def test_least_quotient_matches_a_scan_of_every_divisor(g, data):
+    # _least_quotient skips the d for which n does not divide |A| d; on
+    # lifts and near lifts it finds the same d as the unfiltered scan
+    d = data.draw(st.sampled_from(divisors(g.v)[1:]))
+    lifted = cyclic_quotient_lift(g, d, Subset(make_group([d]), data.draw(st.integers(0, (1 << d) - 1))))
+    toggled = Subset(g, lifted.bits ^ 1 << data.draw(st.integers(0, g.n - 1)))
+    for a in (lifted, toggled):
+        assert sumset._least_quotient(a) == _least_quotient_by_scan(a), (g, d, a.indices())
 
 
 @fixed

@@ -187,9 +187,10 @@ def test_h_fold_examples():
         h_fold(a, 0)
 
 
-def test_h_fold_doubling_matches_naive():
+def test_h_fold_matches_naive():
     rng = random.Random(5)
-    for g in [make_group([11]), make_group([2, 8]), make_group([3, 6]), make_group([24])]:
+    groups = [make_group([11]), make_group([2, 8]), make_group([3, 6]), make_group([24]), make_group([2, 2, 6])]
+    for g in groups:
         for _ in range(20):
             bits = rng.randrange(1, 1 << g.n)
             a = Subset(g, bits)
@@ -197,32 +198,32 @@ def test_h_fold_doubling_matches_naive():
                 assert h_fold(a, h) == _h_fold_naive(a, h)
 
 
-def test_kl_sum_free_shares_one_doubling_chain(monkeypatch):
+def test_kl_sum_free_adds_a_once_per_layer(monkeypatch):
+    # a set that is no lift is checked in G by the chain jA = (j-1)A + A:
+    # k - 1 sumsets, each with A as an operand, whose results are 2A..kA
     calls = []
     counted = sumset._sumset_bits
 
-    def counting(layout, x, y):
-        calls.append(1)
-        return counted(layout, x, y)
+    def recording(layout, x, y):
+        out = counted(layout, x, y)
+        calls.append((x, y, out))
+        return out
 
-    def h_fold_sumsets(h):  # sumsets one h_fold(a, h) takes
-        return h.bit_length() - 1 + bin(h).count("1") - 1
-
-    monkeypatch.setattr(sumset, "_sumset_bits", counting)
+    monkeypatch.setattr(sumset, "_sumset_bits", recording)
     rng = random.Random(31)
-    taken = {}
     for g in groups_up_to(24):
         sets = [Subset(g, rng.randrange(1, 1 << g.n)), Subset(g, 1 << rng.randrange(g.n))]
-        for k in range(2, 8):
-            for l in range(1, k):
-                for a in sets:
-                    ka, la = sumset._multiples(a, (k, l))
-                    assert ka == h_fold(a, k).bits and la == h_fold(a, l).bits
+        for a in sets:
+            if sumset._least_quotient(a) is not None:
+                continue
+            layers = [h_fold(a, h).bits for h in range(1, 8)]
+            for k in range(2, 8):
+                for l in range(1, k):
                     calls.clear()
-                    assert is_kl_sum_free(a, k, l) == (ka & la == 0)
-                    assert len(calls) <= h_fold_sumsets(k) + h_fold_sumsets(l)
-                    taken[k, l] = len(calls)
-    assert taken[3, 2] == 2 and taken[5, 2] == 3 and taken[7, 3] == 4
+                    assert is_kl_sum_free(a, k, l) == (layers[k - 1] & layers[l - 1] == 0)
+                    assert len(calls) == k - 1, (g, a, k, l)
+                    assert all(a.bits in (x, y) for x, y, _ in calls)
+                    assert [out for _, _, out in calls] == layers[1:k]
 
 
 def test_negate():
@@ -264,19 +265,20 @@ def test_lift_is_checked_in_its_least_quotient(monkeypatch):
 
     monkeypatch.setattr(sumset, "make_group", recording)
     g = make_group([24])
-    # {1} mod d has least period d; the descent from 24 divides out a prime
-    # as often as it can (24 -> 12 -> 6 -> 3)
+    # {1} mod d has least period d, the first divisor of 24 in ascending
+    # order that passes the period check
     for d in (2, 3, 4, 6, 8, 12):
         assert sumset._least_quotient(cyclic_quotient_lift(g, d, subset(make_group([d]), 1))) == d
-    # {1} mod 4 also repeats with period 8 and 12, and the descent must
-    # still reach 4
+    # {1} mod 4 also repeats with period 8 and 12, and the scan must stop
+    # at 4 first
     a = cyclic_quotient_lift(g, 4, subset(make_group([4]), 1))
     for d in (8, 12):
         assert a == cyclic_quotient_lift(g, d, Subset(make_group([d]), a.bits & ((1 << d) - 1)))
     # 3 - 1 = 2 moves 1 off itself mod 4, 5 - 1 = 4 does not
     assert is_kl_sum_free(a, 3, 1) and not is_kl_sum_free(a, 5, 1)
     assert quotients == [(4,), (4,)]
-    # in a product group the probe starts at the exponent: {1} mod 3 in Z_2 x Z_6
+    # in a product group only the divisors of the exponent are tried: {1}
+    # mod 3 in Z_2 x Z_6
     g = make_group([2, 6])
     a = cyclic_quotient_lift(g, 3, subset(make_group([3]), 1))
     assert sumset._least_quotient(a) == 3
