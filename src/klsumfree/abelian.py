@@ -151,9 +151,6 @@ class GroupSpec:
                 )
         return self.index_of(coords)
 
-    def element_at(self, index: int) -> "Element":
-        return Element(self.coords_of(index))
-
     def add_index(self, i: int, j: int) -> int:
         for x in (i, j):
             if not 0 <= x < self.n:
@@ -174,7 +171,7 @@ class GroupSpec:
 @dataclass(frozen=True)
 class Element:
     """A group element as a tuple of residues, coords[i] in [0, d_i): the
-    display form of an index (GroupSpec.element_at)."""
+    display form of an index, Element(g.coords_of(i))."""
 
     coords: tuple[int, ...]
 

@@ -25,11 +25,15 @@ orbit is b follow from those that contain the orbit's first element.  The
 enumeration of maximum sets walks the same branches, coloured, with the
 floor at lambda - 1, closes the sets it finds under the generating
 automorphisms (abelian.automorphism_closure), and sorts the closure into
-element-index order.  The orbits are the closures of single elements
-under the same generators (abelian.automorphism_orbits).  The search,
-the count and the enumeration need only that each generator is an
-automorphism and that the orbits are those of the group they generate;
-that the orbits are the whole Aut(G)-orbits only keeps the branches few.
+element-index order.  Both take a complete level, one whose chosen set
+plus all its candidates is sum-free (_joins), in bulk and skip its
+subtree: heredity makes every set below it sum-free, so the count tallies
+their sizes by binomials and the enumeration keeps the one largest set.
+The orbits are the closures of single elements under the same generators
+(abelian.automorphism_orbits).  The search, the count and the enumeration
+need only that each generator is an automorphism and that the orbits are
+those of the group they generate; that the orbits are the whole
+Aut(G)-orbits only keeps the branches few.
 
 Progression maxima (alpha/beta/gamma) do not enumerate subsets at all: for
 a progression with difference q and start a, the difference set kA - lA is
@@ -51,7 +55,7 @@ from __future__ import annotations
 import functools
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from math import gcd
+from math import comb, gcd
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -106,8 +110,9 @@ class SearchResult:
 @dataclass(frozen=True)
 class CountResult:
     """Exact number of (k,l)-sum-free subsets, split by size (read-only),
-    with the number of sets the walks visited.  Results compare by their
-    counts alone.
+    with nodes_explored: the empty set, each orbit branch's root, and every
+    set the walks reach, whether visited or tallied in bulk below a
+    complete level.  Results compare by their counts alone.
     """
 
     total: int
@@ -140,6 +145,25 @@ def _make_extend(g: GroupSpec, k: int, l: int):
         return None if prev & out[l] else out
 
     return extend
+
+
+def _joins(extend, level) -> bool:
+    """Whether the chosen set of a level plus every candidate of it is
+    (k,l)-sum-free: one chain of extend from level[0]'s layers, adding the
+    rest of the level one element at a time.  False for an empty level.
+
+    Sum-freeness is hereditary, so when it holds every chosen + S, S a
+    subset of the level, is sum-free: the walk below the level would
+    visit each nonempty S once.
+    """
+    if not level:
+        return False
+    layers = level[0][1]
+    for x, _ in level[1:]:
+        layers = extend(layers, x)
+        if layers is None:
+            return False
+    return True
 
 
 def _first_fit(n: int, compatible: Callable[[int, int], bool]) -> tuple[list[int], list[int]]:
@@ -389,7 +413,7 @@ def lambda_exact(
 
 
 def _count(g: GroupSpec, k: int, l: int) -> tuple[dict[int, int], int]:
-    """The count visitor: (number of sum-free sets by size, sets visited).
+    """The count visitor: (number of sum-free sets by size, sets reached).
 
     The branches are _orbit_branches', as in _search_max.  A nonempty set's
     first orbit is the first one it meets, and no set meets a skipped orbit.
@@ -399,12 +423,21 @@ def _count(g: GroupSpec, k: int, l: int) -> tuple[dict[int, int], int]:
     to each element of orbit b, so each of its |O_b| elements lies in
     N_b(s, m) of the sets with size s, first orbit b and m members there;
     counting the pairs (set, member in orbit b) both ways, there are
-    |O_b| N_b(s, m) / m such sets.  nodes counts the empty set, each branch
-    root and every set the walks visit.
+    |O_b| N_b(s, m) / m such sets.
+
+    A level of depth d whose chosen set has m members in orbit b is
+    tallied one set per candidate and walked, unless it is complete
+    (_joins): then, with i its leading orbit members and o the rest, the
+    walk below it would visit the C(i, a) C(o, c) sets that add a members
+    and c others, for every (a, c) but (0, 0), so they are tallied as
+    N_b(d - 1 + a + c, m + a) and the subtree is skipped.  nodes counts the
+    empty set, each branch root and every set the tallies hold: the same
+    sets a walk without bulk tallies visits.
     """
     by_size = defaultdict(int)
     by_size[0] = 1
     nodes = 1
+    extend = _make_extend(g, k, l)
     for orbit, later in _orbit_branches(g, k, l):
         members = frozenset(orbit)
         tally = defaultdict(int)
@@ -426,9 +459,19 @@ def _count(g: GroupSpec, k: int, l: int) -> tuple[dict[int, int], int]:
                 if x not in members:
                     break
                 inside += 1
-            tally[depth, m + 1] += inside
-            tally[depth, m] += len(level) - inside
-            return True
+            outside = len(level) - inside
+            if not _joins(extend, level):
+                tally[depth, m + 1] += inside
+                tally[depth, m] += outside
+                return True
+            # a complete level: chosen plus a of its members and c of the
+            # rest, for every (a, c) but (0, 0), is a set the walk below
+            # would visit, each once
+            for a in range(inside + 1):
+                for c in range(outside + 1):
+                    if a or c:
+                        tally[depth - 1 + a + c, m + a] += comb(inside, a) * comb(outside, c)
+            return False
 
         _walk(g, k, l, [0], visit, later, orbit[:1])
         for (size, m), sets in tally.items():
@@ -476,17 +519,28 @@ def enumerate_maximum(
     of orbit b.  A maximum set whose first orbit is b holds some e in
     orbit b, and the h in H with h(r_b) = e maps one of branch b's sets
     onto it; so the closure, which holds every image under H of the sets
-    found, is every maximum set.  limit caps g.n (None lifts it).
+    found, is every maximum set.  Below a complete level (_joins) of depth
+    less than the maximum, every set is sum-free, so the only maximum set
+    there is the chosen set plus the whole level: it is kept when its size
+    is the maximum and the subtree is skipped.  limit caps g.n (None lifts
+    it).
     """
     _check_limit(g.n, limit, "maximum enumeration")
     lam = lambda_exact(g, kl, limit=None).max_size
     if lam == 0:
         return [Subset.empty(g)]
     found: list[tuple[int, ...]] = []
+    extend = _make_extend(g, kl.k, kl.l)
 
     def visit(level, depth, chosen):
         if depth < lam:
-            return True
+            if not _joins(extend, level):
+                return True
+            # a complete level: the one largest set below it is chosen
+            # plus the whole level
+            if len(chosen) + len(level) == lam:
+                found.append(tuple(sorted(chosen + tuple(x for x, _ in level))))
+            return False
         found.extend(tuple(sorted(chosen + (x,))) for x, _ in level)
         return False
 

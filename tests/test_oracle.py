@@ -414,6 +414,57 @@ def test_count_rejects_a_partition_that_is_not_the_orbits(monkeypatch):
         oracle._count(make_group([8]), 2, 1)
 
 
+def test_complete_levels_tally_as_the_walk(monkeypatch):
+    # the count tallies a complete level (the chosen set plus all of it
+    # sum-free) by binomials, and the enumeration takes its one largest
+    # set; with no level reported complete, the walks visit every set
+    # below it and must give the same counts, effort and lists
+    from klsumfree import oracle
+
+    def results():
+        return [
+            (oracle._count(g, k, l), [s.indices() for s in enumerate_maximum(g, KLParams(k, l))])
+            for g in groups_up_to(24)
+            for k, l in SEARCH_PAIRS
+        ]
+
+    bulk = results()
+    monkeypatch.setattr(oracle, "_joins", lambda extend, level: False)
+    assert results() == bulk
+
+
+@pytest.mark.parametrize(
+    "factors, k, l, walked, bulk",
+    [_pin([32], 2, 1, 57884, 35499), _pin([2] * 5, 3, 2, 598748, 272153)],
+)
+def test_complete_levels_save_extend_calls(monkeypatch, factors, k, l, walked, bulk):
+    # extend calls of one count, the walk's and the completeness chains',
+    # with complete levels tallied in bulk and with every level walked
+    from klsumfree import oracle
+
+    calls = 0
+    make_extend = oracle._make_extend
+
+    def counting_make_extend(g, k, l):
+        extend = make_extend(g, k, l)
+
+        def counted(layers, x):
+            nonlocal calls
+            calls += 1
+            return extend(layers, x)
+
+        return counted
+
+    monkeypatch.setattr(oracle, "_make_extend", counting_make_extend)
+    g, kl = make_group(factors), KLParams(k, l)
+    first = count_sum_free(g, kl, limit=None)
+    assert calls == bulk
+    calls = 0
+    monkeypatch.setattr(oracle, "_joins", lambda extend, level: False)
+    assert count_sum_free(g, kl, limit=None).nodes_explored == first.nodes_explored
+    assert calls == walked
+
+
 # ---------------------------------------------------------------------------
 # progression maxima
 

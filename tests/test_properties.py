@@ -9,8 +9,9 @@ each other, quotient lifts and the sum-free check of a lift in its
 quotient, the least quotient against a scan of every divisor, the
 violation search, the --set text reader against a
 per-element reading, the
-automorphism-orbit key under unit scaling, and the exact search's
-first-fit colouring against a class-by-class one.
+automorphism-orbit key under unit scaling, the exact search's
+first-fit colouring against a class-by-class one, and the oracle's
+check that a level is complete against the sum-free test.
 Examples are derandomized, so every run draws the same cases.
 """
 
@@ -36,9 +37,9 @@ from klsumfree import (
 )
 from klsumfree import cli, sumset
 from klsumfree.abelian import padded_layout, translation_ops
-from klsumfree.oracle import _first_fit
+from klsumfree.oracle import _first_fit, _joins, _make_extend
 
-from conftest import height_keys, move_padded
+from conftest import height_keys, kl_pairs, move_padded
 
 GROUPS = all_abelian_groups(64)
 PAIRS = [(2, 1), (3, 1), (3, 2), (4, 1), (5, 2)]
@@ -305,3 +306,23 @@ def test_colour_classes_bound_the_cliques_of_each_prefix(adj):
             assert not adj[order[a]] >> order[b] & 1, (order, colours)
     for p in range(len(order)):
         assert colours[p] >= clique_number(adj, order[:p + 1]), (order, colours, p)
+
+
+@fixed
+@given(st.sampled_from([g for g in GROUPS if g.n <= 32]), st.sampled_from(kl_pairs(6)), st.data())
+def test_complete_level_check_matches_sum_free_test(g, kl, data):
+    # the count and the enumeration take a level in bulk when _joins finds
+    # the chosen set plus all its candidates sum-free; an empty level is
+    # never complete
+    extend = _make_extend(g, kl.k, kl.l)
+    layers, chosen = [1] + [0] * kl.k, []
+    for x in data.draw(st.lists(st.integers(0, g.n - 1), max_size=8)):
+        lx = extend(layers, x)
+        if x not in chosen and lx is not None:
+            layers, chosen = lx, chosen + [x]
+    addable = [x for x in range(g.n) if x not in chosen and extend(layers, x) is not None]
+    picked = data.draw(st.lists(st.sampled_from(addable), max_size=6, unique=True)) if addable else []
+    level = [(x, extend(layers, x)) for x in picked]
+    joined = Subset.from_indices(g, chosen + picked)
+    assert _joins(extend, level) == (bool(level) and is_kl_sum_free(joined, kl.k, kl.l))
+    assert not _joins(extend, [])

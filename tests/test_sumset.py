@@ -407,8 +407,8 @@ def _find_violation_reference(a, k, l):
         for i in combo:
             total = g.add_index(total, i)
         if total in l_sums:
-            ktuple = tuple(g.element_at(i) for i in combo)
-            ltuple = tuple(g.element_at(i) for i in l_sums[total])
+            ktuple = tuple(Element(g.coords_of(i)) for i in combo)
+            ltuple = tuple(Element(g.coords_of(i)) for i in l_sums[total])
             return ktuple, ltuple
     return None
 
