@@ -39,15 +39,18 @@ Progression maxima (alpha/beta/gamma) do not enumerate subsets at all: for
 a progression with difference q and start a, the difference set kA - lA is
 {(k-l)a + i*q : -l*c <= i <= k*c}, so the largest safe c falls out of a
 congruence.  Its solutions depend on q only through g = gcd(q, n) and on a
-only through a subgroup of Z_{n/g}, so one short loop per divisor g of n
-gives all three maxima, in O(sigma(n)) steps.
+only through a subgroup of Z_{n/g}.  Over that subgroup the safe length
+rises up to one cutoff and falls after it, and of the two starts beside
+the cutoff the one below it is never beaten, so one start per divisor g
+of n gives all three maxima, in O(d(n)) steps.
 
 Each entry point takes one limit on the order, by default its
 DEFAULT_LIMIT_EXACT, DEFAULT_LIMIT_COUNT or DEFAULT_LIMIT_AP: a larger
 order raises LimitExceededError, and limit=None lifts the limit.
 
 Searches are deterministic and sequential; callers that want parallelism
-can fan out across instances.  Exact lambda results are cached per process.
+can fan out across instances.  Exact lambda results are cached per process,
+for the last _EXACT_CACHE_MAX instances.
 """
 
 from __future__ import annotations
@@ -374,8 +377,11 @@ def _search_max(
     return lam, witness, nodes
 
 
-# (g.factors, k, l) -> the search's result; grows by one entry per miss
+# (g.factors, k, l) -> the search's result, oldest first; a miss adds one
+# entry, dropping the oldest once the cache holds _EXACT_CACHE_MAX (a search
+# benchmark round fills under 160 keys)
 _EXACT_CACHE: dict[tuple, SearchResult] = {}
+_EXACT_CACHE_MAX = 1024
 
 
 def lambda_exact(
@@ -394,9 +400,10 @@ def lambda_exact(
     given, is called as progress(nodes, depth, best) with nodes a multiple
     of progress_interval, once per level that crosses one; best never drops
     and never falls below the constructive witness's size.
-    Results are cached per process and (group, k, l): a repeated call
-    searches nothing, never calls progress, and returns the first search's
-    result with cached=True.  limit caps g.n (None lifts it).
+    Results are cached per process and (group, k, l), for the last
+    _EXACT_CACHE_MAX instances searched: a repeated call searches nothing,
+    never calls progress, and returns the first search's result with
+    cached=True.  limit caps g.n (None lifts it).
     """
     _check_limit(g.n, limit, "exact search")
     key = (g.factors, kl.k, kl.l)
@@ -408,6 +415,8 @@ def lambda_exact(
         g, kl.k, kl.l, tuple(seed.members.indices()), progress, progress_interval
     )
     result = SearchResult(size, Subset.from_indices(g, indices), nodes)
+    if len(_EXACT_CACHE) >= _EXACT_CACHE_MAX:
+        del _EXACT_CACHE[next(iter(_EXACT_CACHE))]
     _EXACT_CACHE[key] = result
     return result
 
@@ -574,8 +583,21 @@ def _ap_maxima(n: int, k: int, l: int) -> tuple[int, int, int]:
     over the multiples of D/g, a divisor of N, and so does i0 (a unit times
     r/g).  Every divisor g of n is gcd(q, n) for some q (q = g, or q = 0 for
     g = n, the singletons), so alpha, beta and gamma are maxima over the
-    divisors g of n: beta over g > 1, gamma at g = 1.  Only divisors of D
-    need a loop, of length n/D each; their total is at most sigma(n).
+    divisors g of n: beta over g > 1, gamma at g = 1.
+
+    For g | D the maximum of f(i0) = min(ceil(i0/k), ceil((N-i0)/l)) over
+    the multiples i0 of s = D/g in [0, N) needs no loop.  With
+    x* = kN/(k+l), i0 <= x* iff i0/k <= (N-i0)/l, so f(i0) = ceil(i0/k) up
+    to x*, which never falls as i0 grows, and f(i0) = ceil((N-i0)/l) past
+    it, which never rises.  So the maximum sits at one of two cutoffs: the
+    last multiple a = s*floor(floor(x*)/s) at or below x*, with f(a) =
+    c = ceil(a/k), or the first one past it, a + s, when a + s < N.  The
+    second never wins.  Suppose it did: u = N - a - s > l*c.  Past x*,
+    l(a+s) > k*u > klc, and a <= kc, so v = a + s is the one multiple of s
+    in (kc, kc+s], kc + t say.  s divides k - l, so lc = kc (mod s) and u,
+    a multiple of s above lc, is at least lc + t.  Then l(kc+t) = l*v >
+    k*u >= k(lc+t) gives l > k, which is false.  So each divisor g | D
+    gives ceil(a/k) in O(1) steps, and a call takes O(d(n)).
     """
     dd = gcd(n, k - l)
     beta = gamma = 0
@@ -584,10 +606,8 @@ def _ap_maxima(n: int, k: int, l: int) -> tuple[int, int, int]:
         if dd % g:
             best = period
         else:
-            best = max(
-                min(-(-i0 // k), -(-(period - i0) // l))
-                for i0 in range(0, period, dd // g)
-            )
+            step = dd // g
+            best = -(-(k * period // (k + l) // step * step) // k)
         if g == 1:
             gamma = best
         else:

@@ -29,6 +29,7 @@ from klsumfree import (
     lambda_exact,
     make_group,
 )
+from klsumfree.abelian import divisors
 from klsumfree.oracle import _ap_maxima, _search_max, _walk
 
 from conftest import brute_force_max, groups_up_to, kl_pairs
@@ -213,8 +214,7 @@ def test_lambda_exact_cache_grows_one_entry_per_miss():
     from klsumfree.oracle import _EXACT_CACHE
 
     g = make_group([2, 6])
-    for k, l in [(2, 1), (3, 1)]:
-        _EXACT_CACHE.pop((g.factors, k, l), None)
+    _EXACT_CACHE.clear()  # the suite's earlier searches could have filled it to its bound
     size = len(_EXACT_CACHE)
     lambda_exact(g, KL21)
     assert len(_EXACT_CACHE) == size + 1 and (g.factors, 2, 1) in _EXACT_CACHE
@@ -223,6 +223,25 @@ def test_lambda_exact_cache_grows_one_entry_per_miss():
     assert len(_EXACT_CACHE) == size + 1
     enumerate_maximum(g, KLParams(3, 1))  # a miss through enumerate adds one
     assert len(_EXACT_CACHE) == size + 2
+
+
+def test_lambda_exact_cache_drops_its_oldest_entry_at_the_bound(monkeypatch):
+    from klsumfree import oracle
+
+    monkeypatch.setattr(oracle, "_EXACT_CACHE_MAX", 2)
+    oracle._EXACT_CACHE.clear()
+    g = make_group([12])
+    first = lambda_exact(g, KL21)
+    lambda_exact(g, KL31)
+    assert lambda_exact(g, KL21).cached  # two entries: nothing dropped yet
+    lambda_exact(g, KLParams(4, 1))  # the third drops the oldest, (2, 1)
+    assert list(oracle._EXACT_CACHE) == [(g.factors, 3, 1), (g.factors, 4, 1)]
+    again = lambda_exact(g, KL21)  # searched again, and (3, 1) drops
+    assert not again.cached
+    assert (again.max_size, again.witness, again.nodes_explored) == (
+        first.max_size, first.witness, first.nodes_explored)
+    assert list(oracle._EXACT_CACHE) == [(g.factors, 4, 1), (g.factors, 2, 1)]
+    oracle._EXACT_CACHE.clear()
 
 
 def test_count_examples():
@@ -536,8 +555,48 @@ def per_pair_ap_maxima(n, kl):
     return tuple(best)
 
 
+def scan_ap_maxima(n, k, l):
+    """(alpha, beta, gamma) from the oracle's per-divisor congruence, with
+    every allowed cutoff i0 of a divisor's period tried in turn: O(sigma(n))
+    steps, the reference for the oracle's one cutoff per divisor."""
+    from math import gcd
+
+    dd = gcd(n, k - l)
+    beta = gamma = 0
+    for g in divisors(n):
+        period = n // g
+        if dd % g:
+            best = period
+        else:
+            best = max(
+                min(-(-i0 // k), -(-(period - i0) // l))
+                for i0 in range(0, period, dd // g)
+            )
+        if g == 1:
+            gamma = best
+        else:
+            beta = max(beta, best)
+    return max(beta, gamma), beta, gamma
+
+
+def test_progression_maxima_match_cutoff_scan():
+    # the uncached function: every (n, k, l) is worked out afresh
+    for n in range(1, 401):
+        for kl in kl_pairs(6):
+            assert _ap_maxima.__wrapped__(n, kl.k, kl.l) == scan_ap_maxima(n, kl.k, kl.l), (n, kl)
+
+
+def test_alpha_exact_matches_closed_forms_at_large_orders():
+    # orders far past DEFAULT_LIMIT_AP, which the cutoff scan could not reach
+    # quickly: a run of consecutive orders, and orders with many divisors,
+    # prime powers and a prime
+    for n in [*range(10**6, 10**6 + 300), 720720, 997920, 2**20, 3**12, 999983]:
+        assert alpha_exact(n, KL21, limit=None) == alpha_21(n), n
+        assert alpha_exact(n, KL31, limit=None) == alpha_31(n), n
+
+
 def test_progression_maxima_match_per_pair_reference():
-    # the oracle reduces the (a, q) pairs to one loop per divisor of n;
+    # the oracle reduces the (a, q) pairs to one cutoff per divisor of n;
     # this checks that reduction against every pair
     for n in range(2, 101):
         for kl in kl_pairs(5):

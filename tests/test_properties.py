@@ -10,8 +10,10 @@ quotient, the least quotient against a scan of every divisor, the
 violation search, the --set text reader against a
 per-element reading, the
 automorphism-orbit key under unit scaling, the exact search's
-first-fit colouring against a class-by-class one, and the oracle's
-check that a level is complete against the sum-free test.
+first-fit colouring against a class-by-class one, the oracle's
+check that a level is complete against the sum-free test, and the
+progression maxima from one cutoff per divisor against a scan of every
+cutoff.
 Examples are derandomized, so every run draws the same cases.
 """
 
@@ -37,9 +39,10 @@ from klsumfree import (
 )
 from klsumfree import cli, sumset
 from klsumfree.abelian import padded_layout, translation_ops
-from klsumfree.oracle import _first_fit, _joins, _make_extend
+from klsumfree.oracle import _ap_maxima, _first_fit, _joins, _make_extend
 
 from conftest import height_keys, kl_pairs, move_padded
+from test_oracle import scan_ap_maxima
 
 GROUPS = all_abelian_groups(64)
 PAIRS = [(2, 1), (3, 1), (3, 2), (4, 1), (5, 2)]
@@ -326,3 +329,21 @@ def test_complete_level_check_matches_sum_free_test(g, kl, data):
     joined = Subset.from_indices(g, chosen + picked)
     assert _joins(extend, level) == (bool(level) and is_kl_sum_free(joined, kl.k, kl.l))
     assert not _joins(extend, [])
+
+
+@st.composite
+def ap_instances(draw):
+    """(n, k, l) with 1 <= l < k <= 40 and n <= 10**5, n a multiple of
+    k - l half the time: then every divisor of gcd(n, k - l) takes the
+    cutoff form, and more than one of them does."""
+    k = draw(st.integers(2, 40))
+    l = draw(st.integers(1, k - 1))
+    if draw(st.booleans()):
+        return draw(st.integers(1, 10**5 // (k - l))) * (k - l), k, l
+    return draw(st.integers(1, 10**5)), k, l
+
+
+@fixed
+@given(ap_instances())
+def test_progression_maxima_match_the_cutoff_scan(nkl):
+    assert _ap_maxima.__wrapped__(*nkl) == scan_ap_maxima(*nkl)
