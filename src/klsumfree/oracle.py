@@ -1,9 +1,10 @@
 """Ground truth by exhaustive search.
 
-One walk, _walk, visits the tree of (k,l)-sum-free sets in a given element
-order.  Sum-freeness is hereditary (any subset of a sum-free set is
-sum-free), so each level passes its children only the candidates that
-stayed individually addable.  The walk carries a floor: a branch is cut
+One walk, _walk, serves the maximum search and the enumeration: it visits
+the tree of (k,l)-sum-free sets in a given element order.  Sum-freeness
+is hereditary (any subset of a sum-free set is sum-free), so each level
+passes its children only the candidates that stayed individually
+addable.  The walk carries a floor: a branch is cut
 as soon as the current size plus the surviving candidates cannot exceed
 it.  A coloured walk bounds each level instead: the candidates a set adds
 are pairwise compatible, so a greedy colouring of the level's
@@ -18,17 +19,22 @@ The maximum search breaks the symmetry of Aut(G): it lists the elements
 orbit by orbit, and for each orbit, from the last to the first, searches
 only the sets that contain the orbit's first element and lie in that orbit
 and the later ones, coloured, with the floor starting at the constructive
-witness.  Neither cut uses a formula the oracle checks.  The count walks
-the same orbit branches with the floor at 0 (no cut) and weights each set
-by its orbit: every automorphism fixes each orbit, so the sets whose first
-orbit is b follow from those that contain the orbit's first element.  The
-enumeration of maximum sets walks the same branches, coloured, with the
-floor at lambda - 1, closes the sets it finds under the generating
-automorphisms (abelian.automorphism_closure), and sorts the closure into
-element-index order.  Both take a complete level, one whose chosen set
-plus all its candidates is sum-free (_joins), in bulk and skip its
-subtree: heredity makes every set below it sum-free, so the count tallies
-their sizes by binomials and the enumeration keeps the one largest set.
+witness.  Neither cut uses a formula the oracle checks.  The count takes
+the same orbit branches and weights each set by its orbit: every
+automorphism fixes each orbit, so the sets whose first orbit is b follow
+from those that contain the orbit's first element.  It does not walk:
+one chain of extend (_chain) adds a level's candidates to its chosen set
+in turn, and each candidate the chain cannot add splits the sets in two,
+those with it, counted by a recursive call on the candidates that stay
+addable next to it, and those without it, counted as the chain resumes.
+The candidates the chain keeps form a complete level, one whose chosen set
+plus all of them is sum-free, and heredity makes every set of them
+sum-free, so their sizes are tallied by binomials.  The enumeration of
+maximum sets walks the same branches, coloured, with the floor at
+lambda - 1, closes the sets it finds under the generating automorphisms
+(abelian.automorphism_closure), and sorts the closure into element-index
+order; below a complete level (the same chain, from the level's first
+element) it keeps the one largest set and skips the subtree.
 The orbits are the closures of single elements under the same generators
 (abelian.automorphism_orbits).  The search, the count and the enumeration
 need only that each generator is an automorphism and that the orbits are
@@ -114,8 +120,10 @@ class SearchResult:
 class CountResult:
     """Exact number of (k,l)-sum-free subsets, split by size (read-only),
     with nodes_explored: the empty set, each orbit branch's root, and every
-    set the walks reach, whether visited or tallied in bulk below a
-    complete level.  Results compare by their counts alone.
+    set that contains a branch's root, each tallied once, whether alone or
+    in bulk with a complete level (see oracle._count).  These are the sets
+    a walk that visits each of them reaches, so the figure does not depend
+    on how the count splits them.  Results compare by their counts alone.
     """
 
     total: int
@@ -150,23 +158,31 @@ def _make_extend(g: GroupSpec, k: int, l: int):
     return extend
 
 
-def _joins(extend, level) -> bool:
-    """Whether the chosen set of a level plus every candidate of it is
-    (k,l)-sum-free: one chain of extend from level[0]'s layers, adding the
-    rest of the level one element at a time.  False for an empty level.
+def _chain(extend, level, i: int = 0, layers=None):
+    """(j, layers): the chain of extend that adds level[i], level[i + 1],
+    ... in turn to a level's chosen set plus a prefix, up to the first
+    element it cannot add.  j is that element's index (len(level) when
+    the chain never breaks), and layers are those of chosen + prefix +
+    level[i:j].  layers None stands for an empty prefix: the chain then
+    starts from level[i]'s own layers, with no extend.
 
-    Sum-freeness is hereditary, so when it holds every chosen + S, S a
-    subset of the level, is sum-free: the walk below the level would
-    visit each nonempty S once.
+    From i = 0 it decides whether a level is complete, its chosen set plus
+    every candidate of it sum-free: j == len(level), which holds for the
+    empty level.  Sum-freeness is hereditary, so then every chosen + S, S
+    a subset of the level, is sum-free.
     """
-    if not level:
-        return False
-    layers = level[0][1]
-    for x, _ in level[1:]:
-        layers = extend(layers, x)
-        if layers is None:
-            return False
-    return True
+    if layers is None:
+        if i == len(level):
+            return i, None
+        layers = level[i][1]
+        i += 1
+    while i < len(level):
+        joined = extend(layers, level[i][0])
+        if joined is None:
+            break
+        layers = joined
+        i += 1
+    return i, layers
 
 
 def _first_fit(n: int, compatible: Callable[[int, int], bool]) -> tuple[list[int], list[int]]:
@@ -422,11 +438,11 @@ def lambda_exact(
 
 
 def _count(g: GroupSpec, k: int, l: int) -> tuple[dict[int, int], int]:
-    """The count visitor: (number of sum-free sets by size, sets reached).
+    """The count: (number of sum-free sets by size, sets tallied).
 
     The branches are _orbit_branches', as in _search_max.  A nonempty set's
     first orbit is the first one it meets, and no set meets a skipped orbit.
-    Branch b walks the sets that contain the orbit's first element r_b and
+    Branch b counts the sets that contain the orbit's first element r_b and
     lie inside orbits b and later, and tallies N_b(s, m): how many have size
     s and m members in orbit b.  Automorphisms fix every orbit and move r_b
     to each element of orbit b, so each of its |O_b| elements lies in
@@ -434,14 +450,27 @@ def _count(g: GroupSpec, k: int, l: int) -> tuple[dict[int, int], int]:
     counting the pairs (set, member in orbit b) both ways, there are
     |O_b| N_b(s, m) / m such sets.
 
-    A level of depth d whose chosen set has m members in orbit b is
-    tallied one set per candidate and walked, unless it is complete
-    (_joins): then, with i its leading orbit members and o the rest, the
-    walk below it would visit the C(i, a) C(o, c) sets that add a members
-    and c others, for every (a, c) but (0, 0), so they are tallied as
-    N_b(d - 1 + a + c, m + a) and the subtree is skipped.  nodes counts the
-    empty set, each branch root and every set the tallies hold: the same
-    sets a walk without bulk tallies visits.
+    split(size, m, level) tallies the sum-free sets chosen + S, S a
+    nonempty subset of the level, where chosen has size elements, m of
+    them in orbit b (m is a plain counter), and each candidate x of the
+    level carries the layers of chosen + x.  It runs the level's chain
+    (_chain) once, from level[0]'s own layers.  The first element x that
+    breaks the chain divides the sets in two.  Those with x are chosen + x,
+    tallied at once, and chosen + x + T, tallied by one recursive call on
+    the candidates left that stay addable next to x: a pair test each from
+    x's layers, except a lone element before x in the chain, whose pair
+    with x just failed.  Those without x are the loop's, which drops x and
+    resumes the chain from the layers it reached.  The elements the chain
+    keeps form a complete level, chosen plus all of them sum-free: with i
+    of them in orbit b and o not, the C(i, a) C(o, c) sets that add a
+    members and c others, for every (a, c) but (0, 0), are tallied as
+    N_b(size + a + c, m + a).  Only an included element recurses, so the
+    calls nest no deeper than the largest set.
+
+    Every set that contains r_b is tallied once, in the cell of its size
+    and its members in orbit b, as when a walk visited each set: nodes
+    counts the empty set, each branch root and every set the tallies hold,
+    and neither it nor the counts depend on where the chains break.
     """
     by_size = defaultdict(int)
     by_size[0] = 1
@@ -452,40 +481,42 @@ def _count(g: GroupSpec, k: int, l: int) -> tuple[dict[int, int], int]:
         tally = defaultdict(int)
         tally[1, 1] = 1  # the branch root {r_b}
 
-        def visit(level, depth, chosen):
-            # later lists orbit b's own elements first and uncoloured levels
-            # keep its order, so the orbit's members lead every level; chosen
-            # is r_b and then elements in later's order, so they lead chosen
-            # too, and m is its leading run: all of it once its last element
-            # is a member, else the run that ends before the first non-member
-            m = len(chosen)
-            if chosen[-1] not in members:
-                m = 1  # chosen[0] is r_b
-                while chosen[m] in members:
-                    m += 1
-            inside = 0
-            for x, _ in level:
-                if x not in members:
+        def split(size, m, level):
+            kept = []  # the chain's elements so far
+            i, layers = 0, None
+            while True:
+                j, layers = _chain(extend, level, i, layers)
+                kept += level[i:j]
+                if j == len(level):
                     break
-                inside += 1
-            outside = len(level) - inside
-            if not _joins(extend, level):
-                tally[depth, m + 1] += inside
-                tally[depth, m] += outside
-                return True
-            # a complete level: chosen plus a of its members and c of the
-            # rest, for every (a, c) but (0, 0), is a set the walk below
-            # would visit, each once
+                x, lx = level[j]
+                mx = m + (x in members)
+                tally[size + 1, mx] += 1
+                # a lone kept element started the chain: its pair with x failed
+                others = level[j + 1:] if len(kept) == 1 else kept + level[j + 1:]
+                child = []
+                for y, _ in others:
+                    ly = extend(lx, y)
+                    if ly is not None:
+                        child.append((y, ly))
+                if child:
+                    split(size + 1, mx, child)
+                i = j + 1
+            inside = sum(x in members for x, _ in kept)
+            outside = len(kept) - inside
             for a in range(inside + 1):
                 for c in range(outside + 1):
                     if a or c:
-                        tally[depth - 1 + a + c, m + a] += comb(inside, a) * comb(outside, c)
-            return False
+                        tally[size + a + c, m + a] += comb(inside, a) * comb(outside, c)
 
-        _walk(g, k, l, [0], visit, later, orbit[:1])
+        base = extend([1] + [0] * k, orbit[0])
+        root = []
+        for x in later:
+            lx = extend(base, x)
+            if lx is not None:
+                root.append((x, lx))
+        split(1, 1, root)
         for (size, m), sets in tally.items():
-            if not sets:
-                continue
             nodes += sets
             weighted, rest = divmod(len(orbit) * sets, m)  # m >= 1: r_b is a member
             if rest:
@@ -502,10 +533,11 @@ def count_sum_free(
 ) -> CountResult:
     """Exact count of all (k,l)-sum-free subsets of g, split by size.
 
-    Orbit-weighted walks over the sets that contain an orbit's first
-    element (see _count); counts are exact big integers, and a weight that
-    does not divide exactly raises RuntimeError.  Counts are not cached:
-    every call walks.  limit caps g.n (None lifts it).
+    Orbit-weighted counts of the sets that contain an orbit's first
+    element, split on the elements that break each level's chain (see
+    _count); counts are exact big integers, and a weight that does not
+    divide exactly raises RuntimeError.  Counts are not cached: every call
+    counts again.  limit caps g.n (None lifts it).
     """
     _check_limit(g.n, limit, "subset counting")
     by_size, nodes = _count(g, kl.k, kl.l)
@@ -528,7 +560,7 @@ def enumerate_maximum(
     of orbit b.  A maximum set whose first orbit is b holds some e in
     orbit b, and the h in H with h(r_b) = e maps one of branch b's sets
     onto it; so the closure, which holds every image under H of the sets
-    found, is every maximum set.  Below a complete level (_joins) of depth
+    found, is every maximum set.  Below a complete level (_chain) of depth
     less than the maximum, every set is sum-free, so the only maximum set
     there is the chosen set plus the whole level: it is kept when its size
     is the maximum and the subtree is skipped.  limit caps g.n (None lifts
@@ -543,7 +575,7 @@ def enumerate_maximum(
 
     def visit(level, depth, chosen):
         if depth < lam:
-            if not _joins(extend, level):
+            if _chain(extend, level)[0] < len(level):
                 return True
             # a complete level: the one largest set below it is chosen
             # plus the whole level

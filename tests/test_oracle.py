@@ -6,6 +6,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -433,11 +437,18 @@ def test_count_rejects_a_partition_that_is_not_the_orbits(monkeypatch):
         oracle._count(make_group([8]), 2, 1)
 
 
+def _no_level_complete(extend, level, i=0, layers=None):
+    """A chain that breaks at the first element it is given: it reports no
+    level complete but the empty one, and tests no pair."""
+    return i, layers
+
+
 def test_complete_levels_tally_as_the_walk(monkeypatch):
     # the count tallies a complete level (the chosen set plus all of it
     # sum-free) by binomials, and the enumeration takes its one largest
-    # set; with no level reported complete, the walks visit every set
-    # below it and must give the same counts, effort and lists
+    # set; with no level reported complete, the count's split includes and
+    # excludes each candidate in turn, the enumeration walks every level,
+    # and they must give the same counts, effort and lists
     from klsumfree import oracle
 
     def results():
@@ -448,17 +459,18 @@ def test_complete_levels_tally_as_the_walk(monkeypatch):
         ]
 
     bulk = results()
-    monkeypatch.setattr(oracle, "_joins", lambda extend, level: False)
+    monkeypatch.setattr(oracle, "_chain", _no_level_complete)
     assert results() == bulk
 
 
 @pytest.mark.parametrize(
-    "factors, k, l, walked, bulk",
-    [_pin([32], 2, 1, 57884, 35499), _pin([2] * 5, 3, 2, 598748, 272153)],
+    "factors, k, l, walked, split",
+    [_pin([32], 2, 1, 57884, 11917), _pin([2] * 5, 3, 2, 598748, 56952)],
 )
-def test_complete_levels_save_extend_calls(monkeypatch, factors, k, l, walked, bulk):
-    # extend calls of one count, the walk's and the completeness chains',
-    # with complete levels tallied in bulk and with every level walked
+def test_complete_levels_save_extend_calls(monkeypatch, factors, k, l, walked, split):
+    # extend calls of one count: the split's chains and pair tests, and,
+    # with no level reported complete, the pair tests of a walk that
+    # visits every set
     from klsumfree import oracle
 
     calls = 0
@@ -477,11 +489,38 @@ def test_complete_levels_save_extend_calls(monkeypatch, factors, k, l, walked, b
     monkeypatch.setattr(oracle, "_make_extend", counting_make_extend)
     g, kl = make_group(factors), KLParams(k, l)
     first = count_sum_free(g, kl, limit=None)
-    assert calls == bulk
+    assert calls == split
     calls = 0
-    monkeypatch.setattr(oracle, "_joins", lambda extend, level: False)
+    monkeypatch.setattr(oracle, "_chain", _no_level_complete)
     assert count_sum_free(g, kl, limit=None).nodes_explored == first.nodes_explored
     assert calls == walked
+
+
+def test_count_recursion_nests_no_deeper_than_the_largest_set():
+    # the split recurses only to include an element, and loops to exclude
+    # one, so its calls nest at most lambda deep: in a fresh interpreter,
+    # the Z_2^5 (3,2) count (lambda 16) finishes with the recursion limit
+    # 16 + 4 frames above its caller
+    from klsumfree import oracle
+
+    assert lambda_exact(make_group([2] * 5), KLParams(3, 2)).max_size == 16
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from klsumfree import KLParams, count_sum_free, make_group\n"
+        "frame, depth = sys._getframe(), 0\n"
+        "while frame is not None:\n"
+        "    frame, depth = frame.f_back, depth + 1\n"
+        "sys.setrecursionlimit(depth + 16 + 4)\n"
+        "print(count_sum_free(make_group([2] * 5), KLParams(3, 2), limit=None).total)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, "1942306\n", "")
 
 
 # ---------------------------------------------------------------------------

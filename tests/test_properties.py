@@ -39,7 +39,7 @@ from klsumfree import (
 )
 from klsumfree import cli, sumset
 from klsumfree.abelian import padded_layout, translation_ops
-from klsumfree.oracle import _ap_maxima, _first_fit, _joins, _make_extend
+from klsumfree.oracle import _ap_maxima, _chain, _first_fit, _make_extend
 
 from conftest import height_keys, kl_pairs, move_padded
 from test_oracle import scan_ap_maxima
@@ -314,9 +314,12 @@ def test_colour_classes_bound_the_cliques_of_each_prefix(adj):
 @fixed
 @given(st.sampled_from([g for g in GROUPS if g.n <= 32]), st.sampled_from(kl_pairs(6)), st.data())
 def test_complete_level_check_matches_sum_free_test(g, kl, data):
-    # the count and the enumeration take a level in bulk when _joins finds
-    # the chosen set plus all its candidates sum-free; an empty level is
-    # never complete
+    # the count runs a level's chain (_chain) from its first element and
+    # resumes it after each element that breaks it: the elements the chain
+    # keeps join the chosen set, each breaking one is the first that the
+    # chosen set plus the kept ones before it cannot take, and a level is
+    # complete (the enumeration's check) iff chosen plus all of it is
+    # sum-free, as the empty level is
     extend = _make_extend(g, kl.k, kl.l)
     layers, chosen = [1] + [0] * kl.k, []
     for x in data.draw(st.lists(st.integers(0, g.n - 1), max_size=8)):
@@ -326,9 +329,26 @@ def test_complete_level_check_matches_sum_free_test(g, kl, data):
     addable = [x for x in range(g.n) if x not in chosen and extend(layers, x) is not None]
     picked = data.draw(st.lists(st.sampled_from(addable), max_size=6, unique=True)) if addable else []
     level = [(x, extend(layers, x)) for x in picked]
-    joined = Subset.from_indices(g, chosen + picked)
-    assert _joins(extend, level) == (bool(level) and is_kl_sum_free(joined, kl.k, kl.l))
-    assert not _joins(extend, [])
+
+    def sum_free(xs):
+        return is_kl_sum_free(Subset.from_indices(g, chosen + xs), kl.k, kl.l)
+
+    kept, i, joined = [], 0, None
+    while True:
+        j, joined = _chain(extend, level, i, joined)
+        kept += picked[i:j]
+        if j == len(level):
+            break
+        assert not sum_free(kept + [picked[j]])
+        i = j + 1
+    assert sum_free(kept) and kept[:1] == picked[:1]
+    # the chain ends with the layers of chosen plus the kept elements
+    expected = layers
+    for x in kept:
+        expected = extend(expected, x)
+    assert joined == (expected if kept else None)
+    assert (_chain(extend, level)[0] == len(level)) == sum_free(picked)
+    assert _chain(extend, []) == (0, None)
 
 
 @st.composite
