@@ -1,13 +1,16 @@
 """Ground truth by exhaustive search.
 
-One walk, _walk, serves the maximum search and the enumeration: it visits
-the tree of (k,l)-sum-free sets in a given element order.  Sum-freeness
-is hereditary (any subset of a sum-free set is sum-free), so each level
-passes its children only the candidates that stayed individually
-addable.  The walk carries a floor: a branch is cut
-as soon as the current size plus the surviving candidates cannot exceed
-it.  A coloured walk bounds each level instead: the candidates a set adds
-are pairwise compatible, so a greedy colouring of the level's
+One walk, _walk, serves the maximum search and the enumeration: from a
+level it is given, the candidates that each extend a chosen set, it visits
+the tree of (k,l)-sum-free sets that add some of them, with one call per
+depth.  One builder (_addable) makes the root levels, the uncoloured
+children and the count's levels: the elements, in order, that one extend
+accepts.  Sum-freeness is hereditary (any subset of a sum-free set is
+sum-free), so each level passes its children only the candidates that
+stayed individually addable.  The walk carries a floor: a level is
+entered only when it is nonempty and the current size plus its candidates
+can exceed it.  A coloured walk bounds each level instead: the candidates
+a set adds are pairwise compatible, so a greedy colouring of the level's
 compatibility graph bounds how many it can add (MCQ, Tomita-Seki 2003).
 The colouring is first-fit and tests a pair of candidates only when it
 needs the answer; the walk tests the others only where it branches.
@@ -19,7 +22,9 @@ The maximum search breaks the symmetry of Aut(G): it lists the elements
 orbit by orbit, and for each orbit, from the last to the first, searches
 only the sets that contain the orbit's first element and lie in that orbit
 and the later ones, coloured, with the floor starting at the constructive
-witness.  Neither cut uses a formula the oracle checks.  The count takes
+witness.  _orbit_branches builds each branch's root level once, and the
+search, the count and the enumeration each start from it with one extend.
+Neither cut uses a formula the oracle checks.  The count takes
 the same orbit branches and weights each set by its orbit: every
 automorphism fixes each orbit, so the sets whose first orbit is b follow
 from those that contain the orbit's first element.  It does not walk:
@@ -66,7 +71,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from math import comb, gcd
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 from .abelian import GroupSpec, automorphism_closure, automorphism_orbits, divisors, translation_ops
 from .formulas import KLParams
@@ -217,28 +222,28 @@ def _first_fit(n: int, compatible: Callable[[int, int], bool]) -> tuple[list[int
     return order, colours
 
 
+def _addable(extend, layers, xs) -> list:
+    """[(x, layers of the set + x)] for each x of xs, in order, that extend
+    accepts, layers being those of the set: a level of the walk and the
+    count."""
+    return [(x, lx) for x in xs if (lx := extend(layers, x)) is not None]
+
+
 def _walk(
-    g: GroupSpec,
-    k: int,
-    l: int,
-    floor: list[int],
-    visit,
-    order: Optional[Sequence[int]] = None,
-    base: tuple[int, ...] = (),
-    coloured: bool = False,
+    extend, floor: list[int], visit, level, chosen: tuple[int, ...], coloured: bool = False
 ) -> None:
-    """Walk the tree of (k,l)-sum-free sets of g that contain base, adding
-    elements in the given order (element-index order by default).
+    """Walk the tree of (k,l)-sum-free sets that extend chosen by a nonempty
+    subset of the level, one call per depth.
 
     A level lists the (x, layers) candidates that extend the chosen set by
     one element, layers being the reduced padded masks of the extended
-    set's sumset layers.  Each step is one extend (_make_extend), which
-    gives those layers, or None when the extended set is not sum-free:
-    that None is the walk's only sum-free test.  visit(level, depth,
-    chosen) sees each level once, depth being the size of the extended
-    sets, and returns False to skip its subtree.  A child level is entered
-    only when it could exceed floor[0]; visitors may raise floor[0] as
-    they go.  base must itself be sum-free.
+    set's sumset layers (_addable builds it).  Each step is one extend
+    (_make_extend), which gives those layers, or None when the extended
+    set is not sum-free: that None is the walk's only sum-free test.
+    visit(level, depth, chosen) sees each level once, depth being
+    len(chosen) + 1, the size of the extended sets, and returns False to
+    skip its subtree.  A level is entered only when it is nonempty and
+    could exceed floor[0]; visitors may raise floor[0] as they go.
 
     By default a level branches on its candidates in its order, the child
     of x being the candidates after x that stay addable with it, and the
@@ -261,72 +266,51 @@ def _walk(
     the first v whose colour plus the chosen set cannot exceed floor[0].
     The bound depends only on the instance.
     """
-    extend = _make_extend(g, k, l)
-    layers = [1] + [0] * k
-    for x in base:
-        layers = extend(layers, x)
-    root = []
-    for x in range(g.n) if order is None else order:
-        lx = extend(layers, x)
-        if lx is not None:
-            root.append((x, lx))
-
-    def walk(level, depth, chosen):
-        if not visit(level, depth + 1, chosen):
-            return
-        if coloured:
-            branch_coloured(level, depth, chosen)
-            return
+    depth = len(chosen)
+    if not level or depth + len(level) <= floor[0] or not visit(level, depth + 1, chosen):
+        return
+    if not coloured:
         for i, (x, lx) in enumerate(level):
             if len(level) - i <= floor[0] - depth:
                 return
-            child = []
-            for y, _ in level[i + 1:]:
-                ly = extend(lx, y)
-                if ly is not None:
-                    child.append((y, ly))
-            if child and depth + 1 + len(child) > floor[0]:
-                walk(child, depth + 1, chosen + (x,))
+            child = _addable(extend, lx, [y for y, _ in level[i + 1:]])
+            _walk(extend, floor, visit, child, chosen + (x,))
+        return
+    tested = {}  # (u, v), u < v: the pair's layers, or None if incompatible
 
-    def branch_coloured(level, depth, chosen):
-        tested = {}  # (u, v), u < v: the pair's layers, or None if incompatible
+    def compatible(u, v):
+        ly = tested[u, v] = extend(level[u][1], level[v][0])
+        return ly is not None
 
-        def compatible(u, v):
-            ly = tested[u, v] = extend(level[u][1], level[v][0])
-            return ly is not None
-
-        by_colour, colours = _first_fit(len(level), compatible)
-        for p in range(len(level) - 1, -1, -1):
-            if depth + colours[p] <= floor[0]:
-                return
-            v = by_colour[p]
-            xv, lv = level[v]
-            child = []
-            for u in by_colour[:p]:
-                ly = tested.get((u, v) if u < v else (v, u), False)
-                if ly is False:  # untested: the colouring never needed this pair
-                    ly = extend(lv, level[u][0])
-                if ly is not None:
-                    child.append((level[u][0], ly))
-            if child and depth + 1 + len(child) > floor[0]:
-                walk(child, depth + 1, chosen + (xv,))
-
-    if len(base) + len(root) > floor[0]:
-        walk(root, len(base), base)
+    by_colour, colours = _first_fit(len(level), compatible)
+    for p in range(len(level) - 1, -1, -1):
+        if depth + colours[p] <= floor[0]:
+            return
+        v = by_colour[p]
+        xv, lv = level[v]
+        child = []
+        for u in by_colour[:p]:
+            ly = tested.get((u, v) if u < v else (v, u), False)
+            if ly is False:  # untested: the colouring never needed this pair
+                ly = extend(lv, level[u][0])
+            if ly is not None:
+                child.append((level[u][0], ly))
+        _walk(extend, floor, visit, child, chosen + (xv,), coloured=True)
 
 
-def _orbit_branches(g: GroupSpec, k: int, l: int):
-    """Yield (orbit, later) for each orbit of Aut(g) whose first element r_b
-    is sum-free, from the last orbit to the first; later lists the elements
-    after r_b, orbit by orbit.  Automorphisms keep (k-l)x = 0, so no element
-    of a skipped orbit is ever a candidate."""
+def _orbit_branches(g: GroupSpec, k: int, l: int, extend):
+    """Yield (orbit, root) for each orbit of Aut(g) whose first element r_b
+    is sum-free, from the last orbit to the first; root is the level of
+    {r_b} (_addable) over the elements after r_b, orbit by orbit.
+    Automorphisms keep (k-l)x = 0, so no element of a skipped orbit is
+    ever a candidate."""
     orbits = automorphism_orbits(g)
     order = [x for orbit in orbits for x in orbit]
     end = g.n
     for orbit in reversed(orbits):
         end -= len(orbit)
         if g.scale_index(k - l, orbit[0]):  # {r_b} is sum-free: k*r_b != l*r_b
-            yield orbit, order[end + 1:]
+            yield orbit, _addable(extend, extend([1] + [0] * k, orbit[0]), order[end + 1:])
 
 
 def _search_max(
@@ -368,10 +352,11 @@ def _search_max(
         floor[0] = max(floor[0], depth)
         return True
 
-    for orbit, later in _orbit_branches(g, k, l):
+    extend = _make_extend(g, k, l)
+    for orbit, root in _orbit_branches(g, k, l, extend):
         nodes += 1
         floor[0] = max(floor[0], 1)
-        _walk(g, k, l, floor, visit, later, orbit[:1], coloured=True)
+        _walk(extend, floor, visit, root, orbit[:1], coloured=True)
     lam = floor[0]
     if lam == len(seed):
         return lam, seed, nodes
@@ -389,7 +374,7 @@ def _search_max(
         return False
 
     floor[0] = lam - 1
-    _walk(g, k, l, floor, first_hit)
+    _walk(extend, floor, first_hit, _addable(extend, [1] + [0] * k, range(g.n)), ())
     return lam, witness, nodes
 
 
@@ -476,7 +461,7 @@ def _count(g: GroupSpec, k: int, l: int) -> tuple[dict[int, int], int]:
     by_size[0] = 1
     nodes = 1
     extend = _make_extend(g, k, l)
-    for orbit, later in _orbit_branches(g, k, l):
+    for orbit, root in _orbit_branches(g, k, l, extend):
         members = frozenset(orbit)
         tally = defaultdict(int)
         tally[1, 1] = 1  # the branch root {r_b}
@@ -494,11 +479,7 @@ def _count(g: GroupSpec, k: int, l: int) -> tuple[dict[int, int], int]:
                 tally[size + 1, mx] += 1
                 # a lone kept element started the chain: its pair with x failed
                 others = level[j + 1:] if len(kept) == 1 else kept + level[j + 1:]
-                child = []
-                for y, _ in others:
-                    ly = extend(lx, y)
-                    if ly is not None:
-                        child.append((y, ly))
+                child = _addable(extend, lx, [y for y, _ in others])
                 if child:
                     split(size + 1, mx, child)
                 i = j + 1
@@ -509,12 +490,6 @@ def _count(g: GroupSpec, k: int, l: int) -> tuple[dict[int, int], int]:
                     if a or c:
                         tally[size + a + c, m + a] += comb(inside, a) * comb(outside, c)
 
-        base = extend([1] + [0] * k, orbit[0])
-        root = []
-        for x in later:
-            lx = extend(base, x)
-            if lx is not None:
-                root.append((x, lx))
         split(1, 1, root)
         for (size, m), sets in tally.items():
             nodes += sets
@@ -585,10 +560,10 @@ def enumerate_maximum(
         found.extend(tuple(sorted(chosen + (x,))) for x, _ in level)
         return False
 
-    for orbit, later in _orbit_branches(g, kl.k, kl.l):
+    for orbit, root in _orbit_branches(g, kl.k, kl.l, extend):
         if lam == 1:  # no level visits the root {r_b}
             found.append(orbit[:1])
-        _walk(g, kl.k, kl.l, [lam - 1], visit, later, orbit[:1], coloured=True)
+        _walk(extend, [lam - 1], visit, root, orbit[:1], coloured=True)
     return [Subset.from_indices(g, s) for s in sorted(automorphism_closure(g, found))]
 
 

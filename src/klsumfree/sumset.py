@@ -6,7 +6,7 @@ elements of A; a set A is (k,l)-sum-free when kA and lA are disjoint, or
 equivalently when 0 is not in kA - lA.  Both characterizations are
 implemented so they can be checked against each other.
 
-is_kl_sum_free checks a set that is lifted from a cyclic quotient in that
+A set lifted from a cyclic quotient has its sumset layers built in that
 quotient.  For d | v the index mod d equals the last coordinate mod d, so
 pi(x) = index(x) mod d is a homomorphism G -> Z_d.  If A = pi^-1(R), then
 A + ker pi = A, and every h-fold sum of A is a sum of lifts of residues
@@ -15,8 +15,11 @@ which is empty exactly when kR & lR is: A is (k,l)-sum-free iff R is.  A
 is such a lift iff its mask is its low d bits repeated n/d times (their
 product with the base-2^d repunit, _repeat); a lift has |R| n/d members,
 so n divides |A| d, and _least_quotient takes the first divisor of v, in
-ascending order, that passes both tests.  The difference characterization
-stays unreduced, as the independent reference.
+ascending order, that passes both tests.  _multiples runs the chain of
+layers on R and lifts each layer it keeps, so is_kl_sum_free, h_fold and
+find_violation all take a lift's layers from its quotient.  The
+difference characterization takes kA and lA from h_fold and forms kA - lA
+in G.
 
 A + B is computed in the padded layout of the group (abelian.PaddedLayout),
 where adding offsets adds elements, by one kernel (_sumset_bits): the
@@ -156,47 +159,6 @@ def pair_sumset(a: Subset, b: Subset) -> Subset:
     return Subset(a.group, _sumset_bits(padded_layout(a.group), a.bits, b.bits))
 
 
-def _multiples(a: Subset, hs: tuple[int, ...]) -> list[int]:
-    """The masks of hA for h in hs, from one chain jA = (j-1)A + A.
-
-    Layer j costs one shift per element of A, which is never larger than
-    (j-1)A; only the layers in hs are kept.
-    """
-    layout, layer = padded_layout(a.group), a.bits
-    kept = dict.fromkeys(hs, layer)
-    for j in range(2, max(hs) + 1):
-        layer = _sumset_bits(layout, a.bits, layer)
-        if j in kept:
-            kept[j] = layer
-    return [kept[h] for h in hs]
-
-
-def h_fold(a: Subset, h: int) -> Subset:
-    """The h-fold sumset hA, from the chain of _multiples.
-
-    h = 0 is rejected: 0A never comes up and its natural value ({0}) is a
-    trap for callers expecting a multiple of A.
-    """
-    if h < 1:
-        raise ValueError(f"h must be a positive integer, got {h}")
-    if a.bits == 0:
-        return a
-    return Subset(a.group, _multiples(a, (h,))[0])
-
-
-def negate(a: Subset) -> Subset:
-    """{-x : x in A}.
-
-    Index n - 1 - i has coordinates d_j - 1 - c_j, one less than those of
-    -x on every axis, so -A is the bit-reversed mask translated by
-    (1, ..., 1).
-    """
-    g = a.group
-    layout = padded_layout(g)
-    flipped = int(format(a.bits, f"0{g.n}b")[::-1], 2)
-    return Subset(g, layout.translate(layout.pad(flipped), g.index_of([1] * len(g.factors))))
-
-
 def _repeat(mask: int, d: int, n: int) -> int:
     """A mask of d bits repeated n/d times (d | n): its product with the
     base-2^d repunit, the sum of 2^(jd) over 0 <= j < n/d, which has no
@@ -228,20 +190,63 @@ def _least_quotient(a: Subset) -> Optional[int]:
     return None
 
 
+def _multiples(a: Subset, hs: tuple[int, ...]) -> list[int]:
+    """The masks of hA for h in hs, from one chain jA = (j-1)A + A.
+
+    Layer j costs one shift per element of A, which is never larger than
+    (j-1)A; only the layers in hs are kept.  A set lifted from a cyclic
+    quotient Z_d (_least_quotient) runs the chain on its residues R in Z_d
+    instead, and each kept layer is lifted back: hA = pi^-1(hR) (module
+    docstring).
+    """
+    n, d = a.group.n, _least_quotient(a)
+    g, bits = (a.group, a.bits) if d is None else (make_group([d]), a.bits & ((1 << d) - 1))
+    layout, layer = padded_layout(g), bits
+    kept = dict.fromkeys(hs, layer)
+    for j in range(2, max(hs) + 1):
+        layer = _sumset_bits(layout, bits, layer)
+        if j in kept:
+            kept[j] = layer
+    return [kept[h] if d is None else _repeat(kept[h], d, n) for h in hs]
+
+
+def h_fold(a: Subset, h: int) -> Subset:
+    """The h-fold sumset hA, from the chain of _multiples.
+
+    h = 0 is rejected: 0A never comes up and its natural value ({0}) is a
+    trap for callers expecting a multiple of A.
+    """
+    if h < 1:
+        raise ValueError(f"h must be a positive integer, got {h}")
+    if a.bits == 0:
+        return a
+    return Subset(a.group, _multiples(a, (h,))[0])
+
+
+def negate(a: Subset) -> Subset:
+    """{-x : x in A}.
+
+    Index n - 1 - i has coordinates d_j - 1 - c_j, one less than those of
+    -x on every axis, so -A is the bit-reversed mask translated by
+    (1, ..., 1).
+    """
+    g = a.group
+    layout = padded_layout(g)
+    flipped = int(format(a.bits, f"0{g.n}b")[::-1], 2)
+    return Subset(g, layout.translate(layout.pad(flipped), g.index_of([1] * len(g.factors))))
+
+
 def is_kl_sum_free(a: Subset, k: int, l: int) -> bool:
     """True iff kA and lA are disjoint.
 
-    A set lifted from a cyclic quotient Z_d (d | v, d < n) is checked as
-    its residue set in Z_d, which gives the same answer (module
-    docstring); any other set, G itself and the empty set among them, is
-    checked in G.
+    A set lifted from a cyclic quotient Z_d (d | v, d < n) takes its
+    layers from its residue set in Z_d (_multiples), which gives the same
+    answer (module docstring); any other set, G itself and the empty set
+    among them, is checked in G.
     """
     KLParams(k, l)  # raises ValueError unless k > l >= 1
     if a.bits == 0:
         return True
-    d = _least_quotient(a)
-    if d is not None:
-        a = Subset(make_group([d]), a.bits & ((1 << d) - 1))
     ka, la = _multiples(a, (k, l))
     return ka & la == 0
 

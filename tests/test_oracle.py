@@ -34,7 +34,7 @@ from klsumfree import (
     make_group,
 )
 from klsumfree.abelian import divisors
-from klsumfree.oracle import _ap_maxima, _search_max, _walk
+from klsumfree.oracle import _addable, _ap_maxima, _make_extend, _search_max, _walk
 
 from conftest import brute_force_max, groups_up_to, kl_pairs
 
@@ -143,6 +143,13 @@ def test_hard_instances_value_and_effort_pinned(factors, k, l, value, nodes):
         assert bounds.lower == bounds.upper == value
 
 
+def _index_order_walk(g, k, l, floor, visit):
+    """Walk every sum-free set of g, uncoloured, adding elements in
+    element-index order from the empty set."""
+    extend = _make_extend(g, k, l)
+    _walk(extend, floor, visit, _addable(extend, [1] + [0] * k, range(g.n)), ())
+
+
 def _search_max_reference(g, k, l, seed, progress, progress_interval=65536):
     """The search before orbit branching: one walk in element-index order,
     its floor starting at the seed and raised on every larger set."""
@@ -161,7 +168,7 @@ def _search_max_reference(g, k, l, seed, progress, progress_interval=65536):
             progress(nodes - nodes % progress_interval, depth, floor[0])
         return True
 
-    _walk(g, k, l, floor, visit)
+    _index_order_walk(g, k, l, floor, visit)
     return floor[0], best_set, nodes
 
 
@@ -356,7 +363,7 @@ def _count_reference(g, k, l):
         by_size[depth] = by_size.get(depth, 0) + len(level)
         return True
 
-    _walk(g, k, l, [0], visit)
+    _index_order_walk(g, k, l, [0], visit)
     return by_size
 
 
@@ -371,7 +378,7 @@ def _enumerate_reference(g, k, l, lam):
         found.extend(chosen + (x,) for x, _ in level)
         return False
 
-    _walk(g, k, l, [lam - 1], visit)
+    _index_order_walk(g, k, l, [lam - 1], visit)
     return found
 
 
@@ -496,23 +503,22 @@ def test_complete_levels_save_extend_calls(monkeypatch, factors, k, l, walked, s
     assert calls == walked
 
 
-def test_count_recursion_nests_no_deeper_than_the_largest_set():
-    # the split recurses only to include an element, and loops to exclude
-    # one, so its calls nest at most lambda deep: in a fresh interpreter,
-    # the Z_2^5 (3,2) count (lambda 16) finishes with the recursion limit
-    # 16 + 4 frames above its caller
+def _run_with_recursion_limit(frames: int, call: str):
+    """Run `print(call)` in a fresh interpreter whose recursion limit sits
+    frames above the caller's depth: (exit code, stdout, stderr).  A fresh
+    interpreter, because under pytest on Python 3.11 C-level calls count
+    toward the limit."""
     from klsumfree import oracle
 
-    assert lambda_exact(make_group([2] * 5), KLParams(3, 2)).max_size == 16
     src = str(Path(oracle.__file__).resolve().parents[1])
     code = (
         "import sys\n"
-        "from klsumfree import KLParams, count_sum_free, make_group\n"
+        "from klsumfree import KLParams, count_sum_free, lambda_exact, make_group\n"
         "frame, depth = sys._getframe(), 0\n"
         "while frame is not None:\n"
         "    frame, depth = frame.f_back, depth + 1\n"
-        "sys.setrecursionlimit(depth + 16 + 4)\n"
-        "print(count_sum_free(make_group([2] * 5), KLParams(3, 2), limit=None).total)\n"
+        f"sys.setrecursionlimit(depth + {frames})\n"
+        f"print({call})\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -520,7 +526,26 @@ def test_count_recursion_nests_no_deeper_than_the_largest_set():
         capture_output=True,
         text=True,
     )
-    assert (out.returncode, out.stdout, out.stderr) == (0, "1942306\n", "")
+    return out.returncode, out.stdout, out.stderr
+
+
+def test_count_recursion_nests_no_deeper_than_the_largest_set():
+    # the split recurses only to include an element, and loops to exclude
+    # one, so its calls nest at most lambda deep: in a fresh interpreter,
+    # the Z_2^5 (3,2) count (lambda 16) finishes with the recursion limit
+    # 16 + 4 frames above its caller
+    assert lambda_exact(make_group([2] * 5), KLParams(3, 2)).max_size == 16
+    call = "count_sum_free(make_group([2] * 5), KLParams(3, 2), limit=None).total"
+    assert _run_with_recursion_limit(16 + 4, call) == (0, "1942306\n", "")
+
+
+def test_search_recursion_nests_one_frame_per_depth():
+    # the walk makes one call per depth, coloured or not: Z_61 (2,1), whose
+    # seed is already maximum (lambda 20), finishes with the recursion
+    # limit 20 + 8 frames above its caller; it needs 20 in all, where a
+    # walk of two frames per depth needs 35
+    call = "lambda_exact(make_group([61]), KLParams(2, 1), limit=None).max_size"
+    assert _run_with_recursion_limit(20 + 8, call) == (0, "20\n", "")
 
 
 # ---------------------------------------------------------------------------

@@ -85,3 +85,49 @@ def test_count_of_order_64_by_the_split():
     assert max(map(int, by_size)) == sets[0].size == 32
     assert by_size["32"] == len(sets) == 31
     assert out["total"] == 133115336515
+
+
+@pytest.mark.parametrize("group, k, l", [("2x2x2x6", 2, 1), ("2x2x12", 5, 2)])
+def test_exact_search_on_two_hard_instances(group, k, l):
+    out = klsf_json(
+        "lambda", "--group", group, "--k", str(k), "--l", str(l), "--method", "exact", "--force",
+        timeout=60,
+    )
+    assert out["exact"]["value"] == 24
+
+
+@pytest.mark.parametrize(
+    "group, value", [("2x2x2x2x4", 32), ("128", 64), ("2x2x2x2x2x2x2", 64), ("3x3x3x3", 27)]
+)
+def test_colour_bounded_exact_search_on_order_64_and_128(group, value):
+    out = klsf_json(
+        "lambda", "--group", group, "--k", "2", "--l", "1", "--method", "exact", "--force",
+        timeout=20,
+    )
+    assert out["exact"]["value"] == value
+
+
+@pytest.mark.parametrize(
+    "group, k, l, max_size, count",
+    [("64", 3, 1, 16, 122), ("2x2x2x2x2x2", 2, 1, 32, 63), ("3x3x3x3", 2, 1, 27, 80)],
+)
+def test_orbit_branched_enumeration_on_order_64(group, k, l, max_size, count):
+    out = klsf_json(
+        "enumerate", "--group", group, "--k", str(k), "--l", str(l), "--force", timeout=20
+    )
+    assert (out["max_size"], out["count"]) == (max_size, count)
+
+
+def test_first_fit_colouring_search_on_order_100():
+    out = klsf_json(
+        "lambda", "--group", "10x10", "--k", "3", "--l", "1", "--method", "exact", "--force",
+        timeout=30,
+    )
+    assert (out["exact"]["value"], out["exact"]["nodes_explored"]) == (20, 195649)
+
+
+def test_first_fit_colouring_enumeration_on_order_128():
+    out = klsf_json(
+        "enumerate", "--group", "2x2x2x2x2x2x2", "--k", "2", "--l", "1", "--force", timeout=40
+    )
+    assert (out["max_size"], out["count"]) == (64, 127)

@@ -14,6 +14,7 @@ from klsumfree import (
     Subset,
     best_witness,
     cyclic_quotient_lift,
+    divisors,
     find_violation,
     h_fold,
     is_kl_sum_free,
@@ -414,20 +415,40 @@ def _find_violation_reference(a, k, l):
 
 
 def test_find_violation_matches_tuple_enumeration():
-    # random sparse sets, and random parts of the best witness (mostly
-    # sum-free) without and with one more element
+    # random sparse sets, random parts of the best witness (mostly
+    # sum-free) without and with one more element, and a lift from a
+    # cyclic quotient that is not sum-free, whose layers come from Z_d
     rng = random.Random(41)
     pairs = [(2, 1), (3, 1), (3, 2), (4, 1), (5, 2)]
+    lifts = 0
     for g in groups_up_to(40):
+        quotients = [d for d in divisors(g.v)[1:] if d < g.n]
         for k, l in pairs:
             witness = best_witness(g, KLParams(k, l)).members.bits
-            for bits in (
+            sets = [
                 rng.getrandbits(g.n) & rng.getrandbits(g.n) & rng.getrandbits(g.n),
                 witness & rng.getrandbits(g.n),
                 witness & rng.getrandbits(g.n) | 1 << rng.randrange(g.n),
-            ):
+            ]
+            if quotients:
+                d = rng.choice(quotients)
+                lift = cyclic_quotient_lift(g, d, Subset(make_group([d]), rng.randrange(1, 1 << d)))
+                if not is_kl_sum_free(lift, k, l):
+                    sets.append(lift.bits)
+                    lifts += 1
+            for bits in sets:
                 a = Subset(g, bits)
                 assert find_violation(a, k, l) == _find_violation_reference(a, k, l), (g, k, l, a)
+    assert lifts > 100
+
+
+def test_find_violation_on_a_lift_in_z20000():
+    # the odd residues of Z_20000, a lift from Z_2: the layers come from
+    # the quotient, and the tuples are still the first in G
+    g = make_group([20000])
+    a = Subset.from_indices(g, range(1, 20000, 2))
+    assert sumset._least_quotient(a) == 2
+    assert find_violation(a, 3, 1) == ((Element((1,)),) * 3, (Element((3,)),))
 
 
 def test_find_violation_witness_plus_one_in_z2000():
