@@ -39,7 +39,9 @@ maximum sets walks the same branches, coloured, with the floor at
 lambda - 1, closes the sets it finds under the generating automorphisms
 (abelian.automorphism_closure), and sorts the closure into element-index
 order; below a complete level (the same chain, from the level's first
-element) it keeps the one largest set and skips the subtree.
+element) it keeps the one largest set and skips the subtree, and a level
+that is not complete hands the chain's first step, a pair test, to the
+colouring.
 The orbits are the closures of single elements under the same generators
 (abelian.automorphism_orbits).  The search, the count and the enumeration
 need only that each generator is an automorphism and that the orbits are
@@ -140,25 +142,35 @@ def _make_extend(g: GroupSpec, k: int, l: int):
     """extend(layers, x): the sumset layers of A + {x} from those of A, or
     None when A + {x} is not (k,l)-sum-free (its kA and lA meet).
 
-    layers[j] is the reduced padded mask of jA (layers[0] = {0}, bit 0
-    being the identity); the new j-th layer is layers[j] union (new
-    (j-1)-th layer translated by x), moved by x's entry of translation_ops.
+    layers lists the reduced padded masks of 1A, ..., kA (the empty set's
+    are k zeros); the new jA is the old jA union the new (j-1)A translated
+    by x, 0A being {0} (bit 0, the identity), moved by x's entry of
+    translation_ops.  A move with no folds (every move of a cyclic group,
+    and each element whose coordinates past axis 0 are all 0) takes a loop
+    without the fold step.
     """
     moves = translation_ops(g)
+    lm = l - 1
     # the move is inlined: a call per layer made exact search about 10% slower
 
     def extend(layers, x):
         shift, folds, top, top_down = moves[x]
-        out = [1]
+        out = []
         prev = 1
-        for j in range(1, k + 1):
-            b = prev << shift
-            for low, down in folds:
-                kept = b & low
-                b = kept | (b ^ kept) >> down
-            prev = layers[j] | (b & top) | b >> top_down
-            out.append(prev)
-        return None if prev & out[l] else out
+        if folds:
+            for layer in layers:
+                b = prev << shift
+                for low, down in folds:
+                    kept = b & low
+                    b = kept | (b ^ kept) >> down
+                prev = layer | (b & top) | b >> top_down
+                out.append(prev)
+        else:
+            for layer in layers:
+                b = prev << shift
+                prev = layer | (b & top) | b >> top_down
+                out.append(prev)
+        return None if prev & out[lm] else out
 
     return extend
 
@@ -167,14 +179,16 @@ def _chain(extend, level, i: int = 0, layers=None):
     """(j, layers): the chain of extend that adds level[i], level[i + 1],
     ... in turn to a level's chosen set plus a prefix, up to the first
     element it cannot add.  j is that element's index (len(level) when
-    the chain never breaks), and layers are those of chosen + prefix +
-    level[i:j].  layers None stands for an empty prefix: the chain then
-    starts from level[i]'s own layers, with no extend.
+    the chain never breaks), and layers are the sumset layers 1A, ...,
+    kA of chosen + prefix + level[i:j], as extend takes them.  layers None
+    stands for an empty prefix: the chain then starts from level[i]'s own
+    layers, with no extend.
 
     From i = 0 it decides whether a level is complete, its chosen set plus
     every candidate of it sum-free: j == len(level), which holds for the
     empty level.  Sum-freeness is hereditary, so then every chosen + S, S
-    a subset of the level, is sum-free.
+    a subset of the level, is sum-free.  The enumeration runs the same
+    chain from i = 2, with the layers of its first pair test.
     """
     if layers is None:
         if i == len(level):
@@ -190,27 +204,40 @@ def _chain(extend, level, i: int = 0, layers=None):
     return i, layers
 
 
-def _first_fit(n: int, compatible: Callable[[int, int], bool]) -> tuple[list[int], list[int]]:
-    """First-fit colouring of the compatibility graph on vertices 0..n-1:
-    (order, colours), order listing the vertices class by class, each class
-    in vertex order, and colours[p] the colour, from 1, of order[p].
+def _first_fit(extend, level, row1=None) -> tuple[list[int], list[int], list[dict]]:
+    """First-fit colouring of the compatibility graph of a level's
+    candidates 0..len(level)-1: (order, colours, pairs), order listing the
+    candidates class by class, each class in level order, colours[p] the
+    colour, from 1, of order[p], and pairs[v] the pair tests of v: for each
+    tested u < v, pairs[v][u] is extend(level[u]'s layers, level[v]'s
+    element), the layers of the chosen set plus both, or None when the two
+    are incompatible.  row1, when given, holds the test of the pair (0, 1)
+    made already, as {0: its result}, and stands for pairs[1].
 
-    Vertex v joins the first class with no member compatible with it.
-    compatible(u, v), always with u < v and never twice for one pair, is
-    asked only until v meets a compatible member in each class it skips,
-    and for every member of the class it joins.  Each class is what a
-    class-by-class greedy colouring builds from the whole graph: by
-    induction on v, both put v in class c iff v has no neighbour among the
-    class-c members below it and has one among those of each lower class.
-    A class is an independent set, so a clique meets it at most once, and
-    a clique inside order[:p + 1] has at most colours[p] vertices.
-    Colours never decrease along order.
+    Candidate v joins the first class with no member compatible with it.
+    A pair (u, v), u < v, is tested at most once, and only until v meets a
+    compatible member in each class it skips, and for every member of the
+    class it joins.  Each class is what a class-by-class greedy colouring
+    builds from the whole graph: by induction on v, both put v in class c
+    iff v has no neighbour among the class-c members below it and has one
+    among those of each lower class.  A class is an independent set, so a
+    clique meets it at most once, and a clique inside order[:p + 1] has at
+    most colours[p] vertices.  Colours never decrease along order.
     """
-    classes: list[list[int]] = []
-    for v in range(n):
+    if row1 is None:
+        classes: list[list[int]] = []
+        pairs: list[dict] = []
+    else:  # candidates 0 and 1 are coloured by the pair's test
+        classes = [[0, 1]] if row1[0] is None else [[0], [1]]
+        pairs = [{}, row1]
+    for v in range(len(pairs), len(level)):
+        x = level[v][0]
+        row = {}
+        pairs.append(row)
         for members in classes:
             for u in members:
-                if compatible(u, v):
+                ly = row[u] = extend(level[u][1], x)
+                if ly is not None:
                     break
             else:
                 members.append(v)
@@ -219,7 +246,7 @@ def _first_fit(n: int, compatible: Callable[[int, int], bool]) -> tuple[list[int
             classes.append([v])
     order = [v for members in classes for v in members]
     colours = [c for c, members in enumerate(classes, 1) for _ in members]
-    return order, colours
+    return order, colours, pairs
 
 
 def _addable(extend, layers, xs) -> list:
@@ -237,13 +264,16 @@ def _walk(
 
     A level lists the (x, layers) candidates that extend the chosen set by
     one element, layers being the reduced padded masks of the extended
-    set's sumset layers (_addable builds it).  Each step is one extend
-    (_make_extend), which gives those layers, or None when the extended
-    set is not sum-free: that None is the walk's only sum-free test.
-    visit(level, depth, chosen) sees each level once, depth being
+    set's sumset layers 1A, ..., kA (_addable builds it).  Each step is one
+    extend (_make_extend), which gives those layers, or None when the
+    extended set is not sum-free: that None is the walk's only sum-free
+    test.  visit(level, depth, chosen) sees each level once, depth being
     len(chosen) + 1, the size of the extended sets, and returns False to
-    skip its subtree.  A level is entered only when it is nonempty and
-    could exceed floor[0]; visitors may raise floor[0] as they go.
+    skip its subtree, True to enter it, or, in a coloured walk, {0: the
+    layers of chosen + level[0] + level[1], or None} to enter a level whose
+    first pair it has tested (the colouring then reuses that test).  A
+    level is entered only when it is nonempty and could exceed floor[0];
+    visitors may raise floor[0] as they go.
 
     By default a level branches on its candidates in its order, the child
     of x being the candidates after x that stay addable with it, and the
@@ -256,18 +286,25 @@ def _walk(
     Sum-freeness is hereditary, so the elements a set adds to the chosen
     one are pairwise compatible: each pair of them keeps the chosen set
     sum-free.  _first_fit colours the compatibility graph, testing a pair
-    (one extend) only when the colouring reads it, and the level keeps
-    each tested pair's layers, or None.  The level branches from the
-    highest colour down, the child of v being the compatible candidates
-    before v in colour order, with the pair's layers: kept ones are
-    reused, and only the pairs not yet tested are extended, so child
-    layers are computed only where the walk goes.  A set added below v
-    takes at most one candidate per colour, so the sibling loop stops at
-    the first v whose colour plus the chosen set cannot exceed floor[0].
-    The bound depends only on the instance.
+    (one extend) only when the colouring reads it, and keeps each tested
+    pair's layers, or None, in the row of its later candidate.  The level
+    branches from the highest colour down, the child of v being the
+    compatible candidates before v in colour order, with the pair's
+    layers.  The colouring tests v only against candidates below it, and a
+    candidate u above v that precedes v in colour order sits in a lower
+    class than v, so placing u never read v's class and never tested the
+    pair; so v's row holds every tested pair of its child, kept layers are
+    reused, and only the pairs not yet tested are extended: child layers
+    are computed only where the walk goes.  A set added below v takes at
+    most one candidate per colour, so the sibling loop stops at the first
+    v whose colour plus the chosen set cannot exceed floor[0].  The bound
+    depends only on the instance.
     """
     depth = len(chosen)
-    if not level or depth + len(level) <= floor[0] or not visit(level, depth + 1, chosen):
+    if not level or depth + len(level) <= floor[0]:
+        return
+    entered = visit(level, depth + 1, chosen)
+    if not entered:
         return
     if not coloured:
         for i, (x, lx) in enumerate(level):
@@ -276,21 +313,16 @@ def _walk(
             child = _addable(extend, lx, [y for y, _ in level[i + 1:]])
             _walk(extend, floor, visit, child, chosen + (x,))
         return
-    tested = {}  # (u, v), u < v: the pair's layers, or None if incompatible
-
-    def compatible(u, v):
-        ly = tested[u, v] = extend(level[u][1], level[v][0])
-        return ly is not None
-
-    by_colour, colours = _first_fit(len(level), compatible)
+    by_colour, colours, pairs = _first_fit(extend, level, None if entered is True else entered)
     for p in range(len(level) - 1, -1, -1):
         if depth + colours[p] <= floor[0]:
             return
         v = by_colour[p]
         xv, lv = level[v]
+        row = pairs[v]
         child = []
         for u in by_colour[:p]:
-            ly = tested.get((u, v) if u < v else (v, u), False)
+            ly = row.get(u, False)
             if ly is False:  # untested: the colouring never needed this pair
                 ly = extend(lv, level[u][0])
             if ly is not None:
@@ -310,7 +342,7 @@ def _orbit_branches(g: GroupSpec, k: int, l: int, extend):
     for orbit in reversed(orbits):
         end -= len(orbit)
         if g.scale_index(k - l, orbit[0]):  # {r_b} is sum-free: k*r_b != l*r_b
-            yield orbit, _addable(extend, extend([1] + [0] * k, orbit[0]), order[end + 1:])
+            yield orbit, _addable(extend, extend([0] * k, orbit[0]), order[end + 1:])
 
 
 def _search_max(
@@ -374,7 +406,7 @@ def _search_max(
         return False
 
     floor[0] = lam - 1
-    _walk(extend, floor, first_hit, _addable(extend, [1] + [0] * k, range(g.n)), ())
+    _walk(extend, floor, first_hit, _addable(extend, [0] * k, range(g.n)), ())
     return lam, witness, nodes
 
 
@@ -538,8 +570,10 @@ def enumerate_maximum(
     found, is every maximum set.  Below a complete level (_chain) of depth
     less than the maximum, every set is sum-free, so the only maximum set
     there is the chosen set plus the whole level: it is kept when its size
-    is the maximum and the subtree is skipped.  limit caps g.n (None lifts
-    it).
+    is the maximum and the subtree is skipped.  The chain's first step is
+    the pair test of level[0] and level[1], the colouring's first, so a
+    level that is not complete passes that test on to _walk.  limit caps
+    g.n (None lifts it).
     """
     _check_limit(g.n, limit, "maximum enumeration")
     lam = lambda_exact(g, kl, limit=None).max_size
@@ -550,8 +584,10 @@ def enumerate_maximum(
 
     def visit(level, depth, chosen):
         if depth < lam:
-            if _chain(extend, level)[0] < len(level):
-                return True
+            if len(level) > 1:
+                first = extend(level[0][1], level[1][0])
+                if first is None or _chain(extend, level, 2, first)[0] < len(level):
+                    return {0: first}
             # a complete level: the one largest set below it is chosen
             # plus the whole level
             if len(chosen) + len(level) == lam:

@@ -16,8 +16,9 @@ is such a lift iff its mask is its low d bits repeated n/d times (their
 product with the base-2^d repunit, _repeat); a lift has |R| n/d members,
 so n divides |A| d, and _least_quotient takes the first divisor of v, in
 ascending order, that passes both tests.  _multiples runs the chain of
-layers on R and lifts each layer it keeps, so is_kl_sum_free, h_fold and
-find_violation all take a lift's layers from its quotient.  The
+layers on R, so is_kl_sum_free, h_fold and find_violation all take a
+lift's layers from its quotient; is_kl_sum_free intersects kR and lR in
+Z_d, and the other two lift each layer they keep (_lifted).  The
 difference characterization takes kA and lA from h_fold and forms kA - lA
 in G.
 
@@ -190,16 +191,17 @@ def _least_quotient(a: Subset) -> Optional[int]:
     return None
 
 
-def _multiples(a: Subset, hs: tuple[int, ...]) -> list[int]:
-    """The masks of hA for h in hs, from one chain jA = (j-1)A + A.
+def _multiples(a: Subset, hs: tuple[int, ...]) -> tuple[Optional[int], list[int]]:
+    """(d, masks): the masks of hX for h in hs, from one chain
+    jX = (j-1)X + X.
 
-    Layer j costs one shift per element of A, which is never larger than
-    (j-1)A; only the layers in hs are kept.  A set lifted from a cyclic
-    quotient Z_d (_least_quotient) runs the chain on its residues R in Z_d
-    instead, and each kept layer is lifted back: hA = pi^-1(hR) (module
-    docstring).
+    X is A, with d None, or, for a set lifted from a cyclic quotient Z_d
+    (_least_quotient), its residues R in Z_d, with masks over Z_d: then
+    hA = pi^-1(hR) (module docstring), which _lifted gives.  Layer j costs
+    one shift per element of X, which is never larger than (j-1)X; only
+    the layers in hs are kept.
     """
-    n, d = a.group.n, _least_quotient(a)
+    d = _least_quotient(a)
     g, bits = (a.group, a.bits) if d is None else (make_group([d]), a.bits & ((1 << d) - 1))
     layout, layer = padded_layout(g), bits
     kept = dict.fromkeys(hs, layer)
@@ -207,7 +209,14 @@ def _multiples(a: Subset, hs: tuple[int, ...]) -> list[int]:
         layer = _sumset_bits(layout, bits, layer)
         if j in kept:
             kept[j] = layer
-    return [kept[h] if d is None else _repeat(kept[h], d, n) for h in hs]
+    return d, [kept[h] for h in hs]
+
+
+def _lifted(a: Subset, hs: tuple[int, ...]) -> list[int]:
+    """The masks of hA in G for h in hs: _multiples' layers, each lifted
+    back to G when A is a lift."""
+    d, masks = _multiples(a, hs)
+    return masks if d is None else [_repeat(mask, d, a.group.n) for mask in masks]
 
 
 def h_fold(a: Subset, h: int) -> Subset:
@@ -220,7 +229,7 @@ def h_fold(a: Subset, h: int) -> Subset:
         raise ValueError(f"h must be a positive integer, got {h}")
     if a.bits == 0:
         return a
-    return Subset(a.group, _multiples(a, (h,))[0])
+    return Subset(a.group, _lifted(a, (h,))[0])
 
 
 def negate(a: Subset) -> Subset:
@@ -239,16 +248,16 @@ def negate(a: Subset) -> Subset:
 def is_kl_sum_free(a: Subset, k: int, l: int) -> bool:
     """True iff kA and lA are disjoint.
 
-    A set lifted from a cyclic quotient Z_d (d | v, d < n) takes its
-    layers from its residue set in Z_d (_multiples), which gives the same
-    answer (module docstring); any other set, G itself and the empty set
-    among them, is checked in G.
+    A set lifted from a cyclic quotient Z_d (d | v, d < n) is checked in
+    Z_d: kR and lR of its residue set R (_multiples) meet iff kA and lA do
+    (module docstring), so neither layer is lifted back; any other set, G
+    itself and the empty set among them, is checked in G.
     """
     KLParams(k, l)  # raises ValueError unless k > l >= 1
     if a.bits == 0:
         return True
-    ka, la = _multiples(a, (k, l))
-    return ka & la == 0
+    _, (kx, lx) = _multiples(a, (k, l))
+    return kx & lx == 0
 
 
 def is_kl_sum_free_via_difference(a: Subset, k: int, l: int) -> bool:
@@ -322,14 +331,14 @@ def find_violation(
     The tuples are the lexicographically first over index-sorted tuples:
     the first k-tuple whose sum lies in lA, then the first l-tuple with
     that sum.  Each is built one element at a time from the layers
-    0A..kA (1A..kA from the chain of _multiples), taking the
+    0A..kA (1A..kA from the chain of _multiples, lifted), taking the
     smallest a in A with which the remaining layer can still reach the
     target, so no tuple is enumerated.
     """
     KLParams(k, l)  # raises ValueError unless k > l >= 1
     g = a.group
     # 0A = {0}, index 0 being the identity
-    layers = [1] + _multiples(a, tuple(range(1, k + 1)))
+    layers = [1] + _lifted(a, tuple(range(1, k + 1)))
     if layers[k] & layers[l] == 0:
         return None
     layout = padded_layout(g)

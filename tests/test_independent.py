@@ -1,18 +1,50 @@
-"""The exact search and count against an independent oracle
-(tests/independent.py), which shares no code with the package: no padded
-layout, no translation_ops, no extend, orbits, colouring, seed or bulk
-tallies.  A fault in any of those moves the package's answers and not
-the oracle's."""
+"""The exact search, the count and the oracle's extend against an
+independent oracle (tests/independent.py), which shares no code with the
+package: no padded layout, no translation_ops, no extend, orbits,
+colouring, seed or bulk tallies.  A fault in any of those moves the
+package's answers and not the oracle's."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from klsumfree import KLParams, count_sum_free, lambda_exact
+from klsumfree import KLParams, all_abelian_groups, count_sum_free, lambda_exact
+from klsumfree.abelian import padded_layout
+from klsumfree.oracle import _make_extend
 
 import independent
 from conftest import groups_up_to
 from test_oracle import SEARCH_PAIRS
+
+GROUPS = all_abelian_groups(64)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    st.sampled_from([g for g in GROUPS if g.is_cyclic])
+    | st.sampled_from([g for g in GROUPS if not g.is_cyclic]),
+    st.sampled_from(SEARCH_PAIRS),
+    st.data(),
+)
+def test_extend_matches_independent_extend(g, kl, data):
+    # a random chain of elements, each added when the set stays sum-free:
+    # extend refuses an element exactly when the independent one does, and
+    # its layers 1A..kA unpad to the independent plain masks.  Cyclic
+    # groups take only the moves with no folds; product groups take both
+    # kinds, an element with every coordinate past axis 0 zero having none
+    k, l = kl
+    extend = _make_extend(g, k, l)
+    plain = independent.make_extend(list(g.factors), k, l)
+    unpad = padded_layout(g).unpad
+    layers, reference = [0] * k, [1] + [0] * k
+    for x in data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=12)):
+        got, want = extend(layers, x), plain(reference, x)
+        assert (got is None) == (want is None), (g, kl, x)
+        if got is not None:
+            assert [unpad(b) for b in got] == want[1:], (g, kl, x)
+            layers, reference = got, want
 
 
 def test_lambda_matches_independent_oracle():

@@ -147,7 +147,7 @@ def _index_order_walk(g, k, l, floor, visit):
     """Walk every sum-free set of g, uncoloured, adding elements in
     element-index order from the empty set."""
     extend = _make_extend(g, k, l)
-    _walk(extend, floor, visit, _addable(extend, [1] + [0] * k, range(g.n)), ())
+    _walk(extend, floor, visit, _addable(extend, [0] * k, range(g.n)), ())
 
 
 def _search_max_reference(g, k, l, seed, progress, progress_interval=65536):
@@ -446,7 +446,9 @@ def test_count_rejects_a_partition_that_is_not_the_orbits(monkeypatch):
 
 def _no_level_complete(extend, level, i=0, layers=None):
     """A chain that breaks at the first element it is given: it reports no
-    level complete but the empty one, and tests no pair."""
+    level complete but one its caller has already joined to the end (the
+    empty level, and a level of one compatible pair, whose pair test the
+    enumeration makes before its chain), and tests no pair."""
     return i, layers
 
 
@@ -470,6 +472,26 @@ def test_complete_levels_tally_as_the_walk(monkeypatch):
     assert results() == bulk
 
 
+def _count_extend_calls(monkeypatch) -> list[int]:
+    """[calls]: from now on, calls counts every extend the oracle makes."""
+    from klsumfree import oracle
+
+    calls = [0]
+    make_extend = oracle._make_extend
+
+    def counting_make_extend(g, k, l):
+        extend = make_extend(g, k, l)
+
+        def counted(layers, x):
+            calls[0] += 1
+            return extend(layers, x)
+
+        return counted
+
+    monkeypatch.setattr(oracle, "_make_extend", counting_make_extend)
+    return calls
+
+
 @pytest.mark.parametrize(
     "factors, k, l, walked, split",
     [_pin([32], 2, 1, 57884, 11917), _pin([2] * 5, 3, 2, 598748, 56952)],
@@ -480,27 +502,40 @@ def test_complete_levels_save_extend_calls(monkeypatch, factors, k, l, walked, s
     # visits every set
     from klsumfree import oracle
 
-    calls = 0
-    make_extend = oracle._make_extend
-
-    def counting_make_extend(g, k, l):
-        extend = make_extend(g, k, l)
-
-        def counted(layers, x):
-            nonlocal calls
-            calls += 1
-            return extend(layers, x)
-
-        return counted
-
-    monkeypatch.setattr(oracle, "_make_extend", counting_make_extend)
+    calls = _count_extend_calls(monkeypatch)
     g, kl = make_group(factors), KLParams(k, l)
     first = count_sum_free(g, kl, limit=None)
-    assert calls == split
-    calls = 0
+    assert calls[0] == split
+    calls[0] = 0
     monkeypatch.setattr(oracle, "_chain", _no_level_complete)
     assert count_sum_free(g, kl, limit=None).nodes_explored == first.nodes_explored
-    assert calls == walked
+    assert calls[0] == walked
+
+
+@pytest.mark.parametrize(
+    "entry, factors, k, l, calls",
+    [
+        pytest.param(lambda_exact, [61], 2, 1, 199425, id="lambda-61-2-1"),
+        pytest.param(lambda_exact, [4, 16], 2, 1, 9559, id="lambda-4x16-2-1"),
+        pytest.param(enumerate_maximum, [2, 16], 3, 1, 1886, id="enumerate-2x16-3-1"),
+    ],
+)
+def test_walk_extend_calls_pinned(monkeypatch, entry, factors, k, l, calls):
+    # extend calls of one coloured walk: the colouring's pair tests, the
+    # child layers, the branch roots and, for the enumeration, the
+    # complete-level chains, whose first step is also the colouring's
+    # first pair test and runs once; a change that adds pair tests moves
+    # these before it moves a time.  The enumeration's lambda comes from
+    # the cache, so only its own walk is counted
+    from klsumfree import oracle
+
+    g, kl = make_group(factors), KLParams(k, l)
+    monkeypatch.setattr(oracle, "_EXACT_CACHE", {})
+    if entry is enumerate_maximum:
+        lambda_exact(g, kl, limit=None)
+    made = _count_extend_calls(monkeypatch)
+    entry(g, kl, limit=None)
+    assert made[0] == calls
 
 
 def _run_with_recursion_limit(frames: int, call: str):

@@ -288,20 +288,28 @@ def colour_classes(adj):
 
 
 @fixed
-@given(graphs())
-def test_colour_classes_bound_the_cliques_of_each_prefix(adj):
+@given(graphs(), st.booleans())
+def test_colour_classes_bound_the_cliques_of_each_prefix(adj, seeded):
     # the exact search cuts a branch on colours[p]: it must bound every
     # clique among the candidates up to order[p]; first-fit asks for the
-    # pairs it reads and must colour as the whole graph's classes do
+    # pairs it reads, once each, keeps each answer in the row of the later
+    # candidate, and must colour as the whole graph's classes do; a level
+    # whose first pair was tested before (the enumeration's chain) is
+    # coloured from that test without asking again.  Candidate v of the
+    # level is (v, v), and the "layers" of a compatible pair are (u, v)
     asked = []
 
-    def compatible(u, v):
+    def extend(u, v):
         asked.append((u, v))
-        return bool(adj[u] >> v & 1)
+        return (u, v) if adj[u] >> v & 1 else None
 
-    order, colours = _first_fit(len(adj), compatible)
+    level = [(v, v) for v in range(len(adj))]
+    row1 = {0: extend(0, 1)} if seeded and len(adj) > 1 else None
+    order, colours, pairs = _first_fit(extend, level, row1)
     assert (order, colours) == colour_classes(adj)
     assert all(u < v for u, v in asked) and len(set(asked)) == len(asked), asked
+    assert sorted((u, v) for v, row in enumerate(pairs) for u in row) == sorted(asked)
+    assert all(ly == extend(u, v) for v, row in enumerate(pairs) for u, ly in row.items())
     assert sorted(order) == list(range(len(adj)))
     assert colours == sorted(colours) and colours[:1] in ([], [1])
     for a, b in itertools.combinations(range(len(order)), 2):
@@ -321,7 +329,7 @@ def test_complete_level_check_matches_sum_free_test(g, kl, data):
     # complete (the enumeration's check) iff chosen plus all of it is
     # sum-free, as the empty level is
     extend = _make_extend(g, kl.k, kl.l)
-    layers, chosen = [1] + [0] * kl.k, []
+    layers, chosen = [0] * kl.k, []
     for x in data.draw(st.lists(st.integers(0, g.n - 1), max_size=8)):
         lx = extend(layers, x)
         if x not in chosen and lx is not None:

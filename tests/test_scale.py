@@ -126,6 +126,16 @@ def test_first_fit_colouring_search_on_order_100():
     assert (out["exact"]["value"], out["exact"]["nodes_explored"]) == (20, 195649)
 
 
+def test_exact_search_on_a_cyclic_group_of_order_97():
+    # every move of a cyclic group has no folds, so this search runs
+    # extend's loop without the fold step throughout
+    out = klsf_json(
+        "lambda", "--group", "97", "--k", "2", "--l", "1", "--method", "exact", "--force",
+        timeout=30,
+    )
+    assert (out["exact"]["value"], out["exact"]["nodes_explored"]) == (32, 578003)
+
+
 def test_first_fit_colouring_enumeration_on_order_128():
     out = klsf_json(
         "enumerate", "--group", "2x2x2x2x2x2x2", "--k", "2", "--l", "1", "--force", timeout=40
