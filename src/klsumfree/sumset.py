@@ -27,7 +27,9 @@ where adding offsets adds elements, by one kernel (_sumset_bits): the
 padded mask of the larger operand is shifted once per element of the
 smaller, and no per-group translation table is built.  The layers hA
 come from one chain, jA = (j-1)A + A (_multiples), in which A is the
-smaller operand of every sumset.
+smaller operand of every sumset.  The chain stops at the first layer no
+larger than the one before; every later layer is a translate of it, so
+the chain's length is bounded by the order of the group, not by h.
 
 All functions are pure; callers may parallelize sweeps freely.
 """
@@ -193,20 +195,34 @@ def _least_quotient(a: Subset) -> Optional[int]:
 
 def _multiples(a: Subset, hs: tuple[int, ...]) -> tuple[Optional[int], list[int]]:
     """(d, masks): the masks of hX for h in hs, from one chain
-    jX = (j-1)X + X.
+    jX = (j-1)X + X, which stops at the first j with |jX| = |(j-1)X|.
 
     X is A, with d None, or, for a set lifted from a cyclic quotient Z_d
     (_least_quotient), its residues R in Z_d, with masks over Z_d: then
     hA = pi^-1(hR) (module docstring), which _lifted gives.  Layer j costs
     one shift per element of X, which is never larger than (j-1)X; only
-    the layers in hs are kept.
+    the layers in hs are kept.  For x in X, (j-1)X + x lies in jX and has
+    as many elements, so once the sizes agree jX = (j-1)X + x, and every
+    later layer is a translate, hX = (j-1)X + (h-j+1)x, with the multiple
+    taken mod the exponent.  The sizes never fall and never pass the
+    order, so the chain stops within that many steps, whatever max(hs).
     """
     d = _least_quotient(a)
     g, bits = (a.group, a.bits) if d is None else (make_group([d]), a.bits & ((1 << d) - 1))
-    layout, layer = padded_layout(g), bits
+    if not bits:
+        return d, [0] * len(hs)
+    layout, layer, size = padded_layout(g), bits, bits.bit_count()
     kept = dict.fromkeys(hs, layer)
     for j in range(2, max(hs) + 1):
-        layer = _sumset_bits(layout, bits, layer)
+        nxt = _sumset_bits(layout, bits, layer)
+        count = nxt.bit_count()
+        if count == size:
+            padded, x = layout.pad(layer), (bits & -bits).bit_length() - 1
+            for h in kept:
+                if h >= j:
+                    kept[h] = layout.translate(padded, g.scale_index((h - j + 1) % g.v, x))
+            break
+        layer, size = nxt, count
         if j in kept:
             kept[j] = layer
     return d, [kept[h] for h in hs]

@@ -13,7 +13,8 @@ tower of layers jA, j = 0..k (0A = {0}); adding x gives the layers of
 A + {x} by out_0 = {0} and out_j = layers_j | (out_{j-1} + x).  The search
 walks the sets in index order, each level keeping only the candidates
 that stay addable, and cuts a branch only when its size plus its
-remaining candidates cannot beat the best found.
+remaining candidates cannot beat the best found (or, listing the largest
+sets, cannot reach its size).
 """
 
 from __future__ import annotations
@@ -114,3 +115,27 @@ def by_size(factors: list[int], k: int, l: int) -> dict[int, int]:
 
     walk(0, roots)
     return dict(sorted(counts.items()))
+
+
+def maximum_sets(factors: list[int], k: int, l: int) -> list[tuple[int, ...]]:
+    """Every (k,l)-sum-free subset of the largest size, as its indices in
+    ascending order, the sets in index order; [()] when that size is 0.
+    The walk keeps the sets of the largest size met so far, and cuts a
+    branch only when its size plus its remaining candidates falls short
+    of that size."""
+    extend, roots = _roots(factors, k, l)
+    best, found = 0, [()]
+
+    def walk(chosen, candidates):
+        nonlocal best, found
+        if len(chosen) > best:
+            best, found = len(chosen), [chosen]
+        elif len(chosen) == best and chosen:
+            found.append(chosen)
+        for i in range(len(candidates)):
+            if len(chosen) + len(candidates) - i < best:
+                return
+            walk(chosen + (candidates[i][0],), _children(extend, candidates, i))
+
+    walk((), roots)
+    return found

@@ -231,6 +231,16 @@ def test_witness_and_verify_build_no_translation_table(capsys):
     assert abelian.translation_ops.cache_info().currsize == 0
 
 
+def test_witness_and_verify_at_a_huge_k(capsys):
+    # the sumset chain stops at the first layer that does not grow, so a
+    # k of 10^20 costs what a small one does
+    k = str(10**20)
+    code, doc, _ = run_json(capsys, "witness", "--group", "10", "--k", k, "--l", "1")
+    assert code == 0 and doc["members"] == [1, 3, 5, 7, 9]
+    code, doc, _ = run_json(capsys, "verify", "--group", "12", "--k", k, "--l", "1", "--set", "1,5")
+    assert code == 0 and doc["sum_free"] is True
+
+
 # sha256 of the --json stdout and the exit code of fixed commands; --json
 # output is a stable wire format, so any change here must be deliberate
 PINNED_JSON = [
@@ -282,6 +292,7 @@ def test_json_output_pinned(capsys, command, exit_code, digest):
     code, out, _ = run(capsys, *command.split(), "--json")
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 # sha256 of the text stdout: members shown as indices or coordinate tuples

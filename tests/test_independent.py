@@ -1,8 +1,8 @@
-"""The exact search, the count and the oracle's extend against an
-independent oracle (tests/independent.py), which shares no code with the
-package: no padded layout, no translation_ops, no extend, orbits,
-colouring, seed or bulk tallies.  A fault in any of those moves the
-package's answers and not the oracle's."""
+"""The exact search, the count, the enumeration and the oracle's extend
+against an independent oracle (tests/independent.py), which shares no
+code with the package: no padded layout, no translation_ops, no extend,
+orbits, colouring, seed or bulk tallies.  A fault in any of those moves
+the package's answers and not the oracle's."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klsumfree import KLParams, all_abelian_groups, count_sum_free, lambda_exact
+from klsumfree import KLParams, all_abelian_groups, count_sum_free, enumerate_maximum, lambda_exact
 from klsumfree.abelian import padded_layout
 from klsumfree.oracle import _make_extend
 
@@ -64,6 +64,25 @@ def test_count_by_size_matches_independent_oracle():
             assert got == independent.by_size(list(g.factors), k, l), (g, k, l)
 
 
+def _assert_enumerate_matches(groups):
+    for g in groups:
+        for k, l in SEARCH_PAIRS:
+            sets = enumerate_maximum(g, KLParams(k, l))
+            got = [tuple(s.indices()) for s in sets]
+            assert got == independent.maximum_sets(list(g.factors), k, l), (g, k, l)
+
+
+def test_enumerate_matches_independent_oracle():
+    # 308 instances: every group of order <= 28 at SEARCH_PAIRS
+    _assert_enumerate_matches(groups_up_to(28))
+
+
+@pytest.mark.scale
+def test_enumerate_matches_independent_oracle_on_orders_29_to_32():
+    # 70 instances
+    _assert_enumerate_matches(groups_up_to(32, min_order=29))
+
+
 @pytest.mark.scale
 def test_lambda_matches_independent_oracle_on_orders_25_to_32():
     for g in groups_up_to(32, min_order=25):
@@ -77,6 +96,9 @@ def test_independent_oracle_on_small_cases():
     # the largest sum-free sets are the two-element sets without 0
     assert independent.max_size([7], 2, 1) == 2
     assert independent.by_size([2, 2], 2, 1) == {0: 1, 1: 3, 2: 3}
+    assert independent.maximum_sets([2, 2], 2, 1) == [(1, 2), (1, 3), (2, 3)]
+    # in Z_2, 3x = x for every x, so only the empty set is (3,1)-sum-free
+    assert independent.maximum_sets([2], 3, 1) == [()]
     # adding (1, 1) to {(0, 1)} in Z_2 x Z_3 lands on (1, 2), index 5
     bits = 1 << 1
     for up, low, down in independent.translation_ops([2, 3])[4]:

@@ -5,10 +5,10 @@ index arithmetic against coordinate arithmetic (every other property
 takes it as its reference), bitmask translation and the sumset kernel
 against coordinate addition, negation
 against coordinate negation, the two sum-free characterizations against
-each other, quotient lifts and the sum-free check of a lift in its
-quotient, the least quotient against a scan of every divisor, the
-violation search, the --set text reader against a
-per-element reading, the
+each other, the h-fold sumset against a chain of pair sumsets, quotient
+lifts and the sum-free check of a lift in its quotient, the least
+quotient against a scan of every divisor, the violation search, the
+--set text reader against a per-element reading, the
 automorphism-orbit key under unit scaling, the exact search's
 first-fit colouring against a class-by-class one, the oracle's
 check that a level is complete against the sum-free test, and the
@@ -31,6 +31,7 @@ from klsumfree import (
     cyclic_quotient_lift,
     divisors,
     find_violation,
+    h_fold,
     is_kl_sum_free,
     is_kl_sum_free_via_difference,
     make_group,
@@ -141,6 +142,40 @@ def test_sum_free_check_of_lifts_and_near_lifts(g, kl, data):
         free = is_kl_sum_free(a, *kl)
         assert free == is_kl_sum_free_via_difference(a, *kl)
         assert (find_violation(a, *kl) is None) == free
+
+
+def _sparse_mask(data, width: int) -> int:
+    """A nonempty width-bit mask keeping each bit with chance 2**-draw(1..3)."""
+    bits = (1 << width) - 1
+    for _ in range(data.draw(st.integers(1, 3))):
+        bits &= data.draw(st.integers(0, (1 << width) - 1))
+    return bits or 1
+
+
+SMALL_GROUPS = all_abelian_groups(40)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    st.sampled_from([g for g in SMALL_GROUPS if g.is_cyclic])
+    | st.sampled_from([g for g in SMALL_GROUPS if not g.is_cyclic]),
+    st.booleans(),
+    st.data(),
+)
+def test_h_fold_matches_a_chain_of_pair_sumsets(g, lift, data):
+    # h_fold stops its chain at the first layer no larger than the one
+    # before and takes every later layer as a translate of it; h - 1
+    # pair sumsets build each layer in full.  A lift has its chain run in
+    # Z_d, any other set in G
+    if lift:
+        d = data.draw(st.sampled_from(divisors(g.v)[1:]))
+        a = cyclic_quotient_lift(g, d, Subset(make_group([d]), _sparse_mask(data, d)))
+    else:
+        a = Subset(g, _sparse_mask(data, g.n))
+    chain = a
+    for h in range(1, 3 * g.n + 1):
+        assert h_fold(a, h) == chain, (g, a.indices(), h)
+        chain = pair_sumset(chain, a)
 
 
 def _least_quotient_by_scan(a: Subset):
