@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from math import gcd
 from operator import add, floordiv, mod, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "GroupSpec",
@@ -95,8 +94,7 @@ def _divisor_tuple(x: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # groups and elements
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """A finite abelian group Z_{d1} x ... x Z_{dm} with d1 | d2 | ... | dm.
 
     n is the order (product of the factors), v the exponent (last factor).
@@ -168,8 +166,7 @@ class GroupSpec:
         return format_group_spec(self)
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
     """A group element as a tuple of residues, coords[i] in [0, d_i): the
     display form of an index, Element(g.coords_of(i))."""
 
@@ -279,8 +276,7 @@ def _move_blocks(x: int, src: tuple[int, ...], dst: tuple[int, ...], lo: int, hi
     return low | _move_blocks(x >> cut, src, dst, mid, hi) << (dst[mid] - dst[lo])
 
 
-@dataclass(frozen=True)
-class PaddedLayout:
+class PaddedLayout(NamedTuple):
     """Subset masks of g spread out so that adding offsets adds elements.
 
     size is the number of padded slots, prod(2*d_i - 1); blocks[j] = j*v

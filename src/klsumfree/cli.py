@@ -612,6 +612,22 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _too_large(args) -> str:
+    """What a command that overflowed or ran out of memory could not hold.
+    A subset is a mask of n bits, and the exact searches and find_violation
+    keep the k sumset layers 1A..kA, so the larger of k and the largest
+    group order the command names is the one reported."""
+    if args.command == "scan":
+        order = _parse_range(args.n if args.n is not None else args.order)[1]
+    elif args.command == "alpha":
+        order = args.n
+    else:
+        order = parse_group_spec(args.group).n
+    if args.k > order:
+        return "k too large: the sumset layers 1A..kA do not fit in memory"
+    return "group too large: its subsets do not fit in memory"
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -623,8 +639,7 @@ def main(argv=None) -> int:
         print(f"error: {_limit_message(exc)}", file=sys.stderr)
         return 3
     except (OverflowError, MemoryError):
-        # a group whose order Python cannot hold as a mask of its elements
-        print("error: group too large: its subsets do not fit in memory", file=sys.stderr)
+        print(f"error: {_too_large(args)}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,6 @@ loudly instead of silently skewing results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple, Optional
 
@@ -49,18 +48,27 @@ class FormulaUnavailableError(ValueError):
     """Raised when only bounds, not an exact closed form, are known."""
 
 
-@dataclass(frozen=True)
-class KLParams:
-    """The parameter pair (k, l) with k > l >= 1."""
-
+class _KLFields(NamedTuple):
     k: int
     l: int
 
-    def __post_init__(self):
-        if not (isinstance(self.k, int) and isinstance(self.l, int)):
-            raise ValueError(f"k and l must be integers, got {self.k!r}, {self.l!r}")
-        if not self.k > self.l >= 1:
-            raise ValueError(f"need k > l >= 1, got k={self.k}, l={self.l}")
+
+class KLParams(_KLFields):
+    """The parameter pair (k, l) with k > l >= 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, l: int):
+        if not (isinstance(k, int) and isinstance(l, int)):
+            raise ValueError(f"k and l must be integers, got {k!r}, {l!r}")
+        if not k > l >= 1:
+            raise ValueError(f"need k > l >= 1, got k={k}, l={l}")
+        return tuple.__new__(cls, (k, l))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and _replace through it, skip __new__'s check
+        return cls(*iterable)
 
     @property
     def diff(self) -> int:
@@ -81,8 +89,7 @@ def delta(d: int, kl: KLParams) -> int:
 # ---------------------------------------------------------------------------
 # general divisor-maximum bounds
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Per-divisor evaluation of the general lower/upper bounds.
 
     lower ranges over divisors of the exponent v, upper over divisors of n.
@@ -254,8 +261,7 @@ def gamma_bounds(n: int, kl: KLParams) -> GammaBounds:
     return GammaBounds(_lower_term(n, kl), _upper_term(n, kl))
 
 
-@dataclass(frozen=True)
-class AlphaReport:
+class AlphaReport(NamedTuple):
     """Longest (k,l)-sum-free progression in Z_n: exact value or bounds.
 
     case_tag is "divides" (n | k-l, exact 0), "coprime" (gcd(n,k-l) = 1,
@@ -367,8 +373,7 @@ def theorem16_condition(v: int, kl: KLParams) -> Theorem16Result:
 # ---------------------------------------------------------------------------
 # the six-way divisor classification behind the (3,1) cyclic value
 
-@dataclass(frozen=True)
-class ClassReport31:
+class ClassReport31(NamedTuple):
     """Divisors of n > 1 split into six residue classes, with the best
     (3,1) progression-times-cosets value from each.
 

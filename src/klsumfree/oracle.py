@@ -70,10 +70,9 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
 from math import comb, gcd
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .abelian import GroupSpec, automorphism_closure, automorphism_orbits, divisors, translation_ops
 from .formulas import KLParams
@@ -109,8 +108,7 @@ def _check_limit(n: int, limit: Optional[int], what: str):
         raise LimitExceededError(f"{what} limited to order {limit} (requested {n})")
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Exact maximum with one witness set and search-effort counters.
 
     cached is True when the answer came from the in-process cache of
@@ -123,8 +121,7 @@ class SearchResult:
     cached: bool = False
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(NamedTuple):
     """Exact number of (k,l)-sum-free subsets, split by size (read-only),
     with nodes_explored: the empty set, each orbit branch's root, and every
     set that contains a branch's root, each tallied once, whether alone or
@@ -135,7 +132,19 @@ class CountResult:
 
     total: int
     by_size: Mapping[int, int]
-    nodes_explored: int = field(compare=False)
+    nodes_explored: int
+
+    # tuple's own == and != would compare nodes_explored too
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.total == other.total and self.by_size == other.by_size
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    __hash__ = None  # by_size is a mapping
 
 
 def _make_extend(g: GroupSpec, k: int, l: int):
@@ -442,7 +451,7 @@ def lambda_exact(
     key = (g.factors, kl.k, kl.l)
     hit = _EXACT_CACHE.get(key)
     if hit is not None:
-        return replace(hit, cached=True)
+        return hit._replace(cached=True)
     seed = best_witness(g, kl)
     size, indices, nodes = _search_max(
         g, kl.k, kl.l, tuple(seed.members.indices()), progress, progress_interval

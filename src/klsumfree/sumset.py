@@ -36,10 +36,9 @@ All functions are pure; callers may parallelize sweeps freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .abelian import Element, GroupSpec, PaddedLayout, divisors, make_group, padded_layout
 from .formulas import KLParams
@@ -83,16 +82,25 @@ def _scatter(n: int, indices: Iterable[int]) -> int:
     return int(digits[::-1], 2)
 
 
-@dataclass(frozen=True)
-class Subset:
-    """A subset of a group, stored as a bitmask over element indices."""
-
+class _SubsetFields(NamedTuple):
     group: GroupSpec
     bits: int
 
-    def __post_init__(self):
-        if self.bits < 0 or self.bits >> self.group.n:
+
+class Subset(_SubsetFields):
+    """A subset of a group, stored as a bitmask over element indices."""
+
+    __slots__ = ()
+
+    def __new__(cls, group: GroupSpec, bits: int):
+        if bits < 0 or bits >> group.n:
             raise ValueError("bitmask has bits outside the group")
+        return tuple.__new__(cls, (group, bits))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and _replace through it, skip __new__'s check
+        return cls(*iterable)
 
     @classmethod
     def empty(cls, group: GroupSpec) -> "Subset":
@@ -285,8 +293,7 @@ def is_kl_sum_free_via_difference(a: Subset, k: int, l: int) -> bool:
     return diff.bits & 1 == 0
 
 
-@dataclass(frozen=True)
-class StabilizerResult:
+class StabilizerResult(NamedTuple):
     """The stabilizer H = {g : g + S = S} of a subset S, with its index n/|H|.
 
     empty_input flags the conventional answer for S = {} (the full group).
@@ -312,8 +319,7 @@ def stabilizer(s: Subset) -> StabilizerResult:
     return StabilizerResult(sub, g.n // sub.size)
 
 
-@dataclass(frozen=True)
-class KneserCheck:
+class KneserCheck(NamedTuple):
     """|hA| versus h|A| - (h-1)|H| where H is the stabilizer of hA."""
 
     lhs: int

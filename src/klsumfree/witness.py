@@ -18,9 +18,8 @@ checks it in the least such quotient Z_d, with the same answer as in G
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .abelian import GroupSpec, make_group
 from .formulas import KLParams, _lower_term, delta, lambda_bounds_general
@@ -47,8 +46,7 @@ class WitnessVerificationError(RuntimeError):
     """A constructed witness failed its own sum-freeness check (a bug)."""
 
 
-@dataclass(frozen=True)
-class EuclidCertificate:
+class EuclidCertificate(NamedTuple):
     """The (q, r, u, w) values deriving a progression start.
 
     q, r: quotient/remainder with l*c = delta*q - r, 1 <= r <= delta.
@@ -61,8 +59,7 @@ class EuclidCertificate:
     w: int
 
 
-@dataclass(frozen=True)
-class APWitness:
+class APWitness(NamedTuple):
     """An arithmetic progression {start, start+diff, ..., start+c*diff} in Z_d.
 
     size = c + 1; a size-0 witness (certificate None) records that the
@@ -83,8 +80,7 @@ class APWitness:
         return self.size - 1
 
 
-@dataclass(frozen=True)
-class LiftedWitness:
+class LiftedWitness(NamedTuple):
     """A witness in G obtained by pulling a cyclic-quotient witness back.
 
     base is the source construction (an APWitness, or a bare Subset when a
