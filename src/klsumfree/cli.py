@@ -5,9 +5,9 @@ disagreements), 2 usage error (including "no closed form applies"),
 3 resource limit exceeded: an oracle limit, or a group too large for a
 mask of its elements (OverflowError or MemoryError).
 
-Oracle limits honor the KLSF_LIMIT_EXACT / KLSF_LIMIT_COUNT / KLSF_LIMIT_AP
-environment variables; an explicit --limit flag wins over them, and
---force over all.  --json output is deterministic: identical flags give
+Oracle limits honor the KLSF_LIMIT_EXACT / KLSF_LIMIT_COUNT environment
+variables; an explicit --limit flag wins over them, and --force over
+all.  --json output is deterministic: identical flags give
 byte-identical bytes.
 """
 
@@ -39,7 +39,7 @@ from .formulas import (
     lambda_formula,
     theorem16_condition,
 )
-from .oracle import DEFAULT_LIMIT_AP, DEFAULT_LIMIT_COUNT, DEFAULT_LIMIT_EXACT, LimitExceededError
+from .oracle import DEFAULT_LIMIT_COUNT, DEFAULT_LIMIT_EXACT, LimitExceededError
 from .oracle import alpha_exact, count_sum_free, enumerate_maximum, lambda_exact
 from .sumset import Subset, _scatter, find_violation, is_kl_sum_free
 from .witness import _witness_fields, best_witness
@@ -52,7 +52,7 @@ _SCAN_COLUMNS = ("group", "k", "l", "formula", "lower", "upper", "exact", "witne
 
 _DIGITS = b"0123456789"
 
-_DEFAULT_LIMITS = {"EXACT": DEFAULT_LIMIT_EXACT, "COUNT": DEFAULT_LIMIT_COUNT, "AP": DEFAULT_LIMIT_AP}
+_DEFAULT_LIMITS = {"EXACT": DEFAULT_LIMIT_EXACT, "COUNT": DEFAULT_LIMIT_COUNT}
 
 
 def _payload(command: str, kl: KLParams, g: Optional[GroupSpec] = None, **fields) -> dict:
@@ -384,7 +384,7 @@ def cmd_alpha(args) -> int:
         lines.append(f"bounds: [{rep.lower}, {rep.upper}]")
     lines.append(f"restricted-difference bounds: shared-factor {rep.beta_bounds}, coprime {rep.gamma_bounds}")
     if args.exact:
-        value = alpha_exact(args.n, kl, limit=_limit_for(args, "AP"))
+        value = alpha_exact(args.n, kl)
         payload["exact_search"] = value
         lines.append(f"search value: {value}")
     if args.json:
@@ -579,8 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alpha", help="longest sum-free arithmetic progression in Z_n")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p, group=False)
-    p.add_argument("--exact", action="store_true", help="also run the progression search")
+    _add_common(p, group=False, limit=False)
+    p.add_argument("--exact", action="store_true", help="also compute the exact value")
     p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("count", help="count all (k,l)-sum-free subsets")

@@ -311,8 +311,8 @@ def lambda_cyclic_via_alpha(n: int, kl: KLParams, alpha_source: str = "formula")
 
     alpha_source "formula" uses the closed forms (total for (2,1)/(3,1),
     otherwise only where each divisor lands in an exact case);
-    "exact" takes every per-divisor value from exhaustive progression
-    search.
+    "exact" takes every per-divisor value from the oracle's progression
+    maxima (oracle.alpha_exact).
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")

@@ -57,9 +57,10 @@ rises up to one cutoff and falls after it, and of the two starts beside
 the cutoff the one below it is never beaten, so one start per divisor g
 of n gives all three maxima, in O(d(n)) steps.
 
-Each entry point takes one limit on the order, by default its
-DEFAULT_LIMIT_EXACT, DEFAULT_LIMIT_COUNT or DEFAULT_LIMIT_AP: a larger
-order raises LimitExceededError, and limit=None lifts the limit.
+Each exhaustive entry point (lambda_exact, count_sum_free,
+enumerate_maximum) takes one limit on the order, by default its
+DEFAULT_LIMIT_EXACT or DEFAULT_LIMIT_COUNT: a larger order raises
+LimitExceededError, and limit=None lifts the limit.
 
 Searches are deterministic and sequential; callers that want parallelism
 can fan out across instances.  Exact lambda results are cached per process,
@@ -85,7 +86,6 @@ __all__ = [
     "LimitExceededError",
     "DEFAULT_LIMIT_EXACT",
     "DEFAULT_LIMIT_COUNT",
-    "DEFAULT_LIMIT_AP",
     "lambda_exact",
     "count_sum_free",
     "enumerate_maximum",
@@ -96,7 +96,6 @@ __all__ = [
 
 DEFAULT_LIMIT_EXACT = 40
 DEFAULT_LIMIT_COUNT = 28
-DEFAULT_LIMIT_AP = 2000
 
 
 class LimitExceededError(RuntimeError):
@@ -667,27 +666,25 @@ def _ap_maxima(n: int, k: int, l: int) -> tuple[int, int, int]:
     return max(beta, gamma), beta, gamma
 
 
-def _ap_value(n: int, kl: KLParams, which: int, limit: Optional[int]) -> int:
+def _ap_value(n: int, kl: KLParams, which: int) -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _check_limit(n, limit, "progression search")
     return _ap_maxima(n, kl.k, kl.l)[which]
 
 
-def alpha_exact(n: int, kl: KLParams, limit: Optional[int] = DEFAULT_LIMIT_AP) -> int:
+def alpha_exact(n: int, kl: KLParams) -> int:
     """Longest (k,l)-sum-free arithmetic progression in Z_n, any difference.
 
     n = 1 is allowed so divisor sweeps can include the trivial quotient.
-    limit caps n (None lifts it).
     """
-    return _ap_value(n, kl, 0, limit)
+    return _ap_value(n, kl, 0)
 
 
-def beta_exact(n: int, kl: KLParams, limit: Optional[int] = DEFAULT_LIMIT_AP) -> int:
+def beta_exact(n: int, kl: KLParams) -> int:
     """Longest such progression whose difference shares a factor with n."""
-    return _ap_value(n, kl, 1, limit)
+    return _ap_value(n, kl, 1)
 
 
-def gamma_exact(n: int, kl: KLParams, limit: Optional[int] = DEFAULT_LIMIT_AP) -> int:
+def gamma_exact(n: int, kl: KLParams) -> int:
     """Longest such progression whose difference is coprime to n."""
-    return _ap_value(n, kl, 2, limit)
+    return _ap_value(n, kl, 2)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import klsumfree
 from klsumfree import abelian, cli
 from klsumfree.cli import main
+from klsumfree.formulas import alpha_31
 from klsumfree.sumset import Subset
 from klsumfree.witness import members_json
 
@@ -574,13 +576,33 @@ def test_count_env_limit(capsys, monkeypatch):
     )
 
 
-def test_alpha_env_limit(capsys, monkeypatch):
-    monkeypatch.setenv("KLSF_LIMIT_AP", "5")
-    code, _, err = run(capsys, "alpha", "--n", "10", "--k", "2", "--l", "1", "--exact")
-    assert code == 3
-    assert err == (
-        "error: progression search limited to order 5 (requested 10); use --limit N or --force\n"
-    )
+@pytest.mark.parametrize("env", [None, "5"], ids=["no-env", "env-limit"])
+def test_alpha_exact_has_no_order_limit(capsys, monkeypatch, env):
+    # the progression maxima take one step per divisor of n, so alpha reads
+    # no limit, from a flag or from the environment
+    if env is None:
+        monkeypatch.delenv("KLSF_LIMIT_AP", raising=False)
+    else:
+        monkeypatch.setenv("KLSF_LIMIT_AP", env)
+    code, doc, err = run_json(capsys, "alpha", "--n", "5000", "--k", "3", "--l", "1", "--exact")
+    assert code == 0 and err == ""
+    assert doc["exact_search"] == alpha_31(5000) == 1250
+
+
+@pytest.mark.parametrize("flag", [["--force"], ["--limit", "5"]], ids=lambda flag: flag[0])
+def test_alpha_rejects_limit_flags(capsys, flag):
+    argv = ["alpha", "--n", "5000", "--k", "3", "--l", "1", "--exact", "--json", *flag]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "unrecognized arguments" in err
+
+
+def test_limit_docs_name_exactly_the_limit_variables():
+    # the README and the module docstring name the KLSF_LIMIT_* variables
+    # that _DEFAULT_LIMITS reads, no more and no fewer
+    names = {f"KLSF_LIMIT_{kind}" for kind in cli._DEFAULT_LIMITS}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for text in (readme, cli.__doc__):
+        assert set(re.findall(r"KLSF_LIMIT_[A-Z]+", text)) == names
 
 
 TOO_LARGE = "error: group too large: its subsets do not fit in memory\n"

@@ -30,6 +30,7 @@ from klsumfree import (
     lambda_bounds_general,
     lambda_cyclic_21,
     lambda_cyclic_31,
+    lambda_cyclic_via_alpha,
     lambda_exact,
     make_group,
 )
@@ -686,12 +687,11 @@ def test_progression_maxima_match_cutoff_scan():
 
 
 def test_alpha_exact_matches_closed_forms_at_large_orders():
-    # orders far past DEFAULT_LIMIT_AP, which the cutoff scan could not reach
-    # quickly: a run of consecutive orders, and orders with many divisors,
-    # prime powers and a prime
+    # orders the cutoff scan could not reach quickly: a run of consecutive
+    # orders, and orders with many divisors, prime powers and a prime
     for n in [*range(10**6, 10**6 + 300), 720720, 997920, 2**20, 3**12, 999983]:
-        assert alpha_exact(n, KL21, limit=None) == alpha_21(n), n
-        assert alpha_exact(n, KL31, limit=None) == alpha_31(n), n
+        assert alpha_exact(n, KL21) == alpha_21(n), n
+        assert alpha_exact(n, KL31) == alpha_31(n), n
 
 
 def test_progression_maxima_match_per_pair_reference():
@@ -725,18 +725,24 @@ def test_progression_maxima_cache_is_bounded():
     assert alpha_exact(50, KL21) == 25  # an evicted key is computed again
 
 
-def test_ap_limit():
-    with pytest.raises(LimitExceededError):
-        alpha_exact(50, KL21, limit=10)
-    assert alpha_exact(50, KL21, limit=None) == 25
-    for search in (alpha_exact, beta_exact, gamma_exact):
-        with pytest.raises(
-            LimitExceededError, match=r"^progression search limited to order 10 \(requested 50\)$"
-        ):
-            search(50, KL21, limit=10)
-        with pytest.raises(LimitExceededError):
-            search(2001, KL21)
-        assert search(50, KL21, limit=None) == search(50, KL21, limit=50)
+def test_progression_maxima_take_no_limit():
+    # one cutoff per divisor of n, so no order needs a limit; n < 1 is
+    # still refused
+    for search, value in zip((alpha_exact, beta_exact, gamma_exact), _ap_maxima(2001, 2, 1)):
+        assert search(2001, KL21) == value
+        with pytest.raises(TypeError):
+            search(50, KL21, limit=None)
+        with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
+            search(0, KL21)
+
+
+def test_exact_alpha_route_past_order_2000():
+    # lambda(Z_n) as the maximum over d | n of alpha(Z_d) * n/d, with every
+    # alpha from the oracle, against the formula route and the closed forms
+    for n in range(2001, 2101):
+        for kl, closed in ((KL21, lambda_cyclic_21), (KL31, lambda_cyclic_31)):
+            exact = lambda_cyclic_via_alpha(n, kl, "exact")
+            assert exact == lambda_cyclic_via_alpha(n, kl) == closed(n), (n, kl)
 
 
 def test_alpha_exact_matches_closed_forms_full_range():
