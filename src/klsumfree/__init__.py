@@ -6,7 +6,6 @@ at desk scale.
 """
 
 from .abelian import (
-    Element,
     GroupSpec,
     all_abelian_groups,
     divisors,
@@ -72,7 +71,6 @@ from .witness import (
     coset_union_witness,
     cyclic_quotient_lift,
     lift_witness,
-    witness_json,
 )
 
 __version__ = "0.1.0"

@@ -6,8 +6,8 @@ and invariant_factors rewrites any other list of cyclic factors into one.
 Every element is identified with its mixed-radix index in [0, n) (last
 coordinate least significant), so a subset is an n-bit mask, and the
 group operations are index arithmetic (GroupSpec.add_index, neg_index,
-scale_index).  An Element, the coordinate vector of an index, is only
-the form in which elements are shown.  The only number theory here is
+scale_index).  Coordinates, decoded from indices by coords_of_all, are
+only the form in which elements are shown.  The only number theory here is
 prime_factors and divisors (its lists cached for 1024 orders); every
 rule that ranges over divisors for a (k,l) pair lives in formulas.
 
@@ -42,7 +42,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "GroupSpec",
-    "Element",
     "make_group",
     "parse_group_spec",
     "format_group_spec",
@@ -164,18 +163,6 @@ class GroupSpec(NamedTuple):
 
     def __str__(self) -> str:
         return format_group_spec(self)
-
-
-class Element(NamedTuple):
-    """A group element as a tuple of residues, coords[i] in [0, d_i): the
-    display form of an index, Element(g.coords_of(i))."""
-
-    coords: tuple[int, ...]
-
-    def __str__(self) -> str:
-        if len(self.coords) == 1:
-            return str(self.coords[0])
-        return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
 def invariant_factors(factors: Iterable[int]) -> tuple[int, ...]:

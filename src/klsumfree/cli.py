@@ -20,8 +20,7 @@ import itertools
 import json
 import os
 import sys
-from bisect import bisect_left
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Optional
 
 from .abelian import (
@@ -41,8 +40,8 @@ from .formulas import (
 )
 from .oracle import DEFAULT_LIMIT_COUNT, DEFAULT_LIMIT_EXACT, LimitExceededError
 from .oracle import alpha_exact, count_sum_free, enumerate_maximum, lambda_exact
-from .sumset import Subset, _scatter, find_violation, is_kl_sum_free
-from .witness import _witness_fields, best_witness
+from .sumset import Subset, _rows, _scatter, find_violation, is_kl_sum_free
+from .witness import best_witness
 
 SCHEMA = "klsumfree/1"
 
@@ -68,8 +67,9 @@ def _json_layout(value, pad: str = "") -> str:
     of 2, pad being the indent of the line the value starts on.  json's
     indented encoder runs in pure Python, so containers are laid out here
     and only keys and scalars go through json.dumps, which encodes them
-    in C.  A Subset is laid out as members_json would give it, straight
-    from its indices (_members_layout).  A key that is not a str raises
+    in C.  A Subset is laid out as a list of its members, indices in a
+    cyclic group and coordinate lists otherwise, straight from its
+    indices (_members_layout).  A key that is not a str raises
     TypeError, where json would convert it to a string."""
     if isinstance(value, Subset):
         return _members_layout(value, pad)
@@ -91,41 +91,14 @@ def _json_layout(value, pad: str = "") -> str:
     return json.dumps(value)
 
 
-def _rows(s: Subset, sep: str, start: str, comma: str, end: str) -> str:
-    """The members of s as rows joined by sep, with no object built per
-    member.  A cyclic group's rows are its bare indices.  A product
-    group's row is start, the coordinates joined by comma, then end.
-    Index i is block i // v, which holds the leading coordinates, then
-    i % v; the members of a block are consecutive in index order, so each
-    block the set meets is one join of its residues, with the rows' shared
-    text, the block's prefix and the row's end, as the separator."""
-    indices = s.indices()
-    g = s.group
-    if g.is_cyclic:
-        return sep.join(map(str, indices))
-    v = g.v
-    bounds, lo = [], 0
-    while lo < len(indices):
-        base = indices[lo] - indices[lo] % v
-        hi = bisect_left(indices, base + v, lo)
-        bounds.append((base, lo, hi))
-        lo = hi
-    blocks = []
-    for (base, lo, hi), coords in zip(bounds, g.coords_of_all([b for b, _, _ in bounds])):
-        prefix = start + comma.join(map(str, coords[:-1])) + comma
-        residues = map(sub, indices[lo:hi], itertools.repeat(base)) if base else indices[lo:hi]
-        blocks.append(prefix + (end + sep + prefix).join(map(str, residues)) + end)
-    return sep.join(blocks)
-
-
 def _members_layout(s: Subset, pad: str) -> str:
-    """The json layout of members_json(s): one row per member (_rows),
+    """The json layout of s's members: one row per member (sumset._rows),
     an index or a list of coordinates."""
     if not s.bits:
         return "[]"
     inner = pad + "  "
     cell = "\n" + inner + "  "
-    rows = _rows(s, ",\n" + inner, "[" + cell, "," + cell, "\n" + inner + "]")
+    rows = _rows(s.group, s.indices(), ",\n" + inner, "[" + cell, "," + cell, "\n" + inner + "]")
     return "[\n" + inner + rows + "\n" + pad + "]"
 
 
@@ -168,8 +141,8 @@ def _kl(args) -> KLParams:
 
 
 def _parse_set(g: GroupSpec, text: str) -> Subset:
-    """Element list: "1,3,5" for cyclic groups, "0:1,1:1" (colon-joined
-    coordinates) for product groups; empty items are skipped.
+    """A list of elements: "1,3,5" for cyclic groups, "0:1,1:1"
+    (colon-joined coordinates) for product groups; empty items are skipped.
 
     Canonical text, ASCII digits with ":" and "," in the pattern the
     group needs, is checked in one pass (the text with its digits deleted
@@ -220,9 +193,9 @@ def _group_name(g: GroupSpec) -> str:
 
 
 def _format_element(s: Subset) -> str:
-    """The text form of a set: its members as Element prints them, "3" in
-    a cyclic group and "(0,1,3)" in a product group, in braces."""
-    return "{" + _rows(s, ",", "(", ",", ")") + "}"
+    """The text form of a set: its members, "3" in a cyclic group and
+    "(0,1,3)" in a product group (sumset._rows), in braces."""
+    return "{" + _rows(s.group, s.indices(), ",", "(", ",", ")") + "}"
 
 
 def _terms_pairs(terms: dict[int, int]) -> list[list[int]]:
@@ -315,15 +288,22 @@ def cmd_witness(args) -> int:
     g = parse_group_spec(args.group)
     kl = _kl(args)
     w = best_witness(g, kl)
+    base = w.base  # best_witness keeps a base, an interval, only with its certificate
     if args.json:
-        _emit_json(_payload("witness", kl, **_witness_fields(w)))
+        construction = {"kind": "empty", "params": {}, "certificate": None}
+        if base is not None:
+            construction = {
+                "kind": "lifted-interval",
+                "params": {"modulus": base.modulus, "start": base.start, "difference": base.difference},
+                "certificate": base.certificate._asdict(),
+            }
+        _emit_json(_payload("witness", kl, g, size=w.size, members=w.members, construction=construction))
         return 0
     print(f"group {_group_name(g)}, (k,l)=({kl.k},{kl.l})")
     print(f"witness size {w.size}: {_format_element(w.members)}")
     if w.divisor is not None:
         print(f"built from quotient modulus d={w.divisor}")
-    base = w.base
-    if base is not None:  # best_witness keeps a base only with its certificate
+    if base is not None:
         c = base.certificate
         print(
             f"progression start {base.start}, length {base.size}; "
@@ -342,17 +322,14 @@ def cmd_verify(args) -> int:
     if args.json:
         tuples = None
         if violation is not None:
-            ktuple, ltuple = violation
-            tuples = {
-                "k_tuple": [list(e.coords) for e in ktuple],
-                "l_tuple": [list(e.coords) for e in ltuple],
-            }
+            # coordinate lists, in a cyclic group too
+            ktuple, ltuple = (list(map(list, g.coords_of_all(t))) for t in violation)
+            tuples = {"k_tuple": ktuple, "l_tuple": ltuple}
         _emit_json(_payload("verify", kl, g, set=subset, sum_free=ok, violation=tuples))
     elif ok:
         print(f"{_format_element(subset)} is ({kl.k},{kl.l})-sum-free in {_group_name(g)}")
     else:
-        ktuple, ltuple = violation
-        identity = "+".join(str(e) for e in ktuple) + " = " + "+".join(str(e) for e in ltuple)
+        identity = " = ".join(_rows(g, t, "+", "(", ",", ")") for t in violation)
         print(
             f"{_format_element(subset)} is NOT ({kl.k},{kl.l})-sum-free in {_group_name(g)}: "
             f"{identity}"
@@ -614,16 +591,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def _too_large(args) -> str:
     """What a command that overflowed or ran out of memory could not hold.
-    A subset is a mask of n bits, and the exact searches and find_violation
-    keep the k sumset layers 1A..kA, so the larger of k and the largest
-    group order the command names is the one reported."""
-    if args.command == "scan":
-        order = _parse_range(args.n if args.n is not None else args.order)[1]
-    elif args.command == "alpha":
-        order = args.n
-    else:
-        order = parse_group_spec(args.group).n
-    if args.k > order:
+    A subset is a mask of n bits.  find_violation keeps the k sumset
+    layers 1A..kA, so verify with a k above the group's order names k;
+    the exact searches run at a k below n + v (oracle._reduced), so every
+    other command names the group."""
+    if args.command == "verify" and args.k > parse_group_spec(args.group).n:
         return "k too large: the sumset layers 1A..kA do not fit in memory"
     return "group too large: its subsets do not fit in memory"
 

@@ -146,6 +146,21 @@ class CountResult(NamedTuple):
     __hash__ = None  # by_size is a mapping
 
 
+def _reduced(g: GroupSpec, kl: KLParams) -> tuple[int, int]:
+    """The pair the exact searches run at: each of k and l that is at
+    least n becomes n + (h - n) mod v, and the larger comes first.
+
+    For h >= n, hA = h'A for every A with h' = n + (h - n) mod v: the
+    chain jA = (j-1)A + A stops growing by j = n + 1 (sumset._multiples),
+    and from there hA = (j-1)A + (h-j+1)x for any x in A, which depends
+    on h only mod v.  So (k,l)-sum-freeness, and every search result, is
+    that of the reduced pair, and a huge k costs what one below n + v
+    does.  kA and lA meeting is symmetric in k and l.
+    """
+    k, l = (h if h < g.n else g.n + (h - g.n) % g.v for h in (kl.k, kl.l))
+    return max(k, l), min(k, l)
+
+
 def _make_extend(g: GroupSpec, k: int, l: int):
     """extend(layers, x): the sumset layers of A + {x} from those of A, or
     None when A + {x} is not (k,l)-sum-free (its kA and lA meet).
@@ -453,7 +468,7 @@ def lambda_exact(
         return hit._replace(cached=True)
     seed = best_witness(g, kl)
     size, indices, nodes = _search_max(
-        g, kl.k, kl.l, tuple(seed.members.indices()), progress, progress_interval
+        g, *_reduced(g, kl), tuple(seed.members.indices()), progress, progress_interval
     )
     result = SearchResult(size, Subset.from_indices(g, indices), nodes)
     if len(_EXACT_CACHE) >= _EXACT_CACHE_MAX:
@@ -555,7 +570,7 @@ def count_sum_free(
     counts again.  limit caps g.n (None lifts it).
     """
     _check_limit(g.n, limit, "subset counting")
-    by_size, nodes = _count(g, kl.k, kl.l)
+    by_size, nodes = _count(g, *_reduced(g, kl))
     return CountResult(sum(by_size.values()), MappingProxyType(by_size), nodes)
 
 
@@ -588,7 +603,8 @@ def enumerate_maximum(
     if lam == 0:
         return [Subset.empty(g)]
     found: list[tuple[int, ...]] = []
-    extend = _make_extend(g, kl.k, kl.l)
+    k, l = _reduced(g, kl)
+    extend = _make_extend(g, k, l)
 
     def visit(level, depth, chosen):
         if depth < lam:
@@ -604,7 +620,7 @@ def enumerate_maximum(
         found.extend(tuple(sorted(chosen + (x,))) for x, _ in level)
         return False
 
-    for orbit, root in _orbit_branches(g, kl.k, kl.l, extend):
+    for orbit, root in _orbit_branches(g, k, l, extend):
         if lam == 1:  # no level visits the root {r_b}
             found.append(orbit[:1])
         _walk(extend, [lam - 1], visit, root, orbit[:1], coloured=True)

@@ -36,11 +36,12 @@ All functions are pure; callers may parallelize sweeps freely.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import accumulate, repeat
-from operator import add
-from typing import Iterable, NamedTuple, Optional
+from operator import add, sub
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .abelian import Element, GroupSpec, PaddedLayout, divisors, make_group, padded_layout
+from .abelian import GroupSpec, PaddedLayout, divisors, make_group, padded_layout
 from .formulas import KLParams
 
 __all__ = [
@@ -80,6 +81,33 @@ def _scatter(n: int, indices: Iterable[int]) -> int:
     for i in indices:
         digits[i] = 0x31  # "1"
     return int(digits[::-1], 2)
+
+
+def _rows(g: GroupSpec, indices: Sequence[int], sep: str, start: str, comma: str, end: str) -> str:
+    """The elements of g at indices, in non-decreasing order, as rows
+    joined by sep: the one routine that lays a set out as text, with no
+    object built per element.  A cyclic group's rows are the bare
+    indices.  A product group's row is start, the coordinates joined by
+    comma, then end.  Index i is block i // v, which holds the leading
+    coordinates, then i % v; the elements of a block are consecutive in
+    index order, so each block the indices meet is one join of its
+    residues, with the rows' shared text, the block's prefix and the
+    row's end, as the separator."""
+    if g.is_cyclic:
+        return sep.join(map(str, indices))
+    v = g.v
+    bounds, lo = [], 0
+    while lo < len(indices):
+        base = indices[lo] - indices[lo] % v
+        hi = bisect_left(indices, base + v, lo)
+        bounds.append((base, lo, hi))
+        lo = hi
+    blocks = []
+    for (base, lo, hi), coords in zip(bounds, g.coords_of_all([b for b, _, _ in bounds])):
+        prefix = start + comma.join(map(str, coords[:-1])) + comma
+        residues = map(sub, indices[lo:hi], repeat(base)) if base else indices[lo:hi]
+        blocks.append(prefix + (end + sep + prefix).join(map(str, residues)) + end)
+    return sep.join(blocks)
 
 
 class _SubsetFields(NamedTuple):
@@ -131,19 +159,18 @@ class Subset(_SubsetFields):
         """Member indices in ascending order."""
         return _set_bits(self.bits)
 
-    def elements(self) -> list[Element]:
-        return list(map(Element, self.group.coords_of_all(self.indices())))
-
     def contains_index(self, i: int) -> bool:
         if not 0 <= i < self.group.n:
             raise ValueError(f"index {i} out of range for group of order {self.group.n}")
         return bool(self.bits >> i & 1)
 
-    def __contains__(self, x: Element) -> bool:
-        return self.contains_index(self.group.checked_index(x.coords))
+    def __contains__(self, coords: Sequence[int]) -> bool:
+        """Membership of the element with these coordinates, checked by
+        GroupSpec.checked_index (never the tuple's own membership)."""
+        return self.contains_index(self.group.checked_index(coords))
 
     def __repr__(self) -> str:
-        return f"Subset({self.group}, {{{','.join(str(e) for e in self.elements())}}})"
+        return f"Subset({self.group}, {{{_rows(self.group, self.indices(), ',', '(', ',', ')')}}})"
 
 
 def _require_same_group(a: Subset, b: Subset) -> None:
@@ -344,10 +371,8 @@ def kneser_check(a: Subset, h: int) -> KneserCheck:
     return KneserCheck(lhs=lhs, rhs=rhs, holds=lhs >= rhs)
 
 
-def find_violation(
-    a: Subset, k: int, l: int
-) -> Optional[tuple[tuple[Element, ...], tuple[Element, ...]]]:
-    """A k-tuple and an l-tuple of elements of A with equal sums, or None.
+def find_violation(a: Subset, k: int, l: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """A k-tuple and an l-tuple of element indices of A with equal sums, or None.
 
     Used to print a concrete witnessing identity when verification fails.
     The tuples are the lexicographically first over index-sorted tuples:
@@ -381,4 +406,4 @@ def find_violation(
 
     ktuple, target = first_tuple(k, layers[l])
     ltuple, _ = first_tuple(l, 1 << target)
-    return tuple(tuple(map(Element, g.coords_of_all(t))) for t in (ktuple, ltuple))
+    return tuple(ktuple), tuple(ltuple)

@@ -13,12 +13,12 @@ re-verifies its own sum-freeness through the sumset predicate before it is
 returned; a verification failure is a bug, not an input error.  A lifted
 witness is a union of cosets of the kernel of G -> Z_d, so the predicate
 checks it in the least such quotient Z_d, with the same answer as in G
-(sumset module docstring).
+(sumset module docstring).  Witnesses are values with no wire format of
+their own: `klsf witness --json` lays out the one best_witness builds.
 """
 
 from __future__ import annotations
 
-from math import gcd
 from typing import NamedTuple, Optional, Union
 
 from .abelian import GroupSpec, make_group
@@ -37,8 +37,6 @@ __all__ = [
     "cyclic_quotient_lift",
     "lift_witness",
     "best_witness",
-    "members_json",
-    "witness_json",
 ]
 
 
@@ -284,53 +282,3 @@ def best_witness(g: GroupSpec, kl: KLParams) -> LiftedWitness:
     best = ap_witness_max(bounds.argmax_lower, kl)
     assert best.size > 0
     return _lift(best, g, kl)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def members_json(members: Subset):
-    """Element indices for a cyclic group, coordinate lists otherwise: the
-    members as witness_json gives them to library callers.  The CLI lays a
-    Subset out as json would lay out this value, from its indices, without
-    building the lists (cli._members_layout)."""
-    g = members.group
-    if g.is_cyclic:
-        return members.indices()
-    return list(map(list, g.coords_of_all(members.indices())))
-
-
-def _progression_json(w: APWitness, kind: str) -> dict:
-    """The {kind, params, certificate} record of an interval witness."""
-    c = w.certificate
-    return {
-        "kind": kind,
-        "params": {"modulus": w.modulus, "start": w.start, "difference": w.difference},
-        "certificate": None if c is None else {"q": c.q, "r": c.r, "u": c.u, "w": c.w},
-    }
-
-
-def _witness_fields(w: Union[APWitness, LiftedWitness]) -> dict:
-    """witness_json's fields, with members left as their Subset (the CLI
-    lays a Subset out directly)."""
-    if isinstance(w, APWitness):
-        construction = _progression_json(w, w.kind)
-    elif isinstance(w.base, APWitness):
-        construction = _progression_json(w.base, f"lifted-{w.base.kind}")
-    elif isinstance(w.base, Subset):
-        construction = {"kind": "lifted-set", "params": {"modulus": w.divisor}, "certificate": None}
-    else:
-        construction = {"kind": "empty", "params": {}, "certificate": None}
-    return {
-        "group": str(w.members.group),
-        "k": w.kl.k,
-        "l": w.kl.l,
-        "size": w.size,
-        "members": w.members,
-        "construction": construction,
-    }
-
-
-def witness_json(w: Union[APWitness, LiftedWitness]) -> dict:
-    """The wire format: {group, k, l, size, members, construction}."""
-    return {**_witness_fields(w), "members": members_json(w.members)}

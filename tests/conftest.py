@@ -13,6 +13,22 @@ def subset(g: GroupSpec, *indices: int) -> Subset:
     return Subset.from_indices(g, indices)
 
 
+def members_json(s: Subset) -> list:
+    """The members of s as --json lists them: indices in a cyclic group,
+    coordinate lists otherwise."""
+    g = s.group
+    return s.indices() if g.is_cyclic else [list(c) for c in g.coords_of_all(s.indices())]
+
+
+def element_texts(g: GroupSpec, indices) -> list[str]:
+    """Each element as the text output shows it: "3" in a cyclic group,
+    "(0,1,3)" in a product group."""
+    return [
+        str(c[0]) if len(c) == 1 else "(" + ",".join(map(str, c)) + ")"
+        for c in g.coords_of_all(list(indices))
+    ]
+
+
 def kl_pairs(max_k: int) -> list[KLParams]:
     """All (k, l) with 1 <= l < k <= max_k."""
     return [KLParams(k, l) for k in range(2, max_k + 1) for l in range(1, k)]

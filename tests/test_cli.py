@@ -19,8 +19,9 @@ import klsumfree
 from klsumfree import abelian, cli
 from klsumfree.cli import main
 from klsumfree.formulas import alpha_31
-from klsumfree.sumset import Subset
-from klsumfree.witness import members_json
+from klsumfree.sumset import Subset, find_violation
+
+from conftest import element_texts, members_json
 
 
 def run(capsys, *argv):
@@ -286,6 +287,11 @@ PINNED_JSON = [
      "5b74bdbc769848db6132e9be8a293a75ac48903f9f4c38dd2f82ae6eb7233f01"),
     ("enumerate --group 2x2x4 --k 2 --l 1", 0,
      "d96cdcfeb6f9d9f82e4891f2e35fac9c9d3449636ae982fdfbf26f2f9f3e35b4"),
+    # the empty construction, and a violation in a group of three factors
+    ("witness --group 2x2 --k 3 --l 1", 0,
+     "7f06f681557d8c52aec4ea554895dc693266d7b95bffe49e9b73eeba84f22a95"),
+    ("verify --group 2x2x4 --k 3 --l 1 --set 0:1:1,1:0:2,1:1:3", 1,
+     "32c09b2f206b096c0d5a07a182d7eb9428bb24d3e2028fad2ddf0cfe0b5676b9"),
 ]
 
 
@@ -303,6 +309,8 @@ PINNED_TEXT = [
      "c3d33d8814b28bbab952246e2af74d257e2fea36af1ec7f91fb9e37d1fe248ab"),
     ("verify --group 2x4 --k 2 --l 1 --set 0:1,0:2,1:3", 1,
      "205a8af40f84825d7c74c7834774e74d7df9b61816ca7725b426c1ad6e697869"),
+    ("verify --group 2x2x4 --k 3 --l 1 --set 0:1:1,1:0:2,1:1:3", 1,
+     "143fdbbd0a65dd2ff6bf36ebb402b615da9fc60362ad88303bdff50bcccafd52"),
 ]
 
 
@@ -363,10 +371,30 @@ def test_members_layout_equals_json_dumps():
 
 
 def test_format_element_equals_the_element_form():
-    # the text form of a set, laid out from its indices, is its Elements
-    # printed in braces
+    # the text form of a set, laid out from its indices, is its elements
+    # printed one by one in braces, as is its repr
     for g, s in _layout_cases(random.Random(23)):
-        assert cli._format_element(s) == "{" + ",".join(str(e) for e in s.elements()) + "}", (g, s)
+        text = "{" + ",".join(element_texts(g, s.indices())) + "}"
+        assert cli._format_element(s) == text, (g, s)
+        assert repr(s) == f"Subset({g}, {text})", (g, s)
+
+
+def test_verify_identity_equals_the_element_form(capsys):
+    # the identity verify prints is find_violation's tuples, element by element
+    rng = random.Random(24)
+    checked = 0
+    for g in abelian.all_abelian_groups(24):
+        for k, l in [(2, 1), (3, 1), (3, 2)]:
+            s = Subset(g, rng.getrandbits(g.n) & rng.getrandbits(g.n))
+            hit = find_violation(s, k, l)
+            if not s.bits or hit is None:
+                continue
+            ktext, ltext = ("+".join(element_texts(g, t)) for t in hit)
+            text = ",".join(":".join(map(str, c)) for c in g.coords_of_all(s.indices()))
+            code, out, _ = run(capsys, "verify", "--group", str(g), "--k", str(k), "--l", str(l), "--set", text)
+            assert code == 1 and out.endswith(f": {ktext} = {ltext}\n"), (g, k, l, s)
+            checked += 1
+    assert checked > 50
 
 
 def test_json_layout_rejects_non_str_keys():
@@ -400,6 +428,14 @@ def test_witness_json_schema(capsys):
     assert code == 0
     assert doc["size"] == 2 and doc["k"] == 3 and doc["l"] == 1
     assert doc["construction"]["certificate"] is not None
+    # the two constructions the command can print
+    for group, k, construction in [
+        ("10", "3", {"kind": "lifted-interval", "params": {"modulus": 5, "start": 3, "difference": 1},
+                     "certificate": {"q": 1, "r": 1, "u": 3, "w": -1}}),
+        ("2x2", "3", {"kind": "empty", "params": {}, "certificate": None}),
+    ]:
+        code, doc, _ = run_json(capsys, "witness", "--group", group, "--k", k, "--l", "1")
+        assert code == 0 and doc["construction"] == construction, group
 
 
 def test_alpha_command(capsys):
@@ -626,9 +662,32 @@ def test_oversized_group_exits_3(capsys, command):
 K_TOO_LARGE = "error: k too large: the sumset layers 1A..kA do not fit in memory\n"
 
 
-# a k of 10^20 on a group of 10 or 12 elements: the exact searches' [0] * k
-# and find_violation's tuple(range(1, k + 1)) cannot be sized, and the
-# message names k, not the group
+# a k of 10^20 on a group of 10 or 12 elements.  verify's identity has k
+# terms: find_violation's tuple(range(1, k + 1)) cannot be sized, and the
+# message names k, not the group.  The searches run at the reduced pair,
+# here (10, 1) in Z_10 (oracle._reduced), and answer as at that pair.
+ANSWERS_AT_HUGE_K = {
+    "lambda": f"""group Z10, (k,l)=({HUGE},1)
+formula: 5  (coprime-case divisor maximum)
+bounds: [5, 5]  (lower at d=2, upper at d=2)
+exact: 5  (witness {{1,3,5,7,9}}, 9 nodes)
+""",
+    "count": f"""40 ({HUGE},1)-sum-free subsets in Z10
+  size 0: 1
+  size 1: 9
+  size 2: 14
+  size 3: 10
+  size 4: 5
+  size 5: 1
+""",
+    "enumerate": f"""1 maximum ({HUGE},1)-sum-free sets of size 5 in Z10:
+  {{1,3,5,7,9}}
+""",
+    # sha256 of the csv: 11 rows, each at its own reduced pair, all agreeing
+    "scan": "42d30e55d50d5ef2a9ef3f82f234fa1d2ea5c73b99349831767fdc26ff33f38b",
+}
+
+
 @pytest.mark.parametrize("command", [
     ["lambda", "--group", "10"],
     ["count", "--group", "10"],
@@ -638,7 +697,23 @@ K_TOO_LARGE = "error: k too large: the sumset layers 1A..kA do not fit in memory
 ], ids=lambda command: command[0])
 def test_huge_k_exits_3_and_names_k(capsys, command):
     code, out, err = run(capsys, *command, "--k", HUGE, "--l", "1")
-    assert code == 3 and out == "" and err == K_TOO_LARGE
+    if command[0] == "verify":
+        assert code == 3 and out == "" and err == K_TOO_LARGE
+    elif command[0] == "scan":
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == ANSWERS_AT_HUGE_K["scan"]
+        assert err == "scanned 11 instances: 0 disagreements, 0 skipped\n"
+    else:
+        assert code == 0 and out == ANSWERS_AT_HUGE_K[command[0]] and err == ""
+
+
+def test_exact_search_at_a_large_k_is_the_search_at_its_reduced_k(capsys):
+    # 3,000,000 = 10 mod 10 in Z_10: the same search as at k = 10, with
+    # no layer kept per unit of k
+    args = ["lambda", "--group", "10", "--l", "1", "--method", "exact"]
+    code, doc, _ = run_json(capsys, *args, "--k", "3000000")
+    assert code == 0
+    assert doc["exact"] == run_json(capsys, *args, "--k", "10")[1]["exact"]
+    assert doc["exact"] == {"value": 5, "witness": [1, 3, 5, 7, 9], "nodes_explored": 9}
 
 
 def test_memory_error_exits_3(capsys, monkeypatch):

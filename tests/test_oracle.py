@@ -35,7 +35,7 @@ from klsumfree import (
     make_group,
 )
 from klsumfree.abelian import divisors
-from klsumfree.oracle import _addable, _ap_maxima, _make_extend, _search_max, _walk
+from klsumfree.oracle import _addable, _ap_maxima, _count, _make_extend, _reduced, _search_max, _walk
 
 from conftest import brute_force_max, groups_up_to, kl_pairs
 
@@ -283,6 +283,41 @@ def test_count_matches_brute_force():
                     if is_kl_sum_free(Subset.from_indices(g, combo), kl.k, kl.l):
                         by_size[r] = by_size.get(r, 0) + 1
             assert res.by_size == by_size
+
+
+def test_searches_at_a_large_k_run_at_the_reduced_pair():
+    # for k >= n, kA = k'A with k' = n + (k - n) mod v; the search and the
+    # count give the same value, witness, by_size and effort at (k, l) as
+    # at the reduced pair, and that pair (larger first) is what the entry
+    # points run at
+    checked = 0
+    for g in groups_up_to(10):
+        n, v = g.n, g.v
+        for k, l in [(n, 1), (n + 1, 2), (n + v + 1, 1), (2 * n + 3, n + 1), (2 * n + 1, n + v - 1)]:
+            kr, lr = _reduced(g, KLParams(k, l))
+            assert kr >= lr and kr < n + v and (kr - lr) % v in ((k - l) % v, (l - k) % v)
+            seed = tuple(best_witness(g, KLParams(k, l)).members.indices())
+            assert _search_max(g, k, l, seed, None) == _search_max(g, kr, lr, seed, None), (g, k, l)
+            assert _count(g, k, l) == _count(g, kr, lr), (g, k, l)
+            checked += 1
+    assert checked == 5 * len(groups_up_to(10))
+
+
+def test_searches_at_a_huge_k_match_brute_force():
+    huge = 10**20 + 3
+    for g in groups_up_to(8):
+        for l in (1, 2, g.n + 1):
+            kl = KLParams(huge, l)
+            by_size: dict[int, int] = {}
+            for bits in range(1 << g.n):
+                if is_kl_sum_free(Subset(g, bits), huge, l):
+                    by_size[bits.bit_count()] = by_size.get(bits.bit_count(), 0) + 1
+            assert dict(count_sum_free(g, kl).by_size) == dict(sorted(by_size.items())), (g, l)
+            lam = max(by_size)
+            assert lambda_exact(g, kl).max_size == lam, (g, l)
+            sets = enumerate_maximum(g, kl)
+            assert len(sets) == (by_size[lam] if lam else 1), (g, l)
+            assert all(s.size == lam and is_kl_sum_free(s, huge, l) for s in sets), (g, l)
 
 
 def test_count_limit():

@@ -213,12 +213,12 @@ def test_find_violation_exactly_on_non_sum_free_sets(gs, kl):
     if hit is not None:
         ktuple, ltuple = hit
         assert len(ktuple) == k and len(ltuple) == l
-        assert all(e in a for e in ktuple + ltuple)
+        assert all(a.contains_index(i) for i in ktuple + ltuple)
         ksum = lsum = 0
-        for e in ktuple:
-            ksum = g.add_index(ksum, g.index_of(e.coords))
-        for e in ltuple:
-            lsum = g.add_index(lsum, g.index_of(e.coords))
+        for i in ktuple:
+            ksum = g.add_index(ksum, i)
+        for i in ltuple:
+            lsum = g.add_index(lsum, i)
         assert ksum == lsum
 
 

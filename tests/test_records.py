@@ -7,7 +7,7 @@ from types import MappingProxyType
 
 import pytest
 
-from klsumfree.abelian import Element, GroupSpec, PaddedLayout, make_group
+from klsumfree.abelian import GroupSpec, PaddedLayout, make_group
 from klsumfree.formulas import AlphaReport, BoundReport, ClassReport31, KLParams
 from klsumfree.oracle import CountResult, SearchResult
 from klsumfree.sumset import KneserCheck, StabilizerResult, Subset
@@ -22,7 +22,6 @@ CERT = EuclidCertificate(q=1, r=1, u=1, w=0)
 # the record differ
 RECORDS = [
     (GroupSpec, dict(factors=(2, 4), n=8, v=4), ("n", 9)),
-    (Element, dict(coords=(1, 2)), ("coords", (1, 3))),
     (PaddedLayout, dict(v=4, size=21, blocks=(0, 4), offsets=(0, 7), folds=((7, 7),)), ("size", 22)),
     (KLParams, dict(k=3, l=1), ("k", 4)),
     (BoundReport, dict(lower=2, upper=3, lower_terms={4: 2}, upper_terms={8: 3},

@@ -9,7 +9,6 @@ import random
 import pytest
 
 from klsumfree import (
-    Element,
     KLParams,
     Subset,
     best_witness,
@@ -114,12 +113,17 @@ def test_from_indices_names_the_first_bad_index_of_an_iterator():
 def test_contains_rejects_elements_outside_the_group():
     g = make_group([2, 4])
     a = Subset.from_indices(g, [1])
-    assert Element((0, 1)) in a and Element((1, 1)) not in a
+    assert (0, 1) in a and [0, 1] in a and (1, 1) not in a
     for coords in [(1,), (0, 1, 0), (2, 0), (0, -1)]:
         with pytest.raises(ValueError, match="do not fit group 2x4"):
-            Element(coords) in a
+            coords in a
     with pytest.raises(ValueError):
-        Element((5,)) in Subset.full(make_group([3]))
+        (5,) in Subset.full(make_group([3]))
+    # membership takes coordinates, never the record's own fields
+    with pytest.raises(ValueError, match="do not fit group 2x4"):
+        a.group in a
+    with pytest.raises(TypeError):
+        a.bits in a
 
 
 def test_contains_index_rejects_indices_outside_the_group():
@@ -236,7 +240,7 @@ def test_negate():
     g = make_group([10])
     assert sorted(negate(subset(g, 0, 1, 3)).indices()) == [0, 7, 9]
     g2 = make_group([2, 4])
-    assert {e.coords for e in negate(subset(g2, g2.index_of((1, 3)))).elements()} == {(1, 1)}
+    assert negate(subset(g2, g2.index_of((1, 3)))).indices() == [g2.index_of((1, 1))]
     # many short axes and one long one
     rng = random.Random(43)
     for g in [make_group([2] * 10), make_group([2, 2, 2, 2, 2, 6]), make_group([3] * 5), make_group([20000])]:
@@ -392,8 +396,8 @@ def test_find_violation_reports_equal_sums():
     hit = find_violation(bad, 3, 1)
     assert hit is not None
     ktuple, ltuple = hit
-    ksum = sum(e.coords[0] for e in ktuple) % 5
-    lsum = sum(e.coords[0] for e in ltuple) % 5
+    ksum = sum(ktuple) % 5
+    lsum = sum(ltuple) % 5
     assert ksum == lsum and len(ktuple) == 3 and len(ltuple) == 1
     assert find_violation(subset(make_group([8]), 1, 3, 5, 7), 2, 1) is None
 
@@ -413,9 +417,7 @@ def _find_violation_reference(a, k, l):
         for i in combo:
             total = g.add_index(total, i)
         if total in l_sums:
-            ktuple = tuple(Element(g.coords_of(i)) for i in combo)
-            ltuple = tuple(Element(g.coords_of(i)) for i in l_sums[total])
-            return ktuple, ltuple
+            return combo, l_sums[total]
     return None
 
 
@@ -453,7 +455,7 @@ def test_find_violation_on_a_lift_in_z20000():
     g = make_group([20000])
     a = Subset.from_indices(g, range(1, 20000, 2))
     assert sumset._least_quotient(a) == 2
-    assert find_violation(a, 3, 1) == ((Element((1,)),) * 3, (Element((3,)),))
+    assert find_violation(a, 3, 1) == ((1, 1, 1), (3,))
 
 
 def test_find_violation_witness_plus_one_in_z2000():
@@ -462,5 +464,5 @@ def test_find_violation_witness_plus_one_in_z2000():
     a = Subset(g, witness.bits | 1 << 2)
     ktuple, ltuple = find_violation(a, 3, 2)
     assert len(ktuple) == 3 and len(ltuple) == 2
-    assert all(e in a for e in ktuple + ltuple)
-    assert sum(e.coords[0] for e in ktuple) % 2000 == sum(e.coords[0] for e in ltuple) % 2000
+    assert all(a.contains_index(i) for i in ktuple + ltuple)
+    assert sum(ktuple) % 2000 == sum(ltuple) % 2000

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
 
 from klsumfree import (
-    Element,
     KLParams,
     Subset,
     alpha_31,
@@ -26,12 +26,11 @@ from klsumfree import (
     make_group,
     negate,
     pair_sumset,
-    witness_json,
 )
+from klsumfree.cli import main
 from klsumfree.formulas import delta
-from klsumfree.witness import members_json
 
-from conftest import groups_up_to, kl_pairs, subset
+from conftest import element_texts, groups_up_to, kl_pairs, members_json, subset
 
 KL21 = KLParams(2, 1)
 KL31 = KLParams(3, 1)
@@ -159,7 +158,7 @@ def test_lift_witness_examples():
 
     g22, g2 = make_group([2, 2]), make_group([2])
     lifted = lift_witness(subset(g2, 1), g22, KL21)
-    assert {e.coords for e in lifted.members.elements()} == {(0, 1), (1, 1)}
+    assert g22.coords_of_all(lifted.members.indices()) == [(0, 1), (1, 1)]
 
     assert lift_witness(Subset.empty(g5), g10, KL31).size == 0
 
@@ -217,37 +216,47 @@ def test_best_witness_matches_all_candidates():
             assert (w.divisor, w.base, w.size) == (best.modulus, best, best_total), (g, kl)
 
 
-def test_witness_json_shape():
+def _witness_doc(capsys, group: str, kl: KLParams) -> dict:
+    assert main(["witness", "--group", group, "--k", str(kl.k), "--l", str(kl.l), "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_witness_json_shape(capsys):
+    # klsf witness --json lays out best_witness's set and its construction
+    doc = _witness_doc(capsys, "2x4", KL21)
     w = best_witness(make_group([2, 4]), KL21)
-    doc = witness_json(w)
-    assert doc["group"] == "2x4" and doc["size"] == 4
-    assert doc["construction"]["kind"] == "lifted-interval"
+    assert doc["group"] == "2x4" and doc["size"] == w.size == 4
+    assert doc["construction"] == {
+        "kind": "lifted-interval",
+        "params": {"modulus": w.base.modulus, "start": w.base.start, "difference": 1},
+        "certificate": w.base.certificate._asdict(),
+    }
     assert set(doc["construction"]["certificate"]) == {"q", "r", "u", "w"}
-    assert doc["members"] == [[0, 1], [0, 3], [1, 1], [1, 3]]
+    assert doc["members"] == members_json(w.members) == [[0, 1], [0, 3], [1, 1], [1, 3]]
 
-    doc = witness_json(ap_witness_max(7, KL21))
-    assert doc["group"] == "7" and doc["members"] == [2, 3]
+    doc = _witness_doc(capsys, "7", KL21)
+    assert doc["group"] == "7" and doc["members"] == members_json(ap_witness_max(7, KL21).members) == [2, 3]
 
-    doc = witness_json(best_witness(make_group([2, 2]), KL31))
-    assert doc["size"] == 0 and doc["construction"]["kind"] == "empty"
+    doc = _witness_doc(capsys, "2x2", KL31)
+    assert doc["size"] == 0 and doc["members"] == []
+    assert doc["construction"] == {"kind": "empty", "params": {}, "certificate": None}
 
 
-def test_witness_json_of_a_lifted_set():
+def test_lift_witness_of_a_set():
     base = subset(make_group([5]), 1, 4)
     g = make_group([2, 10])
-    doc = witness_json(lift_witness(base, g, KL21))
-    assert doc["construction"] == {
-        "kind": "lifted-set", "params": {"modulus": 5}, "certificate": None}
-    assert doc["size"] == 8
-    assert doc["members"] == members_json(cyclic_quotient_lift(g, 5, base))
+    w = lift_witness(base, g, KL21)
+    assert (w.base, w.divisor, w.size) == (base, 5, 8)
+    assert w.members == cyclic_quotient_lift(g, 5, base)
     # the preimage of {1, 4} under index mod 5: last coordinate 1, 4, 6 or 9
-    assert doc["members"] == [[a, c] for a in range(2) for c in (1, 4, 6, 9)]
+    assert members_json(w.members) == [[a, c] for a in range(2) for c in (1, 4, 6, 9)]
 
 
 def test_members_json_matches_element_by_element_coordinates():
-    """coords_of, coords_of_all, members_json and Subset.elements all
-    decode through one function; the reference lists every coordinate
-    vector in index order (last coordinate fastest) without it."""
+    """coords_of, coords_of_all and the tests' members_json and
+    element_texts all decode through one function; the reference lists
+    every coordinate vector in index order (last coordinate fastest)
+    without it."""
     rng = random.Random(20)
     groups = groups_up_to(128)
     assert len(groups) == 246
@@ -262,4 +271,5 @@ def test_members_json_matches_element_by_element_coordinates():
             idx = s.indices()
             expected = idx if g.is_cyclic else [list(coords[i]) for i in idx]
             assert members_json(s) == expected, (g, bits)
-            assert s.elements() == [Element(coords[i]) for i in idx], (g, bits)
+            texts = [str(coords[i][0]) if g.is_cyclic else str(coords[i]).replace(" ", "") for i in idx]
+            assert element_texts(g, idx) == texts, (g, bits)
