@@ -61,8 +61,8 @@ __all__ = [
 # prime factors and divisors (desk scale; trial division is plenty)
 
 def prime_factors(x: int) -> dict[int, int]:
-    """Prime factorization of x >= 1 as {prime: exponent}."""
-    if x < 1:
+    """Prime factorization of an int x >= 1 as {prime: exponent}."""
+    if not isinstance(x, int) or x < 1:
         raise ValueError(f"expected a positive integer, got {x}")
     out: dict[int, int] = {}
     p = 2
@@ -77,12 +77,13 @@ def prime_factors(x: int) -> dict[int, int]:
 
 
 def divisors(x: int) -> list[int]:
-    """All divisors of x >= 1, sorted ascending."""
+    """All divisors of an int x >= 1, sorted ascending."""
     return list(_divisor_tuple(x))
 
 
-# every divisor rule in formulas walks the divisors of the same few orders
-@functools.lru_cache(maxsize=1024)
+# every divisor rule in formulas walks the divisors of the same few orders;
+# typed, so that 6.0 misses the entry of 6 and is refused by prime_factors
+@functools.lru_cache(maxsize=1024, typed=True)
 def _divisor_tuple(x: int) -> tuple[int, ...]:
     divs = [1]
     for p, e in prime_factors(x).items():
@@ -197,7 +198,7 @@ def make_group(factors: Iterable[int]) -> GroupSpec:
     factors = list(factors)
     if not factors:
         raise ValueError("factor list must be non-empty")
-    if any(f < 1 for f in factors):
+    if any(not isinstance(f, int) or f < 1 for f in factors):
         raise ValueError(f"factors must be positive integers, got {factors}")
     kept = tuple(f for f in factors if f > 1)
     n = 1

@@ -8,7 +8,7 @@ children and the count's levels: the elements, in order, that one extend
 accepts.  Sum-freeness is hereditary (any subset of a sum-free set is
 sum-free), so each level passes its children only the candidates that
 stayed individually addable.  The walk carries a floor: a level is
-entered only when it is nonempty and the current size plus its candidates
+visited only when it is nonempty and the current size plus its candidates
 can exceed it.  A coloured walk bounds each level instead: the candidates
 a set adds are pairwise compatible, so a greedy colouring of the level's
 compatibility graph bounds how many it can add (MCQ, Tomita-Seki 2003).
@@ -38,10 +38,11 @@ sum-free, so their sizes are tallied by binomials.  The enumeration of
 maximum sets walks the same branches, coloured, with the floor at
 lambda - 1, closes the sets it finds under the generating automorphisms
 (abelian.automorphism_closure), and sorts the closure into element-index
-order; below a complete level (the same chain, from the level's first
-element) it keeps the one largest set and skips the subtree, and a level
-that is not complete hands the chain's first step, a pair test, to the
-colouring.
+order.  It enters a level only while the level holds more candidates
+than lambda less the chosen set's size; with exactly that many, the only
+maximum set below is the chosen set plus the whole level, which the same
+chain, from the level's first element, accepts or rejects, and the
+subtree is skipped either way.
 The orbits are the closures of single elements under the same generators
 (abelian.automorphism_orbits).  The search, the count and the enumeration
 need only that each generator is an automorphism and that the orbits are
@@ -211,7 +212,8 @@ def _chain(extend, level, i: int = 0, layers=None):
     every candidate of it sum-free: j == len(level), which holds for the
     empty level.  Sum-freeness is hereditary, so then every chosen + S, S
     a subset of the level, is sum-free.  The enumeration runs the same
-    chain from i = 2, with the layers of its first pair test.
+    chain from i = 0 on a level whose chosen set plus all of it has the
+    maximum size.
     """
     if layers is None:
         if i == len(level):
@@ -227,15 +229,14 @@ def _chain(extend, level, i: int = 0, layers=None):
     return i, layers
 
 
-def _first_fit(extend, level, row1=None) -> tuple[list[int], list[int], list[dict]]:
+def _first_fit(extend, level) -> tuple[list[int], list[int], list[dict]]:
     """First-fit colouring of the compatibility graph of a level's
     candidates 0..len(level)-1: (order, colours, pairs), order listing the
     candidates class by class, each class in level order, colours[p] the
     colour, from 1, of order[p], and pairs[v] the pair tests of v: for each
     tested u < v, pairs[v][u] is extend(level[u]'s layers, level[v]'s
     element), the layers of the chosen set plus both, or None when the two
-    are incompatible.  row1, when given, holds the test of the pair (0, 1)
-    made already, as {0: its result}, and stands for pairs[1].
+    are incompatible.
 
     Candidate v joins the first class with no member compatible with it.
     A pair (u, v), u < v, is tested at most once, and only until v meets a
@@ -247,14 +248,9 @@ def _first_fit(extend, level, row1=None) -> tuple[list[int], list[int], list[dic
     clique meets it at most once, and a clique inside order[:p + 1] has at
     most colours[p] vertices.  Colours never decrease along order.
     """
-    if row1 is None:
-        classes: list[list[int]] = []
-        pairs: list[dict] = []
-    else:  # candidates 0 and 1 are coloured by the pair's test
-        classes = [[0, 1]] if row1[0] is None else [[0], [1]]
-        pairs = [{}, row1]
-    for v in range(len(pairs), len(level)):
-        x = level[v][0]
+    classes: list[list[int]] = []
+    pairs: list[dict] = []
+    for v, (x, _) in enumerate(level):
         row = {}
         pairs.append(row)
         for members in classes:
@@ -291,12 +287,10 @@ def _walk(
     extend (_make_extend), which gives those layers, or None when the
     extended set is not sum-free: that None is the walk's only sum-free
     test.  visit(level, depth, chosen) sees each level once, depth being
-    len(chosen) + 1, the size of the extended sets, and returns False to
-    skip its subtree, True to enter it, or, in a coloured walk, {0: the
-    layers of chosen + level[0] + level[1], or None} to enter a level whose
-    first pair it has tested (the colouring then reuses that test).  A
-    level is entered only when it is nonempty and could exceed floor[0];
-    visitors may raise floor[0] as they go.
+    len(chosen) + 1, the size of the extended sets, and returns True to
+    enter its subtree or False to skip it.  A level is visited only when
+    it is nonempty and could exceed floor[0]; visitors may raise floor[0]
+    as they go.
 
     By default a level branches on its candidates in its order, the child
     of x being the candidates after x that stay addable with it, and the
@@ -326,8 +320,7 @@ def _walk(
     depth = len(chosen)
     if not level or depth + len(level) <= floor[0]:
         return
-    entered = visit(level, depth + 1, chosen)
-    if not entered:
+    if not visit(level, depth + 1, chosen):
         return
     if not coloured:
         for i, (x, lx) in enumerate(level):
@@ -336,7 +329,7 @@ def _walk(
             child = _addable(extend, lx, [y for y, _ in level[i + 1:]])
             _walk(extend, floor, visit, child, chosen + (x,))
         return
-    by_colour, colours, pairs = _first_fit(extend, level, None if entered is True else entered)
+    by_colour, colours, pairs = _first_fit(extend, level)
     for p in range(len(level) - 1, -1, -1):
         if depth + colours[p] <= floor[0]:
             return
@@ -455,13 +448,16 @@ def lambda_exact(
     nodes_explored counts the sets the search visits.  progress, when
     given, is called as progress(nodes, depth, best) with nodes a multiple
     of progress_interval, once per level that crosses one; best never drops
-    and never falls below the constructive witness's size.
+    and never falls below the constructive witness's size.  An interval
+    below 1 raises ValueError, whether or not progress is given.
     Results are cached per process and (group, k, l), for the last
     _EXACT_CACHE_MAX instances searched: a repeated call searches nothing,
     never calls progress, and returns the first search's result with
     cached=True.  limit caps g.n (None lifts it).
     """
     _check_limit(g.n, limit, "exact search")
+    if progress_interval < 1:
+        raise ValueError(f"progress_interval must be >= 1, got {progress_interval}")
     key = (g.factors, kl.k, kl.l)
     hit = _EXACT_CACHE.get(key)
     if hit is not None:
@@ -590,13 +586,13 @@ def enumerate_maximum(
     of orbit b.  A maximum set whose first orbit is b holds some e in
     orbit b, and the h in H with h(r_b) = e maps one of branch b's sets
     onto it; so the closure, which holds every image under H of the sets
-    found, is every maximum set.  Below a complete level (_chain) of depth
-    less than the maximum, every set is sum-free, so the only maximum set
-    there is the chosen set plus the whole level: it is kept when its size
-    is the maximum and the subtree is skipped.  The chain's first step is
-    the pair test of level[0] and level[1], the colouring's first, so a
-    level that is not complete passes that test on to _walk.  limit caps
-    g.n (None lifts it).
+    found, is every maximum set.  The floor keeps every level the walk
+    visits at lambda - |chosen| candidates or more.  At depth lambda each
+    candidate completes a maximum set.  Above it, a level with more
+    candidates is walked; with exactly that many, the only maximum set
+    below is the chosen set plus the whole level, kept when its chain
+    (_chain) never breaks, and the subtree is skipped.  limit caps g.n
+    (None lifts it).
     """
     _check_limit(g.n, limit, "maximum enumeration")
     lam = lambda_exact(g, kl, limit=None).max_size
@@ -607,17 +603,14 @@ def enumerate_maximum(
     extend = _make_extend(g, k, l)
 
     def visit(level, depth, chosen):
-        if depth < lam:
-            if len(level) > 1:
-                first = extend(level[0][1], level[1][0])
-                if first is None or _chain(extend, level, 2, first)[0] < len(level):
-                    return {0: first}
-            # a complete level: the one largest set below it is chosen
-            # plus the whole level
-            if len(chosen) + len(level) == lam:
-                found.append(tuple(sorted(chosen + tuple(x for x, _ in level))))
+        if depth == lam:
+            found.extend(tuple(sorted(chosen + (x,))) for x, _ in level)
             return False
-        found.extend(tuple(sorted(chosen + (x,))) for x, _ in level)
+        if len(chosen) + len(level) > lam:
+            return True
+        # exactly lam: the one maximum set below is chosen plus the whole level
+        if _chain(extend, level)[0] == len(level):
+            found.append(tuple(sorted(chosen + tuple(x for x, _ in level))))
         return False
 
     for orbit, root in _orbit_branches(g, k, l, extend):

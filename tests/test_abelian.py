@@ -69,6 +69,13 @@ def test_make_group_rejects_trivial_and_empty():
         make_group([0, 4])
 
 
+@pytest.mark.parametrize("factors", [[4.0], [2.5], [2, 4.0]])
+def test_make_group_rejects_non_integer_factors(factors):
+    # 4.0 would give GroupSpec(n=4.0) and float bounds downstream
+    with pytest.raises(ValueError, match="positive integers"):
+        make_group(factors)
+
+
 def test_canonicalization_idempotent():
     rng = random.Random(7)
     for _ in range(100):
@@ -323,6 +330,15 @@ def test_divisors_and_primes():
     divisors(12).append(5)  # the cache hands out copies
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
+
+
+def test_prime_factors_and_divisors_reject_non_integers():
+    # no float reaches a divisor rule, cached or not: 6.0 would factor as
+    # {2: 1, 3.0: 1} and divide into [1.0, 2.0, 3.0, 6.0]
+    assert divisors(6) == [1, 2, 3, 6]
+    for call in (prime_factors, divisors):
+        with pytest.raises(ValueError, match="positive integer"):
+            call(6.0)
 
 
 # ---------------------------------------------------------------------------

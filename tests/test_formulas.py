@@ -114,6 +114,12 @@ def test_lambda_cyclic_31_values():
         lambda_cyclic_31(n)
 
 
+def test_lambda_cyclic_21_rejects_a_non_integer_order():
+    # 4.0 would give 2.0: no result involves floating point
+    with pytest.raises(ValueError, match="positive integer"):
+        lambda_cyclic_21(4.0)
+
+
 def test_alpha_21_values():
     assert alpha_21(8) == 4
     assert alpha_21(7) == 2

@@ -222,6 +222,16 @@ def test_lambda_exact_cache_hit_is_marked():
         first.max_size, first.witness, first.nodes_explored)
 
 
+@pytest.mark.parametrize("interval", [0, -1])
+def test_lambda_exact_rejects_a_progress_interval_below_1(interval):
+    # an interval of 0 divided by zero partway through the search, and a
+    # negative one never reported; both are refused before the cache is read
+    g = make_group([30])
+    lambda_exact(g, KL21)
+    with pytest.raises(ValueError, match="progress_interval"):
+        lambda_exact(g, KL21, progress=lambda *a: None, progress_interval=interval)
+
+
 def test_lambda_exact_cache_grows_one_entry_per_miss():
     from klsumfree.oracle import _EXACT_CACHE
 
@@ -483,25 +493,19 @@ def test_count_rejects_a_partition_that_is_not_the_orbits(monkeypatch):
 def _no_level_complete(extend, level, i=0, layers=None):
     """A chain that breaks at the first element it is given: it reports no
     level complete but one its caller has already joined to the end (the
-    empty level, and a level of one compatible pair, whose pair test the
-    enumeration makes before its chain), and tests no pair."""
+    empty level), and tests no pair."""
     return i, layers
 
 
 def test_complete_levels_tally_as_the_walk(monkeypatch):
     # the count tallies a complete level (the chosen set plus all of it
-    # sum-free) by binomials, and the enumeration takes its one largest
-    # set; with no level reported complete, the count's split includes and
-    # excludes each candidate in turn, the enumeration walks every level,
-    # and they must give the same counts, effort and lists
+    # sum-free) by binomials; with no level reported complete, its split
+    # includes and excludes each candidate in turn, and they must give the
+    # same counts and effort
     from klsumfree import oracle
 
     def results():
-        return [
-            (oracle._count(g, k, l), [s.indices() for s in enumerate_maximum(g, KLParams(k, l))])
-            for g in groups_up_to(24)
-            for k, l in SEARCH_PAIRS
-        ]
+        return [oracle._count(g, k, l) for g in groups_up_to(24) for k, l in SEARCH_PAIRS]
 
     bulk = results()
     monkeypatch.setattr(oracle, "_chain", _no_level_complete)
@@ -553,14 +557,16 @@ def test_complete_levels_save_extend_calls(monkeypatch, factors, k, l, walked, s
     [
         pytest.param(lambda_exact, [61], 2, 1, 199425, id="lambda-61-2-1"),
         pytest.param(lambda_exact, [4, 16], 2, 1, 9559, id="lambda-4x16-2-1"),
-        pytest.param(enumerate_maximum, [2, 16], 3, 1, 1886, id="enumerate-2x16-3-1"),
+        pytest.param(enumerate_maximum, [2, 16], 3, 1, 1857, id="enumerate-2x16-3-1"),
+        pytest.param(enumerate_maximum, [2] * 5, 2, 1, 5996, id="enumerate-2x2x2x2x2-2-1"),
+        pytest.param(enumerate_maximum, [34], 3, 1, 2872, id="enumerate-34-3-1"),
     ],
 )
 def test_walk_extend_calls_pinned(monkeypatch, entry, factors, k, l, calls):
     # extend calls of one coloured walk: the colouring's pair tests, the
-    # child layers, the branch roots and, for the enumeration, the
-    # complete-level chains, whose first step is also the colouring's
-    # first pair test and runs once; a change that adds pair tests moves
+    # child layers, the branch roots and, for the enumeration, the chains
+    # of the levels that hold exactly a maximum set's remaining
+    # candidates; a change that adds pair tests moves
     # these before it moves a time.  The enumeration's lambda comes from
     # the cache, so only its own walk is counted
     from klsumfree import oracle

@@ -323,15 +323,14 @@ def colour_classes(adj):
 
 
 @fixed
-@given(graphs(), st.booleans())
-def test_colour_classes_bound_the_cliques_of_each_prefix(adj, seeded):
+@given(graphs())
+def test_colour_classes_bound_the_cliques_of_each_prefix(adj):
     # the exact search cuts a branch on colours[p]: it must bound every
     # clique among the candidates up to order[p]; first-fit asks for the
     # pairs it reads, once each, keeps each answer in the row of the later
-    # candidate, and must colour as the whole graph's classes do; a level
-    # whose first pair was tested before (the enumeration's chain) is
-    # coloured from that test without asking again.  Candidate v of the
-    # level is (v, v), and the "layers" of a compatible pair are (u, v)
+    # candidate, and must colour as the whole graph's classes do.
+    # Candidate v of the level is (v, v), and the "layers" of a compatible
+    # pair are (u, v)
     asked = []
 
     def extend(u, v):
@@ -339,8 +338,7 @@ def test_colour_classes_bound_the_cliques_of_each_prefix(adj, seeded):
         return (u, v) if adj[u] >> v & 1 else None
 
     level = [(v, v) for v in range(len(adj))]
-    row1 = {0: extend(0, 1)} if seeded and len(adj) > 1 else None
-    order, colours, pairs = _first_fit(extend, level, row1)
+    order, colours, pairs = _first_fit(extend, level)
     assert (order, colours) == colour_classes(adj)
     assert all(u < v for u, v in asked) and len(set(asked)) == len(asked), asked
     assert sorted((u, v) for v, row in enumerate(pairs) for u in row) == sorted(asked)
