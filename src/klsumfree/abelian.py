@@ -14,9 +14,11 @@ rule that ranges over divisors for a (k,l) pair lives in formulas.
 A mask moves in one way, through a padded layout of the same masks
 (PaddedLayout): axis i gets 2*d_i - 1 slots, so adding two padded offsets
 adds the elements without a carry, a whole translate is one shift, and
-one fold per axis brings the sums back.  Sumsets pad and unpad; the
-exhaustive oracle keeps its masks reduced padded, one slot per element,
-and moves them by the per-element moves of translation_ops.
+one fold per axis brings the sums back.  Sumset chains and the
+exhaustive oracle keep their masks reduced padded, one slot per element:
+a chain pads its set once and unpads only the layers it hands back as
+masks of g, and the oracle moves its masks by the per-element moves of
+translation_ops.
 
 Automorphisms enter only as generators: unit scalings, a set of them that
 generates the units of each axis, and transvections (_generator_moves).
@@ -231,9 +233,10 @@ def format_group_spec(g: GroupSpec) -> str:
 #
 # A block is the run of v bits that share every coordinate but the last.
 # pad() moves each of the n/v blocks of a mask to its padded offset.
-# unpad() folds one axis at a time: slots d_i..2d_i-2 of axis i hold sums
+# fold() folds one axis at a time: slots d_i..2d_i-2 of axis i hold sums
 # that wrapped past d_i, so one mask, one shift and one OR move them onto
-# slots 0..d_i-2; then it moves the blocks back.  A block move halves the
+# slots 0..d_i-2, which leaves a reduced padded mask; unpad() folds, then
+# moves the blocks back.  A block move halves the
 # run of blocks and recurses, so each big-int operation touches only the
 # half it splits, O(size * log(n/v)) bit operations in all.  Sums of
 # padded offsets stay below the padded size, so a shift never leaves the
@@ -271,7 +274,10 @@ class PaddedLayout(NamedTuple):
     and offsets[j] are the offsets of the j-th block of g in g and in the
     layout; folds holds, per axis, the mask of the padded slots whose
     coordinate on that axis is below d_i and the padded stride times d_i,
-    the shift that folds the axis.
+    the shift that folds the axis.  pad and unpad move a mask of g in and
+    out; fold keeps a sum of reduced padded masks in the layout, so a
+    chain of sums (sumset._multiples) pads once and unpads only what it
+    hands back.
     """
 
     v: int
@@ -288,12 +294,17 @@ class PaddedLayout(NamedTuple):
         """A subset mask of g in the padded layout."""
         return _move_blocks(bits, self.blocks, self.offsets, 0, len(self.blocks))
 
-    def unpad(self, bits: int) -> int:
-        """The subset mask of g that a padded mask (of any padded sums) stands for."""
+    def fold(self, bits: int) -> int:
+        """The reduced padded mask that a padded mask of sums of two reduced
+        ones stands for: one fold per axis brings each coordinate below d_i."""
         for low, shift in self.folds:
             kept = bits & low
             bits = kept | (bits ^ kept) >> shift
-        return _move_blocks(bits, self.offsets, self.blocks, 0, len(self.blocks))
+        return bits
+
+    def unpad(self, bits: int) -> int:
+        """The subset mask of g that a padded mask (of any padded sums) stands for."""
+        return _move_blocks(self.fold(bits), self.offsets, self.blocks, 0, len(self.blocks))
 
     def translate(self, padded: int, index: int) -> int:
         """The mask of g translated by an element, from its padded mask."""

@@ -40,7 +40,7 @@ from .formulas import (
 )
 from .oracle import DEFAULT_LIMIT_COUNT, DEFAULT_LIMIT_EXACT, LimitExceededError
 from .oracle import alpha_exact, count_sum_free, enumerate_maximum, lambda_exact
-from .sumset import Subset, _rows, _scatter, find_violation, is_kl_sum_free
+from .sumset import Subset, _rows, _scatter, find_violation
 from .witness import best_witness
 
 SCHEMA = "klsumfree/1"
@@ -210,23 +210,17 @@ def cmd_lambda(args) -> int:
     kl = _kl(args)
     method = args.method
     payload = _payload("lambda", kl, g)
-    lines = [f"group {_group_name(g)}, (k,l)=({kl.k},{kl.l})"]
     if kl.diff % g.v == 0:
         payload["note"] = "the exponent divides k-l, so ka = la for every a and the maximum is 0"
-        lines.append("note: v divides k-l; the maximum is 0")
 
     if method in ("formula", "all"):
         try:
-            value, basis = lambda_formula(g, kl)
-            payload["formula"] = value
-            payload["formula_basis"] = basis
-            lines.append(f"formula: {value}  ({basis})")
+            payload["formula"], payload["formula_basis"] = lambda_formula(g, kl)
         except FormulaUnavailableError as exc:
             if method == "formula":
                 raise
             payload["formula"] = None
             payload["formula_note"] = str(exc)
-            lines.append(f"formula: unavailable ({exc})")
 
     if method in ("bounds", "all"):
         rep = lambda_bounds_general(g, kl)
@@ -239,6 +233,33 @@ def cmd_lambda(args) -> int:
             "argmax_upper": rep.argmax_upper,
             "degenerate": rep.degenerate,
         }
+
+    if method in ("exact", "all"):
+        try:
+            res = lambda_exact(g, kl, limit=_limit_for(args, "EXACT"))
+            payload["exact"] = {
+                "value": res.max_size,
+                "nodes_explored": res.nodes_explored,
+                "witness": res.witness,
+            }
+        except LimitExceededError as exc:
+            if method == "exact":
+                raise
+            payload["exact"] = None
+            payload["exact_note"] = _limit_message(exc)
+
+    if args.json:
+        _emit_json(payload)
+        return 0
+    lines = [f"group {_group_name(g)}, (k,l)=({kl.k},{kl.l})"]
+    if "note" in payload:
+        lines.append("note: v divides k-l; the maximum is 0")
+    if "formula" in payload:
+        if payload["formula"] is None:
+            lines.append(f"formula: unavailable ({payload['formula_note']})")
+        else:
+            lines.append(f"formula: {payload['formula']}  ({payload['formula_basis']})")
+    if "bounds" in payload:
         lines.append(
             f"bounds: [{rep.lower}, {rep.upper}]"
             + (
@@ -253,31 +274,16 @@ def cmd_lambda(args) -> int:
                 lo = rep.lower_terms.get(d, "-")
                 up = rep.upper_terms.get(d, "-")
                 lines.append(f"  d={d}: {lo} / {up}")
-
-    if method in ("exact", "all"):
-        try:
-            res = lambda_exact(g, kl, limit=_limit_for(args, "EXACT"))
-            payload["exact"] = {
-                "value": res.max_size,
-                "nodes_explored": res.nodes_explored,
-                "witness": res.witness,
-            }
+    if "exact" in payload:
+        exact = payload["exact"]
+        if exact is None:
+            lines.append(f"exact: skipped ({payload['exact_note']})")
+        else:
             lines.append(
-                f"exact: {res.max_size}  (witness {_format_element(res.witness)}, "
-                f"{res.nodes_explored} nodes)"
+                f"exact: {exact['value']}  (witness {_format_element(exact['witness'])}, "
+                f"{exact['nodes_explored']} nodes)"
             )
-        except LimitExceededError as exc:
-            if method == "exact":
-                raise
-            note = _limit_message(exc)
-            payload["exact"] = None
-            payload["exact_note"] = note
-            lines.append(f"exact: skipped ({note})")
-
-    if args.json:
-        _emit_json(payload)
-    else:
-        print("\n".join(lines))
+    print("\n".join(lines))
     return 0
 
 
@@ -316,9 +322,8 @@ def cmd_verify(args) -> int:
     g = parse_group_spec(args.group)
     kl = _kl(args)
     subset = _parse_set(g, args.set)
-    ok = is_kl_sum_free(subset, kl.k, kl.l)
-    violation = None if ok else find_violation(subset, kl.k, kl.l)
-    assert ok or violation is not None
+    violation = find_violation(subset, kl.k, kl.l)  # None exactly when the set is sum-free
+    ok = violation is None
     if args.json:
         tuples = None
         if violation is not None:
@@ -592,7 +597,8 @@ def _parser() -> argparse.ArgumentParser:
 def _too_large(args) -> str:
     """What a command that overflowed or ran out of memory could not hold.
     A subset is a mask of n bits.  find_violation keeps the k sumset
-    layers 1A..kA, so verify with a k above the group's order names k;
+    layers 0A..(k-1)A of a set that is not sum-free, so verify with a k
+    above the group's order names k;
     the exact searches run at a k below n + v (oracle._reduced), so every
     other command names the group."""
     if args.command == "verify" and args.k > parse_group_spec(args.group).n:

@@ -449,15 +449,16 @@ def lambda_exact(
     given, is called as progress(nodes, depth, best) with nodes a multiple
     of progress_interval, once per level that crosses one; best never drops
     and never falls below the constructive witness's size.  An interval
-    below 1 raises ValueError, whether or not progress is given.
+    that is not an int, or is below 1, raises ValueError, whether or not
+    progress is given.
     Results are cached per process and (group, k, l), for the last
     _EXACT_CACHE_MAX instances searched: a repeated call searches nothing,
     never calls progress, and returns the first search's result with
     cached=True.  limit caps g.n (None lifts it).
     """
     _check_limit(g.n, limit, "exact search")
-    if progress_interval < 1:
-        raise ValueError(f"progress_interval must be >= 1, got {progress_interval}")
+    if not isinstance(progress_interval, int) or progress_interval < 1:
+        raise ValueError(f"progress_interval must be an integer >= 1, got {progress_interval!r}")
     key = (g.factors, kl.k, kl.l)
     hit = _EXACT_CACHE.get(key)
     if hit is not None:

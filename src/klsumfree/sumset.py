@@ -18,18 +18,23 @@ so n divides |A| d, and _least_quotient takes the first divisor of v, in
 ascending order, that passes both tests.  _multiples runs the chain of
 layers on R, so is_kl_sum_free, h_fold and find_violation all take a
 lift's layers from its quotient; is_kl_sum_free intersects kR and lR in
-Z_d, and the other two lift each layer they keep (_lifted).  The
+Z_d, and the other two lift each layer they need (_lifted).  The
 difference characterization takes kA and lA from h_fold and forms kA - lA
 in G.
 
-A + B is computed in the padded layout of the group (abelian.PaddedLayout),
-where adding offsets adds elements, by one kernel (_sumset_bits): the
-padded mask of the larger operand is shifted once per element of the
-smaller, and no per-group translation table is built.  The layers hA
-come from one chain, jA = (j-1)A + A (_multiples), in which A is the
-smaller operand of every sumset.  The chain stops at the first layer no
-larger than the one before; every later layer is a translate of it, so
-the chain's length is bounded by the order of the group, not by h.
+Sums are formed in the padded layout of the group (abelian.PaddedLayout),
+where adding offsets adds elements, by one kernel (_sumset_bits): a
+reduced padded mask is shifted once per padded offset of the other
+operand, and the union is folded once per axis; no per-group translation
+table is built.  pair_sumset pads both operands, shifts the larger once
+per element of the smaller and unpads the result.  The layers hA come
+from one chain, jA = (j-1)A + A (_multiples), which pads A and takes its
+offsets once and keeps every layer reduced padded: a layer is unpadded
+only where a caller needs it as a mask of G (h_fold, or a lift's
+_repeat), is_kl_sum_free intersects the padded kA and lA, and
+find_violation walks the padded layers.  The chain stops at the first
+layer no larger than the one before; every later layer is a translate of
+it, so the chain's length is bounded by the order of the group, not by h.
 
 All functions are pure; callers may parallelize sweeps freely.
 """
@@ -38,8 +43,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate, repeat
-from operator import add, sub
-from typing import Iterable, NamedTuple, Optional, Sequence
+from operator import add, mod, mul, sub
+from typing import Container, Iterable, NamedTuple, Optional, Sequence
 
 from .abelian import GroupSpec, PaddedLayout, divisors, make_group, padded_layout
 from .formulas import KLParams
@@ -178,23 +183,23 @@ def _require_same_group(a: Subset, b: Subset) -> None:
         raise ValueError(f"subsets live in different groups: {a.group} vs {b.group}")
 
 
-def _sumset_bits(layout: PaddedLayout, x: int, y: int) -> int:
-    """The mask of A + B from the masks of A and B: the union of the
-    translates of the larger operand's padded mask by each element of the
-    smaller, shifts costing (smaller count) * (padded size) bit operations."""
-    if x.bit_count() > y.bit_count():
-        x, y = y, x
-    padded = layout.pad(y)
+def _sumset_bits(layout: PaddedLayout, offsets: Iterable[int], padded: int) -> int:
+    """The one sumset kernel: the reduced padded mask of A + B, from the
+    padded offsets of A's elements and the reduced padded mask of B.  B
+    is shifted once per offset, then the union is folded once per axis,
+    (|A| + axes) * (padded size) bit operations."""
     out = 0
-    for offset in _set_bits(layout.pad(x)):
+    for offset in offsets:
         out |= padded << offset
-    return layout.unpad(out)
+    return layout.fold(out)
 
 
 def pair_sumset(a: Subset, b: Subset) -> Subset:
     """A + B = {x + y : x in A, y in B}; empty if either input is empty."""
     _require_same_group(a, b)
-    return Subset(a.group, _sumset_bits(padded_layout(a.group), a.bits, b.bits))
+    layout = padded_layout(a.group)
+    x, y = sorted((a.bits, b.bits), key=int.bit_count)  # shift the larger, once per element of the smaller
+    return Subset(a.group, layout.unpad(_sumset_bits(layout, _set_bits(layout.pad(x)), layout.pad(y))))
 
 
 def _repeat(mask: int, d: int, n: int) -> int:
@@ -228,46 +233,71 @@ def _least_quotient(a: Subset) -> Optional[int]:
     return None
 
 
-def _multiples(a: Subset, hs: tuple[int, ...]) -> tuple[Optional[int], list[int]]:
-    """(d, masks): the masks of hX for h in hs, from one chain
-    jX = (j-1)X + X, which stops at the first j with |jX| = |(j-1)X|.
+class _Chain(NamedTuple):
+    """The chain jX = (j-1)X + X of _multiples, in the padded layout of
+    X's group g.
+
+    d is the quotient Z_d that X lives in (None: X is A, in G).  layers
+    maps each kept j, and top, the last layer built, to the reduced padded
+    mask of jX; x is the least index of X.  The chain stopped at top when
+    (top+1)X was no larger than topX, or at the top it was asked for.
+    """
+
+    d: Optional[int]
+    g: GroupSpec
+    layout: PaddedLayout
+    layers: dict[int, int]
+    top: int
+    x: int
+
+    def layer(self, h: int) -> int:
+        """The reduced padded mask of hX: a kept layer for h <= top, else
+        layer top translated by (h - top)x, the multiple taken mod the
+        exponent (_multiples)."""
+        if h <= self.top:
+            return self.layers[h]
+        g, layout = self.g, self.layout
+        return layout.fold(self.layers[self.top] << layout.offset(g.scale_index((h - self.top) % g.v, self.x)))
+
+
+def _multiples(a: Subset, top: int, keep: Container[int]) -> _Chain:
+    """The chain jX = (j-1)X + X of a non-empty A, up to layer top or to
+    the first j with |(j+1)X| = |jX|, every layer a reduced padded mask.
 
     X is A, with d None, or, for a set lifted from a cyclic quotient Z_d
-    (_least_quotient), its residues R in Z_d, with masks over Z_d: then
-    hA = pi^-1(hR) (module docstring), which _lifted gives.  Layer j costs
-    one shift per element of X, which is never larger than (j-1)X; only
-    the layers in hs are kept.  For x in X, (j-1)X + x lies in jX and has
-    as many elements, so once the sizes agree jX = (j-1)X + x, and every
-    later layer is a translate, hX = (j-1)X + (h-j+1)x, with the multiple
-    taken mod the exponent.  The sizes never fall and never pass the
-    order, so the chain stops within that many steps, whatever max(hs).
+    (_least_quotient), its residues R in Z_d: then hA = pi^-1(hR) (module
+    docstring), which _lifted gives.  X's padded offsets are taken once;
+    each layer is one shift of the layer before per element of X, which
+    is never larger than that layer, and one fold per axis, and no layer
+    is unpadded here.  Only the layers in keep, and the last, are kept.
+    For x in X, jX + x lies in (j+1)X and has as many elements, so once
+    the sizes agree (j+1)X = jX + x, and every later layer is a
+    translate, hX = jX + (h-j)x (_Chain.layer).  The sizes never fall
+    and never pass the order, so the chain stops within that many steps,
+    whatever top.
     """
     d = _least_quotient(a)
     g, bits = (a.group, a.bits) if d is None else (make_group([d]), a.bits & ((1 << d) - 1))
-    if not bits:
-        return d, [0] * len(hs)
-    layout, layer, size = padded_layout(g), bits, bits.bit_count()
-    kept = dict.fromkeys(hs, layer)
-    for j in range(2, max(hs) + 1):
-        nxt = _sumset_bits(layout, bits, layer)
+    layout = padded_layout(g)
+    layer, size, layers, j = layout.pad(bits), bits.bit_count(), {}, 1
+    offsets = _set_bits(layer)
+    while j < top:
+        nxt = _sumset_bits(layout, offsets, layer)
         count = nxt.bit_count()
         if count == size:
-            padded, x = layout.pad(layer), (bits & -bits).bit_length() - 1
-            for h in kept:
-                if h >= j:
-                    kept[h] = layout.translate(padded, g.scale_index((h - j + 1) % g.v, x))
             break
-        layer, size = nxt, count
-        if j in kept:
-            kept[j] = layer
-    return d, [kept[h] for h in hs]
+        if j in keep:
+            layers[j] = layer
+        layer, size, j = nxt, count, j + 1
+    layers[j] = layer
+    return _Chain(d, g, layout, layers, j, (bits & -bits).bit_length() - 1)
 
 
-def _lifted(a: Subset, hs: tuple[int, ...]) -> list[int]:
-    """The masks of hA in G for h in hs: _multiples' layers, each lifted
-    back to G when A is a lift."""
-    d, masks = _multiples(a, hs)
-    return masks if d is None else [_repeat(mask, d, a.group.n) for mask in masks]
+def _lifted(chain: _Chain, h: int, n: int) -> int:
+    """The mask of hA in G, of order n: the chain's layer h unpadded, and
+    lifted back to G when A is a lift."""
+    mask = chain.layout.unpad(chain.layer(h))
+    return mask if chain.d is None else _repeat(mask, chain.d, n)
 
 
 def h_fold(a: Subset, h: int) -> Subset:
@@ -280,7 +310,7 @@ def h_fold(a: Subset, h: int) -> Subset:
         raise ValueError(f"h must be a positive integer, got {h}")
     if a.bits == 0:
         return a
-    return Subset(a.group, _lifted(a, (h,))[0])
+    return Subset(a.group, _lifted(_multiples(a, h, ()), h, a.group.n))
 
 
 def negate(a: Subset) -> Subset:
@@ -307,8 +337,8 @@ def is_kl_sum_free(a: Subset, k: int, l: int) -> bool:
     KLParams(k, l)  # raises ValueError unless k > l >= 1
     if a.bits == 0:
         return True
-    _, (kx, lx) = _multiples(a, (k, l))
-    return kx & lx == 0
+    chain = _multiples(a, k, (l,))
+    return chain.layer(k) & chain.layer(l) == 0
 
 
 def is_kl_sum_free_via_difference(a: Subset, k: int, l: int) -> bool:
@@ -374,36 +404,46 @@ def kneser_check(a: Subset, h: int) -> KneserCheck:
 def find_violation(a: Subset, k: int, l: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """A k-tuple and an l-tuple of element indices of A with equal sums, or None.
 
-    Used to print a concrete witnessing identity when verification fails.
-    The tuples are the lexicographically first over index-sorted tuples:
-    the first k-tuple whose sum lies in lA, then the first l-tuple with
-    that sum.  Each is built one element at a time from the layers
-    0A..kA (1A..kA from the chain of _multiples, lifted), taking the
-    smallest a in A with which the remaining layer can still reach the
-    target, so no tuple is enumerated.
+    Used to print a concrete witnessing identity when verification fails;
+    None exactly when is_kl_sum_free holds, decided from the same chain
+    (_multiples) that then gives the tuples.  They are the
+    lexicographically first over index-sorted tuples: the first k-tuple
+    whose sum lies in lA, then the first l-tuple with that sum.  Each is
+    built one element at a time from the reduced padded layers 0A..(k-1)A,
+    taking the smallest a in A with which the remaining layer can still
+    reach the padded goal, so no tuple is enumerated.  A step is one shift
+    of that layer by the running sum, carried as coordinates, and one fold
+    per axis.  A lift's layers are lifted to G and padded there, once each.
     """
     KLParams(k, l)  # raises ValueError unless k > l >= 1
-    g = a.group
-    # 0A = {0}, index 0 being the identity
-    layers = [1] + _lifted(a, tuple(range(1, k + 1)))
-    if layers[k] & layers[l] == 0:
+    if a.bits == 0:
         return None
-    layout = padded_layout(g)
-    padded = [layout.pad(layer) for layer in layers[:k]]
+    chain = _multiples(a, k, range(1, k))
+    if chain.layer(k) & chain.layer(l) == 0:
+        return None
+    g = a.group
+    layout = chain.layout if chain.d is None else padded_layout(g)
+    padded = [1] * k  # 0A = {0}, index 0 being the identity; a k too large stops here
+    for h in range(1, k):
+        padded[h] = chain.layer(h) if chain.d is None else layout.pad(_lifted(chain, h, g.n))
+    factors = g.factors
+    strides = [shift // m for (_, shift), m in zip(layout.folds, factors)]  # a fold shifts by d_i strides
     idxs = a.indices()
+    members = list(zip(idxs, g.coords_of_all(idxs)))
 
-    def first_tuple(h: int, goal: int) -> tuple[list[int], int]:
-        """The first h-tuple of A whose sum lies in the mask goal, and that sum."""
-        combo, total = [], 0
+    def first_tuple(h: int, goal: int) -> tuple[list[int], tuple[int, ...]]:
+        """The first h-tuple of A whose sum lies in the padded mask goal,
+        and that sum's coordinates."""
+        combo, total = [], (0,) * len(factors)
         for rest in reversed(padded[:h]):
-            for i in idxs:
-                s = g.add_index(total, i)
-                if layout.translate(rest, s) & goal:
+            for i, coords in members:
+                s = tuple(map(mod, map(add, total, coords), factors))
+                if layout.fold(rest << sum(map(mul, s, strides))) & goal:
                     combo.append(i)
                     total = s
                     break
         return combo, total
 
-    ktuple, target = first_tuple(k, layers[l])
-    ltuple, _ = first_tuple(l, 1 << target)
+    ktuple, target = first_tuple(k, padded[l])
+    ltuple, _ = first_tuple(l, 1 << sum(map(mul, target, strides)))
     return tuple(ktuple), tuple(ltuple)

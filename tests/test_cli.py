@@ -663,7 +663,7 @@ K_TOO_LARGE = "error: k too large: the sumset layers 1A..kA do not fit in memory
 
 
 # a k of 10^20 on a group of 10 or 12 elements.  verify's identity has k
-# terms: find_violation's tuple(range(1, k + 1)) cannot be sized, and the
+# terms: find_violation's list of k layers cannot be sized, and the
 # message names k, not the group.  The searches run at the reduced pair,
 # here (10, 1) in Z_10 (oracle._reduced), and answer as at that pair.
 ANSWERS_AT_HUGE_K = {

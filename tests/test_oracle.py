@@ -232,6 +232,16 @@ def test_lambda_exact_rejects_a_progress_interval_below_1(interval):
         lambda_exact(g, KL21, progress=lambda *a: None, progress_interval=interval)
 
 
+@pytest.mark.parametrize("interval", [16.5, 2.0])
+def test_lambda_exact_rejects_a_progress_interval_that_is_no_int(interval):
+    # 16.5 on Z_30 (2,1) reported node counts of 16.5 and 49.5, and 2.0
+    # reported floats; both are refused before the cache is read
+    g = make_group([30])
+    lambda_exact(g, KL21)
+    with pytest.raises(ValueError, match="progress_interval"):
+        lambda_exact(g, KL21, progress=lambda *a: None, progress_interval=interval)
+
+
 def test_lambda_exact_cache_grows_one_entry_per_miss():
     from klsumfree.oracle import _EXACT_CACHE
 

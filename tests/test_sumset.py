@@ -4,6 +4,7 @@ sumset-size inequality sweep."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -16,12 +17,14 @@ from klsumfree import (
     divisors,
     find_violation,
     h_fold,
+    invariant_factors,
     is_kl_sum_free,
     is_kl_sum_free_via_difference,
     kneser_check,
     make_group,
     negate,
     pair_sumset,
+    padded_layout,
     stabilizer,
 )
 from klsumfree import sumset
@@ -204,16 +207,17 @@ def test_h_fold_matches_naive():
 
 
 def test_kl_sum_free_adds_a_once_per_layer(monkeypatch):
-    # a set that is no lift is checked in G by the chain jA = (j-1)A + A:
-    # one sumset per layer, each with A as an operand, whose results are
-    # 2A..jA, j being k or the first layer no larger than the one before,
-    # where the chain stops
+    # a set that is no lift is checked in G by the chain jA = (j-1)A + A,
+    # kept in the padded layout: one kernel call per layer, each shifting
+    # the layer before (A..(j-1)A) by A's padded offsets, whose results
+    # unpad to 2A..jA, j being k or the first layer no larger than the one
+    # before, where the chain stops
     calls = []
     counted = sumset._sumset_bits
 
-    def recording(layout, x, y):
-        out = counted(layout, x, y)
-        calls.append((x, y, out))
+    def recording(layout, offsets, padded):
+        out = counted(layout, offsets, padded)
+        calls.append((list(offsets), padded, out))
         return out
 
     monkeypatch.setattr(sumset, "_sumset_bits", recording)
@@ -223,6 +227,8 @@ def test_kl_sum_free_adds_a_once_per_layer(monkeypatch):
         for a in sets:
             if sumset._least_quotient(a) is not None:
                 continue
+            layout = padded_layout(g)
+            shifts = [layout.offset(i) for i in a.indices()]
             layers = [h_fold(a, h).bits for h in range(1, 8)]
             for k in range(2, 8):
                 for l in range(1, k):
@@ -232,8 +238,9 @@ def test_kl_sum_free_adds_a_once_per_layer(monkeypatch):
                         (j for j in range(2, k) if layers[j - 1].bit_count() == layers[j - 2].bit_count()), k
                     )
                     assert len(calls) == stop - 1, (g, a, k, l)
-                    assert all(a.bits in (x, y) for x, y, _ in calls)
-                    assert [out for _, _, out in calls] == layers[1:stop]
+                    assert all(offsets == shifts for offsets, _, _ in calls)
+                    assert [layout.unpad(padded) for _, padded, _ in calls] == layers[: stop - 1]
+                    assert [layout.unpad(out) for _, _, out in calls] == layers[1:stop]
 
 
 def test_negate():
@@ -447,6 +454,40 @@ def test_find_violation_matches_tuple_enumeration():
                 a = Subset(g, bits)
                 assert find_violation(a, k, l) == _find_violation_reference(a, k, l), (g, k, l, a)
     assert lifts > 100
+
+
+def test_find_violation_matches_tuple_enumeration_in_large_groups():
+    # random 8-element sets in groups of order 1,000-20,000 of each shape
+    # Z_N, Z_2xZ_N, Z_3xZ_N, Z_4xZ_N and Z_2xZ_2xZ_N, where every greedy
+    # step shifts a padded layer of 2,000-60,000 slots and folds it on
+    # each axis.  Random sets this sparse are mostly sum-free, so each
+    # pair also gets 7 random members plus a k-sum less an (l-1)-sum of
+    # them, which is not
+    rng = random.Random(47)
+    pairs = [(2, 1), (3, 1), (3, 2), (4, 1), (5, 2)]
+    violations = 0
+    for shape in [(), (2,), (3,), (4,), (2, 2)]:
+        step = max(shape, default=1)
+        for low, high in [(1000, 4000), (4000, 20000)]:
+            width = math.prod(shape) * step
+            m = rng.randrange(low // width, high // width) * step
+            g = make_group(invariant_factors(shape + (m,)))
+            assert len(g.factors) == len(shape) + 1 and low <= g.n <= high
+            for k, l in pairs:
+                members = rng.sample(range(g.n), 7)
+                total = 0
+                for i in rng.choices(members, k=k):
+                    total = g.add_index(total, i)
+                for i in rng.choices(members, k=l - 1):
+                    total = g.add_index(total, g.neg_index(i))
+                sets = [rng.sample(range(g.n), 8), members + [total]]
+                for indices in sets:
+                    a = Subset.from_indices(g, indices)
+                    expected = _find_violation_reference(a, k, l)
+                    assert find_violation(a, k, l) == expected, (g, k, l, a)
+                    assert is_kl_sum_free(a, k, l) == (expected is None), (g, k, l, a)
+                    violations += expected is not None
+    assert violations >= 50, violations
 
 
 def test_find_violation_on_a_lift_in_z20000():
