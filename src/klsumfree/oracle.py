@@ -3,17 +3,18 @@
 One walk, _walk, serves the maximum search and the enumeration: from a
 level it is given, the candidates that each extend a chosen set, it visits
 the tree of (k,l)-sum-free sets that add some of them, with one call per
-depth.  One builder (_addable) makes the root levels, the uncoloured
-children and the count's levels: the elements, in order, that one extend
+depth.  One builder (_addable) makes the root levels, the count's levels
+and the witness search's: the elements, in order, that one extend
 accepts.  Sum-freeness is hereditary (any subset of a sum-free set is
 sum-free), so each level passes its children only the candidates that
 stayed individually addable.  The walk carries a floor: a level is
 visited only when it is nonempty and the current size plus its candidates
-can exceed it.  A coloured walk bounds each level instead: the candidates
-a set adds are pairwise compatible, so a greedy colouring of the level's
-compatibility graph bounds how many it can add (MCQ, Tomita-Seki 2003).
-The colouring is first-fit and tests a pair of candidates only when it
-needs the answer; the walk tests the others only where it branches.
+can exceed it.  It bounds each level more tightly by colouring it: the
+candidates a set adds are pairwise compatible, so a greedy colouring of
+the level's compatibility graph bounds how many it can add (MCQ,
+Tomita-Seki 2003).  The colouring is first-fit and tests a pair of
+candidates only when it needs the answer; the walk tests the others only
+where it branches.
 State per candidate is the tower of sumset layers 1A, 2A, ..., kA,
 updated incrementally when an element is added; the one step that updates
 it (_make_extend) also answers whether the set is still sum-free.
@@ -21,8 +22,10 @@ it (_make_extend) also answers whether the set is still sum-free.
 The maximum search breaks the symmetry of Aut(G): it lists the elements
 orbit by orbit, and for each orbit, from the last to the first, searches
 only the sets that contain the orbit's first element and lie in that orbit
-and the later ones, coloured, with the floor starting at the constructive
-witness.  _orbit_branches builds each branch's root level once, and the
+and the later ones, with the floor starting at the constructive witness.
+When that witness is not maximum, a first-hit search in element-index
+order, with no orbits or colouring, gives the first maximum set.
+_orbit_branches builds each branch's root level once, and the
 search, the count and the enumeration each start from it with one extend.
 Neither cut uses a formula the oracle checks.  The count takes
 the same orbit branches and weights each set by its orbit: every
@@ -35,8 +38,8 @@ addable next to it, and those without it, counted as the chain resumes.
 The candidates the chain keeps form a complete level, one whose chosen set
 plus all of them is sum-free, and heredity makes every set of them
 sum-free, so their sizes are tallied by binomials.  The enumeration of
-maximum sets walks the same branches, coloured, with the floor at
-lambda - 1, closes the sets it finds under the generating automorphisms
+maximum sets walks the same branches with the floor at lambda - 1,
+closes the sets it finds under the generating automorphisms
 (abelian.automorphism_closure), and sorts the closure into element-index
 order.  It enters a level only while the level holds more candidates
 than lambda less the chosen set's size; with exactly that many, the only
@@ -270,36 +273,28 @@ def _first_fit(extend, level) -> tuple[list[int], list[int], list[dict]]:
 
 def _addable(extend, layers, xs) -> list:
     """[(x, layers of the set + x)] for each x of xs, in order, that extend
-    accepts, layers being those of the set: a level of the walk and the
-    count."""
+    accepts, layers being those of the set: a root level of the walk, and
+    a level of the count and of the witness search."""
     return [(x, lx) for x in xs if (lx := extend(layers, x)) is not None]
 
 
-def _walk(
-    extend, floor: list[int], visit, level, chosen: tuple[int, ...], coloured: bool = False
-) -> None:
+def _walk(extend, floor: list[int], visit, level, chosen: tuple[int, ...]) -> None:
     """Walk the tree of (k,l)-sum-free sets that extend chosen by a nonempty
-    subset of the level, one call per depth.
+    subset of the level, one call per depth, colouring every level (MCQ,
+    Tomita-Seki 2003).
 
     A level lists the (x, layers) candidates that extend the chosen set by
     one element, layers being the reduced padded masks of the extended
-    set's sumset layers 1A, ..., kA (_addable builds it).  Each step is one
-    extend (_make_extend), which gives those layers, or None when the
-    extended set is not sum-free: that None is the walk's only sum-free
-    test.  visit(level, depth, chosen) sees each level once, depth being
-    len(chosen) + 1, the size of the extended sets, and returns True to
-    enter its subtree or False to skip it.  A level is visited only when
-    it is nonempty and could exceed floor[0]; visitors may raise floor[0]
-    as they go.
+    set's sumset layers 1A, ..., kA (_addable builds the root levels).
+    Each step is one extend (_make_extend), which gives those layers, or
+    None when the extended set is not sum-free: that None is the walk's
+    only sum-free test.  visit(level, depth, chosen) sees each level once,
+    depth being len(chosen) + 1, the size of the extended sets, and returns
+    True to enter its subtree or False to skip it.  A level is visited
+    only when it is nonempty and could exceed floor[0]; visitors may raise
+    floor[0] as they go, and keep it at or above the depth they are given,
+    so the floor can cut every level.
 
-    By default a level branches on its candidates in its order, the child
-    of x being the candidates after x that stay addable with it, and the
-    sibling loop stops as soon as the chosen set plus the remaining
-    siblings cannot exceed floor[0].
-
-    With coloured, every level is coloured instead (MCQ, Tomita-Seki
-    2003); coloured callers keep floor[0] at or above the depth their
-    visitor is given, so the floor can cut every coloured level.
     Sum-freeness is hereditary, so the elements a set adds to the chosen
     one are pairwise compatible: each pair of them keeps the chosen set
     sum-free.  _first_fit colours the compatibility graph, testing a pair
@@ -322,13 +317,6 @@ def _walk(
         return
     if not visit(level, depth + 1, chosen):
         return
-    if not coloured:
-        for i, (x, lx) in enumerate(level):
-            if len(level) - i <= floor[0] - depth:
-                return
-            child = _addable(extend, lx, [y for y, _ in level[i + 1:]])
-            _walk(extend, floor, visit, child, chosen + (x,))
-        return
     by_colour, colours, pairs = _first_fit(extend, level)
     for p in range(len(level) - 1, -1, -1):
         if depth + colours[p] <= floor[0]:
@@ -343,7 +331,7 @@ def _walk(
                 ly = extend(lv, level[u][0])
             if ly is not None:
                 child.append((level[u][0], ly))
-        _walk(extend, floor, visit, child, chosen + (xv,), coloured=True)
+        _walk(extend, floor, visit, child, chosen + (xv,))
 
 
 def _orbit_branches(g: GroupSpec, k: int, l: int, extend):
@@ -371,21 +359,24 @@ def _search_max(
 ) -> tuple[int, tuple[int, ...], int]:
     """The max visitor: (largest size, a set of that size, nodes visited).
 
-    The branches are _orbit_branches'.  Branch b walks, coloured, the sets
-    that contain the orbit's first element r_b and lie inside orbits b and
-    later.  An automorphism maps a set whose first orbit is b to one that
-    contains r_b, and it keeps every suffix of orbits, so the branches
-    together reach the maximum.  The floor starts at the seed's size (the
-    seed is a verified witness) and rises with every larger set found.
+    The branches are _orbit_branches'.  Branch b walks the sets that
+    contain the orbit's first element r_b and lie inside orbits b and
+    later (_walk).  An automorphism maps a set whose first orbit is b to
+    one that contains r_b, and it keeps every suffix of orbits, so the
+    branches together reach the maximum.  The floor starts at the seed's
+    size (the seed is a verified witness) and rises with every larger set
+    found.
 
     The witness is the seed when the seed is maximum, else the first
-    maximum set in element-index order (enumerate_maximum's first set):
-    an index-order walk with the floor one below the maximum stops at its
-    first hit.  nodes counts the empty set, each branch root and every set
-    either walk visits.
+    maximum set in element-index order (enumerate_maximum's first set),
+    which a first-hit search finds: it adds elements in index order from
+    the empty set, each level (_addable) holding the later elements that
+    keep the set sum-free, stops a level once its remaining candidates
+    cannot reach the maximum, and returns the first set of that size.
+    nodes counts the empty set, each branch root and every set either
+    search visits.
     """
     floor = [len(seed)]
-    best = 0  # the maximum, once known: the witness walk's floor sits below it
     nodes = 1  # the empty set
 
     def tick(level, depth):
@@ -393,7 +384,7 @@ def _search_max(
         before = nodes
         nodes += len(level)
         if progress is not None and nodes // progress_interval > before // progress_interval:
-            progress(nodes - nodes % progress_interval, depth, max(best, floor[0]))
+            progress(nodes - nodes % progress_interval, depth, floor[0])
 
     def visit(level, depth, chosen):
         tick(level, depth)
@@ -404,26 +395,27 @@ def _search_max(
     for orbit, root in _orbit_branches(g, k, l, extend):
         nodes += 1
         floor[0] = max(floor[0], 1)
-        _walk(extend, floor, visit, root, orbit[:1], coloured=True)
+        _walk(extend, floor, visit, root, orbit[:1])
     lam = floor[0]
     if lam == len(seed):
         return lam, seed, nodes
 
-    best = lam
-    witness = seed
+    def first_hit(level, chosen):
+        depth = len(chosen)
+        if depth + len(level) < lam:
+            return None
+        tick(level, depth + 1)
+        if depth + 1 == lam:
+            return chosen + (level[0][0],)
+        for i, (x, lx) in enumerate(level):
+            if len(level) - i < lam - depth:
+                return None
+            hit = first_hit(_addable(extend, lx, [y for y, _ in level[i + 1:]]), chosen + (x,))
+            if hit is not None:
+                return hit
+        return None
 
-    def first_hit(level, depth, chosen):
-        nonlocal witness
-        tick(level, depth)
-        if depth < lam:
-            return True
-        witness = chosen + (level[0][0],)
-        floor[0] = g.n  # stops every sibling loop
-        return False
-
-    floor[0] = lam - 1
-    _walk(extend, floor, first_hit, _addable(extend, [0] * k, range(g.n)), ())
-    return lam, witness, nodes
+    return lam, first_hit(_addable(extend, [0] * k, range(g.n)), ()), nodes
 
 
 # (g.factors, k, l) -> the search's result, oldest first; a miss adds one
@@ -577,10 +569,10 @@ def enumerate_maximum(
     """All (k,l)-sum-free subsets of maximum size, in lexicographic
     index order.  For the degenerate maximum 0 this is just the empty set.
 
-    The branches are _orbit_branches', as in _search_max.  Branch b walks,
-    coloured (see _walk) with the floor one below the maximum, the maximum
-    sets that contain the orbit's first element r_b and lie inside orbits
-    b and later; the sets all branches find are closed under the
+    The branches are _orbit_branches', as in _search_max.  Branch b walks
+    (_walk), with the floor one below the maximum, the maximum sets that
+    contain the orbit's first element r_b and lie inside orbits b and
+    later; the sets all branches find are closed under the
     generating automorphisms (abelian.automorphism_closure).  Each
     generator is an automorphism, and the orbits are those of the group H
     they generate, so H fixes every orbit and carries r_b to each element
@@ -617,7 +609,7 @@ def enumerate_maximum(
     for orbit, root in _orbit_branches(g, k, l, extend):
         if lam == 1:  # no level visits the root {r_b}
             found.append(orbit[:1])
-        _walk(extend, [lam - 1], visit, root, orbit[:1], coloured=True)
+        _walk(extend, [lam - 1], visit, root, orbit[:1])
     return [Subset.from_indices(g, s) for s in sorted(automorphism_closure(g, found))]
 
 

@@ -185,6 +185,25 @@ def test_translation_ops_match_coordinate_addition():
                 assert moved == layout.pad(1 << g.add_index(i, e))
 
 
+def test_translation_ops_fold_only_the_axes_an_element_moves():
+    # an extra fold leaves the moved mask as it is, so the addition test
+    # above cannot see one: a move folds exactly the axes i >= 1 on which
+    # e's coordinate is nonzero, in axis order, and its (top, top_down) is
+    # axis 0's fold only when e's axis-0 coordinate is nonzero
+    for g in [make_group([9]), make_group([2, 4]), make_group([2, 2, 4]), make_group([3, 3, 6])]:
+        layout = padded_layout(g)
+        for e, (shift, folds, top, top_down) in enumerate(translation_ops(g)):
+            coords = g.coords_of(e)
+            assert shift == layout.offset(e)
+            assert folds == tuple(layout.folds[i] for i in range(1, len(coords)) if coords[i])
+            assert (top, top_down) == (layout.folds[0] if coords[0] else (-1, layout.size))
+    # (0, 1, 0) in Z_2 x Z_2 x Z_4 folds axis 1 alone; (1, 0, 0) folds nothing past axis 0
+    g = make_group([2, 2, 4])
+    layout, moves = padded_layout(g), translation_ops(g)
+    assert moves[g.index_of((0, 1, 0))][1:] == ((layout.folds[1],), -1, layout.size)
+    assert moves[g.index_of((1, 0, 0))][1:] == ((),) + layout.folds[0]
+
+
 def test_padded_layout_adds_without_carry():
     for g in [make_group([9]), make_group([2, 4]), make_group([3, 3, 6]), make_group([2, 2, 2, 2])]:
         layout = padded_layout(g)

@@ -6,6 +6,11 @@ the package's answers and not the oracle's."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,6 +94,30 @@ def test_lambda_matches_independent_oracle_on_orders_25_to_32():
         for k, l in [(2, 1), (3, 1), (3, 2), (4, 1), (5, 2)]:
             got = lambda_exact(g, KLParams(k, l)).max_size
             assert got == independent.max_size(list(g.factors), k, l), (g, k, l)
+
+
+def test_independent_oracle_loads_no_package_module():
+    # in a fresh interpreter that could import klsumfree, importing the
+    # oracle and answering one question of each kind loads no module of it
+    tests = Path(__file__).resolve().parent
+    src = tests.parent / "src"
+    code = (
+        "import sys\n"
+        "import independent\n"
+        "independent.max_size([2, 4], 3, 1)\n"
+        "independent.by_size([2, 4], 3, 1)\n"
+        "independent.maximum_sets([2, 4], 3, 1)\n"
+        "import importlib.util\n"
+        "assert importlib.util.find_spec('klsumfree') is not None\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'klsumfree'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(tests), str(src)])},
+        capture_output=True,
+        text=True,
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
 
 
 def test_independent_oracle_on_small_cases():

@@ -35,8 +35,9 @@ from klsumfree import (
     make_group,
 )
 from klsumfree.abelian import divisors
-from klsumfree.oracle import _addable, _ap_maxima, _count, _make_extend, _reduced, _search_max, _walk
+from klsumfree.oracle import _ap_maxima, _count, _reduced, _search_max
 
+import independent
 from conftest import brute_force_max, groups_up_to, kl_pairs
 
 KL21 = KLParams(2, 1)
@@ -144,35 +145,6 @@ def test_hard_instances_value_and_effort_pinned(factors, k, l, value, nodes):
         assert bounds.lower == bounds.upper == value
 
 
-def _index_order_walk(g, k, l, floor, visit):
-    """Walk every sum-free set of g, uncoloured, adding elements in
-    element-index order from the empty set."""
-    extend = _make_extend(g, k, l)
-    _walk(extend, floor, visit, _addable(extend, [0] * k, range(g.n)), ())
-
-
-def _search_max_reference(g, k, l, seed, progress, progress_interval=65536):
-    """The search before orbit branching: one walk in element-index order,
-    its floor starting at the seed and raised on every larger set."""
-    floor = [len(seed)]
-    best_set = seed
-    nodes = 1  # the empty set
-
-    def visit(level, depth, chosen):
-        nonlocal nodes, best_set
-        before = nodes
-        nodes += len(level)
-        if depth > floor[0]:
-            floor[0] = depth
-            best_set = chosen + (level[0][0],)
-        if progress is not None and nodes // progress_interval > before // progress_interval:
-            progress(nodes - nodes % progress_interval, depth, floor[0])
-        return True
-
-    _index_order_walk(g, k, l, floor, visit)
-    return floor[0], best_set, nodes
-
-
 # where the constructive witness is not maximum, the witness comes from the
 # search itself; these are all such instances of order <= 40 at SEARCH_PAIRS
 GAP_INSTANCES = [
@@ -190,10 +162,22 @@ def test_search_max_matches_reference():
     for g, k, l in instances:
         seed = tuple(best_witness(g, KLParams(k, l)).members.indices())
         size, witness, *_ = _search_max(g, k, l, seed, None)
-        assert (size, witness) == _search_max_reference(g, k, l, seed, None)[:2], (g, k, l)
-        if size > len(seed):
+        assert size == independent.max_size(list(g.factors), k, l), (g, k, l)
+        if size == len(seed):
+            assert witness == seed, (g, k, l)
+        else:
+            assert witness == independent.maximum_sets(list(g.factors), k, l)[0], (g, k, l)
             gaps.append((list(g.factors), k, l))
     assert sorted(gaps) == sorted(GAP_INSTANCES)
+
+
+def test_unseeded_search_gives_the_first_maximum_set():
+    # with no seed every search runs the witness pass: the first maximum
+    # set in index order, () for the maximum 0
+    for g in groups_up_to(24):
+        for k, l in SEARCH_PAIRS:
+            first = independent.maximum_sets(list(g.factors), k, l)[0]
+            assert _search_max(g, k, l, (), None)[:2] == (len(first), first), (g, k, l)
 
 
 def test_progress_best_never_drops_below_seed():
@@ -410,51 +394,6 @@ def test_sum_free_family_downward_closed():
                 probe ^= low
 
 
-def _count_reference(g, k, l):
-    """The count before orbit weighting: one walk in element-index order
-    that visits every nonempty sum-free set once."""
-    by_size = {0: 1}
-
-    def visit(level, depth, chosen):
-        by_size[depth] = by_size.get(depth, 0) + len(level)
-        return True
-
-    _index_order_walk(g, k, l, [0], visit)
-    return by_size
-
-
-def _enumerate_reference(g, k, l, lam):
-    """The enumeration without orbit branches or colouring: one walk in
-    element-index order, the floor one below the maximum."""
-    found = []
-
-    def visit(level, depth, chosen):
-        if depth < lam:
-            return True
-        found.extend(chosen + (x,) for x, _ in level)
-        return False
-
-    _index_order_walk(g, k, l, [lam - 1], visit)
-    return found
-
-
-def test_count_matches_index_order_walk():
-    for g in groups_up_to(20):
-        for k, l in SEARCH_PAIRS:
-            res = count_sum_free(g, KLParams(k, l))
-            assert res.by_size == _count_reference(g, k, l), (g, k, l)
-
-
-def test_enumerate_matches_index_order_walk():
-    for g in groups_up_to(24):
-        for k, l in SEARCH_PAIRS:
-            lam = lambda_exact(g, KLParams(k, l)).max_size
-            if lam:
-                sets = enumerate_maximum(g, KLParams(k, l))
-                found = [tuple(s.indices()) for s in sets]
-                assert found == _enumerate_reference(g, k, l, lam), (g, k, l)
-
-
 @pytest.mark.parametrize(
     "factors, k, l, count, digest",
     [
@@ -590,6 +529,19 @@ def test_walk_extend_calls_pinned(monkeypatch, entry, factors, k, l, calls):
     assert made[0] == calls
 
 
+@pytest.mark.parametrize(
+    "factors, k, l, calls", [_pin([15], 2, 1, 182), _pin([21], 3, 1, 318)]
+)
+def test_witness_pass_extend_calls_pinned(monkeypatch, factors, k, l, calls):
+    # with no seed every search also runs the witness pass: extend calls
+    # of the coloured walk plus the index-order first-hit search, whose
+    # sibling cut stops a level as soon as its remaining candidates cannot
+    # reach lambda (a cut one candidate later makes 185 and 321)
+    made = _count_extend_calls(monkeypatch)
+    _search_max(make_group(factors), k, l, (), None)
+    assert made[0] == calls
+
+
 def _run_with_recursion_limit(frames: int, call: str):
     """Run `print(call)` in a fresh interpreter whose recursion limit sits
     frames above the caller's depth: (exit code, stdout, stderr).  A fresh
@@ -627,10 +579,10 @@ def test_count_recursion_nests_no_deeper_than_the_largest_set():
 
 
 def test_search_recursion_nests_one_frame_per_depth():
-    # the walk makes one call per depth, coloured or not: Z_61 (2,1), whose
-    # seed is already maximum (lambda 20), finishes with the recursion
-    # limit 20 + 8 frames above its caller; it needs 20 in all, where a
-    # walk of two frames per depth needs 35
+    # the walk makes one call per depth: Z_61 (2,1), whose seed is already
+    # maximum (lambda 20), so no witness search runs, finishes with the
+    # recursion limit 20 + 8 frames above its caller; it needs 20 in all,
+    # where a walk of two frames per depth needs 35
     call = "lambda_exact(make_group([61]), KLParams(2, 1), limit=None).max_size"
     assert _run_with_recursion_limit(20 + 8, call) == (0, "20\n", "")
 

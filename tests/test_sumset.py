@@ -302,6 +302,22 @@ def test_lift_is_checked_in_its_least_quotient(monkeypatch):
     assert sumset._least_quotient(Subset(g, a.bits ^ 1)) is None
 
 
+def test_least_quotient_checks_the_period_only_where_the_size_allows(monkeypatch):
+    # an 8-element set of Z_10080 can lift only from a d with 10080 | 8d:
+    # of the 70 divisors tried, only 1260, 2520 and 5040 reach _repeat
+    calls = []
+    repeat = sumset._repeat
+
+    def counted(mask, d, n):
+        calls.append(d)
+        return repeat(mask, d, n)
+
+    monkeypatch.setattr(sumset, "_repeat", counted)
+    a = subset(make_group([10080]), 1, 2, 3, 5, 8, 13, 21, 34)
+    assert sumset._least_quotient(a) is None
+    assert calls == [1260, 2520, 5040]
+
+
 def test_group_and_singletons_are_checked_in_the_group(monkeypatch):
     def no_quotient(factors):
         raise AssertionError(f"reduced to {factors}")
