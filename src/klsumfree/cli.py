@@ -65,20 +65,24 @@ def _payload(command: str, kl: KLParams, g: Optional[GroupSpec] = None, **fields
 def _json_layout(value, pad: str = "") -> str:
     """value laid out as json lays it out with sorted keys and an indent
     of 2, pad being the indent of the line the value starts on.  json's
-    indented encoder runs in pure Python, so containers are laid out here
-    and only keys and scalars go through json.dumps, which encodes them
-    in C.  A Subset is laid out as a list of its members, indices in a
+    indented encoder runs in pure Python, so containers are laid out here,
+    each joined once into its text.  An int is written by int.__repr__,
+    the bytes json writes for it; keys and the other scalars (bools,
+    None, floats, strings) go through json.dumps, which encodes them in
+    C.  A Subset is laid out as a list of its members, indices in a
     cyclic group and coordinate lists otherwise, straight from its
     indices (_members_layout).  A key that is not a str raises
     TypeError, where json would convert it to a string."""
+    if type(value) is int:  # not bool, which json writes as true/false
+        return int.__repr__(value)
     if isinstance(value, Subset):
         return _members_layout(value, pad)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = pad + "  "
-        body = (",\n" + inner).join([_json_layout(v, inner) for v in value])
-        return "[\n" + inner + body + "\n" + pad + "]"
+        sep = ",\n" + inner
+        return f"[\n{inner}{sep.join([_json_layout(v, inner) for v in value])}\n{pad}]"
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -86,8 +90,9 @@ def _json_layout(value, pad: str = "") -> str:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
         inner = pad + "  "
-        items = [json.dumps(k) + ": " + _json_layout(value[k], inner) for k in sorted(value)]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+        sep = ",\n" + inner
+        items = [f"{json.dumps(k)}: {_json_layout(value[k], inner)}" for k in sorted(value)]
+        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
     return json.dumps(value)
 
 
@@ -99,11 +104,13 @@ def _members_layout(s: Subset, pad: str) -> str:
     inner = pad + "  "
     cell = "\n" + inner + "  "
     rows = _rows(s.group, s.indices(), ",\n" + inner, "[" + cell, "," + cell, "\n" + inner + "]")
-    return "[\n" + inner + rows + "\n" + pad + "]"
+    return f"[\n{inner}{rows}\n{pad}]"
 
 
 def _emit_json(payload: dict) -> None:
-    sys.stdout.write(_json_layout(payload) + "\n")
+    out = sys.stdout
+    out.write(_json_layout(payload))
+    out.write("\n")
 
 
 def _limit_value(text: str) -> int:
@@ -146,38 +153,33 @@ def _parse_set(g: GroupSpec, text: str) -> Subset:
 
     Canonical text, ASCII digits with ":" and "," in the pattern the
     group needs, is checked in one pass (the text with its digits deleted
-    must be that pattern) and split into fields once.  Each column of
-    coordinates is converted at once: through a table of numerals when
-    its axis has at most as many elements as the list has items, so no
-    table grows with the group, else by int and a range check; the
-    columns then combine into indices.  Any other text, or a failed
-    conversion or check, goes element by element (int, then
-    GroupSpec.checked_index), which accepts what int accepts (spaces,
-    "+", "_", leading zeros, non-ASCII digits) and names the first bad
-    element in list order.
+    must be that pattern) and read as one json list of its fields, which
+    json's C scanner converts.  Each column of coordinates is then
+    range-checked at once and the columns combine into indices.  Any
+    other text, or text json rejects (leading zeros, an empty field, a
+    numeral past int's digit limit) or a column out of range, goes
+    element by element (int, then GroupSpec.checked_index), which accepts
+    what int accepts (spaces, "+", "_", leading zeros, non-ASCII digits)
+    and names the first bad element in list order.
     """
     text = text.strip()
     m, count = len(g.factors), text.count(",") + 1
     try:
         if text.encode().translate(None, _DIGITS) != ((b"," + b":" * (m - 1)) * count)[1:]:
             raise ValueError
-        fields = text.replace(",", ":").split(":")
+        fields = json.loads("[" + text.replace(":", ",") + "]")
         place, indices = 1, None
         for j in reversed(range(m)):
             d = g.factors[j]
-            if d <= count:
-                numerals = dict(zip(map(str, range(d)), range(0, d * place, place)))
-                column = map(numerals.__getitem__, fields[j::m])
-            else:
-                column = list(map(int, fields[j::m]))
-                if max(column) >= d:
-                    raise ValueError
-                if place > 1:
-                    column = map(mul, column, itertools.repeat(place))
+            column = fields[j::m]
+            if max(column) >= d:  # max of no fields, from empty text, raises too
+                raise ValueError
+            if place > 1:
+                column = map(mul, column, itertools.repeat(place))
             indices = column if indices is None else map(add, column, indices)
             place *= d
         return Subset(g, _scatter(g.n, indices))  # every column is in range
-    except (ValueError, KeyError):
+    except ValueError:
         pass
     indices = []
     for item in filter(None, text.split(",")):

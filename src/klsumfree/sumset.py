@@ -97,7 +97,10 @@ def _rows(g: GroupSpec, indices: Sequence[int], sep: str, start: str, comma: str
     coordinates, then i % v; the elements of a block are consecutive in
     index order, so each block the indices meet is one join of its
     residues, with the rows' shared text, the block's prefix and the
-    row's end, as the separator."""
+    row's end, as the separator.  A block whose residues equal the
+    previous block's reuses that block's numerals, so a set whose blocks
+    are all equal, as a lift from a cyclic quotient is, turns its
+    residues into text once."""
     if g.is_cyclic:
         return sep.join(map(str, indices))
     v = g.v
@@ -107,11 +110,13 @@ def _rows(g: GroupSpec, indices: Sequence[int], sep: str, start: str, comma: str
         hi = bisect_left(indices, base + v, lo)
         bounds.append((base, lo, hi))
         lo = hi
-    blocks = []
+    blocks, last, numerals = [], None, None
     for (base, lo, hi), coords in zip(bounds, g.coords_of_all([b for b, _, _ in bounds])):
         prefix = start + comma.join(map(str, coords[:-1])) + comma
-        residues = map(sub, indices[lo:hi], repeat(base)) if base else indices[lo:hi]
-        blocks.append(prefix + (end + sep + prefix).join(map(str, residues)) + end)
+        residues = list(map(sub, indices[lo:hi], repeat(base))) if base else indices[lo:hi]
+        if residues != last:
+            last, numerals = residues, list(map(str, residues))
+        blocks.append(prefix + (end + sep + prefix).join(numerals) + end)
     return sep.join(blocks)
 
 

@@ -242,18 +242,22 @@ def cyclic_quotient_lift(g: GroupSpec, d: int, residues: Subset) -> Subset:
 
 
 def _lift(base: Union[APWitness, Subset], g: GroupSpec, kl: KLParams) -> LiftedWitness:
-    """Lift a Z_d witness (or bare set) to g and re-verify the preimage."""
+    """Lift a Z_d witness (or bare set) to g and re-verify the preimage.
+    A lift to Z_d itself is the set its caller verified, so it is not
+    checked again."""
     residues = base.members if isinstance(base, APWitness) else base
     d = residues.group.n
     members = cyclic_quotient_lift(g, d, residues)
-    _verify(members, kl, f"lift of a Z_{d} witness to {g}")
+    if members != residues:
+        _verify(members, kl, f"lift of a Z_{d} witness to {g}")
     return LiftedWitness(base=base, group=g, members=members, kl=kl, divisor=d)
 
 
 def lift_witness(base_set: Subset, g: GroupSpec, kl: KLParams) -> LiftedWitness:
     """Pull a verified (k,l)-sum-free subset of Z_d back to G (d | v).
 
-    The preimage has size |base| * n/d and is re-verified after lifting.
+    The preimage has size |base| * n/d and is re-verified after lifting,
+    unless G is Z_d and the preimage is the base set itself.
     """
     if not base_set.group.is_cyclic:
         raise ValueError(f"base set must live in a cyclic group, got {base_set.group}")

@@ -20,6 +20,7 @@ from klsumfree import abelian, cli
 from klsumfree.cli import main
 from klsumfree.formulas import alpha_31
 from klsumfree.sumset import Subset, find_violation
+from klsumfree.witness import cyclic_quotient_lift
 
 from conftest import element_texts, members_json
 
@@ -221,6 +222,29 @@ def test_verify_set_skips_empty_items(capsys):
     assert run_json(capsys, *args, text) == (code, doc, "")
 
 
+@pytest.mark.parametrize(
+    "group, text, members",
+    [
+        ("10", "007,01", [(1,), (7,)]),  # leading zeros
+        ("10", "", []),
+        ("10", "1,,2,", [(1,), (2,)]),  # empty items
+        ("2x4", "01:3,,1:0", [(1, 0), (1, 3)]),
+    ],
+)
+def test_parse_set_reads_what_json_rejects_element_by_element(group, text, members):
+    # each text has the canonical pattern, and json rejects each but the empty one
+    g = abelian.parse_group_spec(group)
+    assert cli._parse_set(g, text) == Subset.from_indices(g, map(g.index_of, members))
+
+
+@pytest.mark.parametrize("prefix", ["", "3,"])
+def test_verify_names_a_numeral_of_5001_digits(capsys, prefix):
+    numeral = "1" * 5001
+    code, out, err = run(capsys, "verify", "--group", "10", "--k", "2", "--l", "1", "--set", prefix + numeral)
+    assert code == 2 and out == "" and err.startswith(f"error: element '{numeral}': ")
+    assert err.count("\n") == 1
+
+
 def test_witness_and_verify_build_no_translation_table(capsys):
     abelian.translation_ops.cache_clear()
     common = ["--group", "20000", "--k", "3", "--l", "2"]
@@ -350,13 +374,18 @@ def test_json_layout_equals_json_dumps(value):
 
 def _layout_cases(rng):
     """(group, set) over every group of order <= 128: the empty set, G,
-    singletons at the block edges, and random sets."""
+    singletons at the block edges, random sets, and for each divisor d of
+    the exponent a random lift from Z_d (every block equal), once as it
+    is and once with one bit of its last block flipped."""
     for g in abelian.all_abelian_groups(128):
         n = g.n
         sets = [Subset.empty(g), Subset.full(g)]
         sets += [Subset.from_indices(g, [i]) for i in sorted({0, 1, g.v - 1, g.v, n // 2, n - 1} & set(range(n)))]
         sets += [Subset(g, rng.getrandbits(n) & rng.getrandbits(n)) for _ in range(3)]
         sets.append(Subset.from_indices(g, rng.sample(range(n), min(n, 8))))
+        for d in abelian.divisors(g.v)[1:]:
+            lift = cyclic_quotient_lift(g, d, Subset(abelian.make_group([d]), rng.getrandbits(d)))
+            sets += [lift, Subset(g, lift.bits ^ 1 << (n - g.v + rng.randrange(g.v)))]
         for s in sets:
             yield g, s
 

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+import klsumfree.witness as witness_module
 from klsumfree import (
     KLParams,
     Subset,
@@ -176,6 +177,23 @@ def test_best_witness_examples():
     assert best_witness(make_group([2, 4]), KL21).size == 4
     w = best_witness(make_group([2, 2]), KL31)
     assert w.size == 0 and w.divisor is None
+
+
+@pytest.mark.parametrize("factors, checks", [([11], 1), ([30], 2), ([2, 4], 2)])
+def test_best_witness_checks_each_distinct_set_once(monkeypatch, factors, checks):
+    # the interval is checked in Z_d, and its lift only when G is not Z_d
+    calls = []
+
+    def counting(s, k, l):
+        calls.append(s)
+        return is_kl_sum_free(s, k, l)
+
+    monkeypatch.setattr(witness_module, "is_kl_sum_free", counting)
+    w = best_witness(make_group(factors), KL21)
+    assert len(calls) == checks and (w.divisor == w.group.n) == (checks == 1)
+    calls.clear()
+    lift_witness(w.base.members, w.group, KL21)
+    assert len(calls) == checks
 
 
 def test_best_witness_achieves_lower_bound():
