@@ -4,12 +4,13 @@ A group is stored as a chain of invariant factors d1 | d2 | ... | dm with
 order n = d1*...*dm and exponent v = dm; make_group takes such a chain
 and invariant_factors rewrites any other list of cyclic factors into one.
 Every element is identified with its mixed-radix index in [0, n) (last
-coordinate least significant), so a subset is an n-bit mask, and the
-group operations are index arithmetic (GroupSpec.add_index, neg_index,
-scale_index).  Coordinates, decoded from indices by coords_of_all, are
-only the form in which elements are shown.  The only number theory here is
-prime_factors and divisors (its lists cached for 1024 orders); every
-rule that ranges over divisors for a (k,l) pair lives in formulas.
+coordinate least significant), so a subset is an n-bit mask.  The one
+operation on a single index is scaling (GroupSpec.scale_index); sums of
+sets are formed on masks, in the padded layout below.  Coordinates,
+decoded from indices by coords_of_all, are only the form in which
+elements are shown.  The only number theory here is prime_factors and
+divisors (its lists cached for 1024 orders); every rule that ranges over
+divisors for a (k,l) pair lives in formulas.
 
 A mask moves in one way, through a padded layout of the same masks
 (PaddedLayout): axis i gets 2*d_i - 1 slots, so adding two padded offsets
@@ -39,7 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 from math import gcd
-from operator import add, floordiv, mod, mul
+from operator import floordiv, mod, mul
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -150,16 +151,6 @@ class GroupSpec(NamedTuple):
                     f"coordinate {c} is outside [0, {d})"
                 )
         return self.index_of(coords)
-
-    def add_index(self, i: int, j: int) -> int:
-        for x in (i, j):
-            if not 0 <= x < self.n:
-                raise ValueError(f"index {x} out of range for group of order {self.n}")
-        ci, cj = self.coords_of_all((i, j))
-        return self.index_of(map(add, ci, cj))
-
-    def neg_index(self, i: int) -> int:
-        return self.index_of(-c for c in self.coords_of(i))
 
     def scale_index(self, h: int, i: int) -> int:
         return self.index_of(h * c for c in self.coords_of(i))

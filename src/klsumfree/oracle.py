@@ -349,13 +349,16 @@ def _orbit_branches(g: GroupSpec, k: int, l: int, extend):
             yield orbit, _addable(extend, extend([0] * k, orbit[0]), order[end + 1:])
 
 
+# the search reports progress each time its node count crosses a multiple of this
+_PROGRESS_INTERVAL = 65536
+
+
 def _search_max(
     g: GroupSpec,
     k: int,
     l: int,
     seed: tuple[int, ...],
     progress: Optional[Callable[[int, int, int], None]],
-    progress_interval: int = 65536,
 ) -> tuple[int, tuple[int, ...], int]:
     """The max visitor: (largest size, a set of that size, nodes visited).
 
@@ -383,8 +386,8 @@ def _search_max(
         nonlocal nodes
         before = nodes
         nodes += len(level)
-        if progress is not None and nodes // progress_interval > before // progress_interval:
-            progress(nodes - nodes % progress_interval, depth, floor[0])
+        if progress is not None and nodes // _PROGRESS_INTERVAL > before // _PROGRESS_INTERVAL:
+            progress(nodes - nodes % _PROGRESS_INTERVAL, depth, floor[0])
 
     def visit(level, depth, chosen):
         tick(level, depth)
@@ -430,7 +433,6 @@ def lambda_exact(
     kl: KLParams,
     limit: Optional[int] = DEFAULT_LIMIT_EXACT,
     progress: Optional[Callable[[int, int, int], None]] = None,
-    progress_interval: int = 65536,
 ) -> SearchResult:
     """Exact maximum size of a (k,l)-sum-free subset of g, with a witness.
 
@@ -439,25 +441,21 @@ def lambda_exact(
     is maximum, else the first maximum set in element-index order.
     nodes_explored counts the sets the search visits.  progress, when
     given, is called as progress(nodes, depth, best) with nodes a multiple
-    of progress_interval, once per level that crosses one; best never drops
-    and never falls below the constructive witness's size.  An interval
-    that is not an int, or is below 1, raises ValueError, whether or not
-    progress is given.
+    of _PROGRESS_INTERVAL, once per level that crosses one; best never
+    drops and never falls below the constructive witness's size.
     Results are cached per process and (group, k, l), for the last
     _EXACT_CACHE_MAX instances searched: a repeated call searches nothing,
     never calls progress, and returns the first search's result with
     cached=True.  limit caps g.n (None lifts it).
     """
     _check_limit(g.n, limit, "exact search")
-    if not isinstance(progress_interval, int) or progress_interval < 1:
-        raise ValueError(f"progress_interval must be an integer >= 1, got {progress_interval!r}")
     key = (g.factors, kl.k, kl.l)
     hit = _EXACT_CACHE.get(key)
     if hit is not None:
         return hit._replace(cached=True)
     seed = best_witness(g, kl)
     size, indices, nodes = _search_max(
-        g, *_reduced(g, kl), tuple(seed.members.indices()), progress, progress_interval
+        g, *_reduced(g, kl), tuple(seed.members.indices()), progress
     )
     result = SearchResult(size, Subset.from_indices(g, indices), nodes)
     if len(_EXACT_CACHE) >= _EXACT_CACHE_MAX:

@@ -2,9 +2,9 @@
 
 A Subset is an immutable bitmask over the element indices of its group.
 The h-fold sumset hA is the set of all sums of h not-necessarily-distinct
-elements of A; a set A is (k,l)-sum-free when kA and lA are disjoint, or
-equivalently when 0 is not in kA - lA.  Both characterizations are
-implemented so they can be checked against each other.
+elements of A; a set A is (k,l)-sum-free when kA and lA are disjoint
+(equivalently, when 0 is not in kA - lA), and is_kl_sum_free checks the
+first form.
 
 A set lifted from a cyclic quotient has its sumset layers built in that
 quotient.  For d | v the index mod d equals the last coordinate mod d, so
@@ -18,9 +18,7 @@ so n divides |A| d, and _least_quotient takes the first divisor of v, in
 ascending order, that passes both tests.  _multiples runs the chain of
 layers on R, so is_kl_sum_free, h_fold and find_violation all take a
 lift's layers from its quotient; is_kl_sum_free intersects kR and lR in
-Z_d, and the other two lift each layer they need (_lifted).  The
-difference characterization takes kA and lA from h_fold and forms kA - lA
-in G.
+Z_d, and the other two lift each layer they need (_lifted).
 
 Sums are formed in the padded layout of the group (abelian.PaddedLayout),
 where adding offsets adds elements, by one kernel (_sumset_bits): a
@@ -57,7 +55,6 @@ __all__ = [
     "h_fold",
     "negate",
     "is_kl_sum_free",
-    "is_kl_sum_free_via_difference",
     "stabilizer",
     "kneser_check",
     "find_violation",
@@ -344,15 +341,6 @@ def is_kl_sum_free(a: Subset, k: int, l: int) -> bool:
         return True
     chain = _multiples(a, k, (l,))
     return chain.layer(k) & chain.layer(l) == 0
-
-
-def is_kl_sum_free_via_difference(a: Subset, k: int, l: int) -> bool:
-    """True iff 0 is not in kA - lA (kA plus the pointwise negation of lA)."""
-    KLParams(k, l)  # raises ValueError unless k > l >= 1
-    if a.bits == 0:
-        return True
-    diff = pair_sumset(h_fold(a, k), negate(h_fold(a, l)))
-    return diff.bits & 1 == 0
 
 
 class StabilizerResult(NamedTuple):

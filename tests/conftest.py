@@ -29,6 +29,28 @@ def element_texts(g: GroupSpec, indices) -> list[str]:
     ]
 
 
+def add(g: GroupSpec, i: int, j: int) -> int:
+    """The index of x_i + x_j in g, added digit by digit in mixed radix
+    (the last axis least significant), each digit mod its factor."""
+    total, place = 0, 1
+    for d in reversed(g.factors):
+        i, a = divmod(i, d)
+        j, b = divmod(j, d)
+        total += (a + b) % d * place
+        place *= d
+    return total
+
+
+def neg(g: GroupSpec, i: int) -> int:
+    """The index of -x_i in g, negated digit by digit as in add."""
+    total, place = 0, 1
+    for d in reversed(g.factors):
+        i, a = divmod(i, d)
+        total += -a % d * place
+        place *= d
+    return total
+
+
 def kl_pairs(max_k: int) -> list[KLParams]:
     """All (k, l) with 1 <= l < k <= max_k."""
     return [KLParams(k, l) for k in range(2, max_k + 1) for l in range(1, k)]

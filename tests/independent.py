@@ -1,20 +1,23 @@
-"""An exhaustive (k,l)-sum-free oracle that shares no code with klsumfree.
+"""A (k,l)-sum-free test and an exhaustive oracle that share no code with
+klsumfree.
 
-It checks the package's exact search and count, so it imports nothing from
-the package.  A group Z_{d_1} x ... x Z_{d_r} is given by its factors; an
-element is its mixed-radix index, the last axis varying fastest, and a
-set is a plain n-bit mask, bit x for element x.  Adding an element to
-every member of a set rotates each block of axis i (d_i * stride_i
-consecutive bits) by the element's coordinate on that axis: two masked
-shifts per axis on which the coordinate is nonzero.
+They check the package's sum-free test, exact search, count and
+enumeration, so they import nothing from the package.  A group
+Z_{d_1} x ... x Z_{d_r} is given by its factors; an element is its
+mixed-radix index, the last axis varying fastest, and a set is a plain
+n-bit mask, bit x for element x.  Adding an element to every member of a
+set rotates each block of axis i (d_i * stride_i consecutive bits) by the
+element's coordinate on that axis: two masked shifts per axis on which
+the coordinate is nonzero.
 
 A set A is (k,l)-sum-free when kA and lA are disjoint.  Its state is the
 tower of layers jA, j = 0..k (0A = {0}); adding x gives the layers of
-A + {x} by out_0 = {0} and out_j = layers_j | (out_{j-1} + x).  The search
-walks the sets in index order, each level keeping only the candidates
-that stay addable, and cuts a branch only when its size plus its
-remaining candidates cannot beat the best found (or, listing the largest
-sets, cannot reach its size).
+A + {x} by out_0 = {0} and out_j = layers_j | (out_{j-1} + x).  The test
+adds a given set's members in turn.  The search walks the sets in index
+order, each level keeping only the candidates that stay addable, and
+cuts a branch only when its size plus its remaining candidates cannot
+beat the best found (or, listing the largest sets, cannot reach its
+size).
 """
 
 from __future__ import annotations
@@ -62,6 +65,20 @@ def make_extend(factors: list[int], k: int, l: int):
         return None if out[k] & out[l] else out
 
     return extend
+
+
+def is_sum_free(factors: list[int], k: int, l: int, indices) -> bool:
+    """Whether the set of the given indices is (k,l)-sum-free.  Its layers
+    are built by adding the members one at a time; once extend refuses a
+    member, the members so far are not sum-free, nor is any set that holds
+    them."""
+    extend = make_extend(factors, k, l)
+    layers = [1] + [0] * k
+    for x in indices:
+        layers = extend(layers, x)
+        if layers is None:
+            return False
+    return True
 
 
 def _roots(factors: list[int], k: int, l: int):

@@ -107,6 +107,7 @@ def test_independent_oracle_loads_no_package_module():
         "independent.max_size([2, 4], 3, 1)\n"
         "independent.by_size([2, 4], 3, 1)\n"
         "independent.maximum_sets([2, 4], 3, 1)\n"
+        "independent.is_sum_free([2, 4], 3, 1, [1, 6])\n"
         "import importlib.util\n"
         "assert importlib.util.find_spec('klsumfree') is not None\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'klsumfree'))\n"
@@ -128,6 +129,12 @@ def test_independent_oracle_on_small_cases():
     assert independent.maximum_sets([2, 2], 2, 1) == [(1, 2), (1, 3), (2, 3)]
     # in Z_2, 3x = x for every x, so only the empty set is (3,1)-sum-free
     assert independent.maximum_sets([2], 3, 1) == [()]
+    # {3, 4} is sum-free as above, and the empty set and {1} of Z_2 as just
+    # said; in Z_5, 2 + 2 + 2 = 1, so {1, 2} is not (3,1)-sum-free
+    assert independent.is_sum_free([7], 2, 1, [3, 4])
+    assert independent.is_sum_free([2], 3, 1, [])
+    assert not independent.is_sum_free([2], 3, 1, [1])
+    assert not independent.is_sum_free([5], 3, 1, [1, 2])
     # adding (1, 1) to {(0, 1)} in Z_2 x Z_3 lands on (1, 2), index 5
     bits = 1 << 1
     for up, low, down in independent.translation_ops([2, 3])[4]:

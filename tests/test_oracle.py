@@ -180,50 +180,34 @@ def test_unseeded_search_gives_the_first_maximum_set():
             assert _search_max(g, k, l, (), None)[:2] == (len(first), first), (g, k, l)
 
 
-def test_progress_best_never_drops_below_seed():
+def test_progress_best_never_drops_below_seed(monkeypatch):
+    from klsumfree import oracle
+
+    monkeypatch.setattr(oracle, "_PROGRESS_INTERVAL", 16)
     g = make_group([30])
     seed = tuple(best_witness(g, KL21).members.indices())
     seen = []
-    _search_max(g, 2, 1, seed, lambda *a: seen.append(a), progress_interval=16)
+    _search_max(g, 2, 1, seed, lambda *a: seen.append(a))
     assert seen
     bests = [best for _, _, best in seen]
     assert bests == sorted(bests) and bests[0] >= len(seed)
 
 
-def test_lambda_exact_cache_hit_is_marked():
-    from klsumfree.oracle import _EXACT_CACHE
+def test_lambda_exact_cache_hit_is_marked(monkeypatch):
+    from klsumfree import oracle
 
+    monkeypatch.setattr(oracle, "_PROGRESS_INTERVAL", 16)
     g = make_group([40])
-    _EXACT_CACHE.pop((g.factors, 2, 1), None)
+    oracle._EXACT_CACHE.pop((g.factors, 2, 1), None)
     calls = []
-    first = lambda_exact(g, KL21, progress=lambda *a: calls.append(a), progress_interval=16)
+    first = lambda_exact(g, KL21, progress=lambda *a: calls.append(a))
     assert not first.cached and calls
     calls.clear()
-    second = lambda_exact(g, KL21, progress=lambda *a: calls.append(a), progress_interval=16)
+    second = lambda_exact(g, KL21, progress=lambda *a: calls.append(a))
     # a hit searches nothing: no progress, and the first search's effort
     assert second.cached and not calls
     assert (second.max_size, second.witness, second.nodes_explored) == (
         first.max_size, first.witness, first.nodes_explored)
-
-
-@pytest.mark.parametrize("interval", [0, -1])
-def test_lambda_exact_rejects_a_progress_interval_below_1(interval):
-    # an interval of 0 divided by zero partway through the search, and a
-    # negative one never reported; both are refused before the cache is read
-    g = make_group([30])
-    lambda_exact(g, KL21)
-    with pytest.raises(ValueError, match="progress_interval"):
-        lambda_exact(g, KL21, progress=lambda *a: None, progress_interval=interval)
-
-
-@pytest.mark.parametrize("interval", [16.5, 2.0])
-def test_lambda_exact_rejects_a_progress_interval_that_is_no_int(interval):
-    # 16.5 on Z_30 (2,1) reported node counts of 16.5 and 49.5, and 2.0
-    # reported floats; both are refused before the cache is read
-    g = make_group([30])
-    lambda_exact(g, KL21)
-    with pytest.raises(ValueError, match="progress_interval"):
-        lambda_exact(g, KL21, progress=lambda *a: None, progress_interval=interval)
 
 
 def test_lambda_exact_cache_grows_one_entry_per_miss():
@@ -754,14 +738,13 @@ def test_alpha_exact_matches_closed_forms_full_range():
         assert alpha_exact(n, KL31) == alpha_31(n)
 
 
-def test_progress_callback_fires():
+def test_progress_callback_fires(monkeypatch):
+    from klsumfree import oracle
+
+    monkeypatch.setattr(oracle, "_PROGRESS_INTERVAL", 256)
     seen = []
     g = make_group([30])
-    _search_max(
-        g, 2, 1, (),
-        lambda nodes, depth, best: seen.append((nodes, depth, best)),
-        progress_interval=256,
-    )
+    _search_max(g, 2, 1, (), lambda nodes, depth, best: seen.append((nodes, depth, best)))
     assert seen, "expected progress reports on an unseeded search"
     nodes, depth, best = seen[0]
     assert nodes % 256 == 0 and depth >= 1 and best >= 0

@@ -1,12 +1,13 @@
 """Property tests over random abelian groups of order <= 64.
 
 Each property is one the unit tests check only at fixed points: the
-index arithmetic against coordinate arithmetic (every other property
-takes it as its reference), bitmask translation and the sumset kernel
-against coordinate addition, negation
-against coordinate negation, the two sum-free characterizations against
-each other, the h-fold sumset against a chain of pair sumsets, quotient
-lifts and the sum-free check of a lift in its quotient, the least
+tests' element addition and negation (conftest.add and neg, which every
+other property takes as its reference) and the package's scaling against
+coordinate arithmetic, bitmask translation and the sumset kernel against
+coordinate addition, negation against coordinate negation, the sum-free
+check against the independent one (independent.is_sum_free), the h-fold
+sumset against a chain of pair sumsets, quotient lifts and the sum-free
+check of a lift in its quotient against the lift's check in G, the least
 quotient against a scan of every divisor, the violation search, the
 --set text reader against a per-element reading, the
 automorphism-orbit key under unit scaling, the exact search's
@@ -33,7 +34,6 @@ from klsumfree import (
     find_violation,
     h_fold,
     is_kl_sum_free,
-    is_kl_sum_free_via_difference,
     make_group,
     negate,
     pair_sumset,
@@ -42,7 +42,8 @@ from klsumfree import cli, sumset
 from klsumfree.abelian import padded_layout, translation_ops
 from klsumfree.oracle import _ap_maxima, _chain, _first_fit, _make_extend
 
-from conftest import height_keys, kl_pairs, move_padded
+import independent
+from conftest import add, height_keys, kl_pairs, move_padded, neg
 from test_oracle import scan_ap_maxima
 
 GROUPS = all_abelian_groups(64)
@@ -71,10 +72,12 @@ def test_index_arithmetic_matches_coordinate_arithmetic(i, j, h1, h2):
         x, y = i % g.n, j % g.n
         cx, cy = coords[x], coords[y]
         mod = g.factors
-        assert g.add_index(x, y) == index[tuple((a + b) % d for a, b, d in zip(cx, cy, mod))]
-        assert g.neg_index(x) == index[tuple(-a % d for a, d in zip(cx, mod))]
+        # the tests' digit-by-digit add and neg, which the other properties
+        # take as their reference, and the package's scaling
+        assert add(g, x, y) == index[tuple((a + b) % d for a, b, d in zip(cx, cy, mod))]
+        assert neg(g, x) == index[tuple(-a % d for a, d in zip(cx, mod))]
         assert g.scale_index(h1, x) == index[tuple(h1 * a % d for a, d in zip(cx, mod))]
-        assert g.scale_index(h1 + h2, x) == g.add_index(g.scale_index(h1, x), g.scale_index(h2, x))
+        assert g.scale_index(h1 + h2, x) == add(g, g.scale_index(h1, x), g.scale_index(h2, x))
 
 
 @fixed
@@ -84,7 +87,7 @@ def test_translation_matches_coordinate_addition(gs):
     layout = padded_layout(g)
     padded = layout.pad(a.bits)
     for e, move in enumerate(translation_ops(g)):
-        expected = Subset.from_indices(g, (g.add_index(i, e) for i in a.indices())).bits
+        expected = Subset.from_indices(g, (add(g, i, e) for i in a.indices())).bits
         assert move_padded(padded, move) == layout.pad(expected)
 
 
@@ -92,7 +95,7 @@ def test_translation_matches_coordinate_addition(gs):
 @given(group_and_set(max_density=2))
 def test_negate_matches_coordinate_negation(gs):
     g, a = gs
-    assert negate(a) == Subset.from_indices(g, map(g.neg_index, a.indices()))
+    assert negate(a) == Subset.from_indices(g, (neg(g, i) for i in a.indices()))
 
 
 @fixed
@@ -106,15 +109,15 @@ def test_sumset_kernels_match_coordinate_addition(gs, data):
         for _ in range(data.draw(st.integers(1, 4))):
             bits &= data.draw(st.integers(0, (1 << g.n) - 1))
         b = Subset(g, bits)
-    expected = Subset.from_indices(g, (g.add_index(i, j) for i in a.indices() for j in b.indices()))
+    expected = Subset.from_indices(g, (add(g, i, j) for i in a.indices() for j in b.indices()))
     assert pair_sumset(a, b) == expected
 
 
 @fixed
 @given(group_and_set(), st.sampled_from(PAIRS))
-def test_sum_free_characterizations_agree(gs, kl):
-    _, a = gs
-    assert is_kl_sum_free(a, *kl) == is_kl_sum_free_via_difference(a, *kl)
+def test_sum_free_check_matches_independent_check(gs, kl):
+    g, a = gs
+    assert is_kl_sum_free(a, *kl) == independent.is_sum_free(list(g.factors), *kl, a.indices())
 
 
 @fixed
@@ -125,22 +128,22 @@ def test_quotient_lift_keeps_size_and_sum_freeness(g, kl, data):
     lifted = cyclic_quotient_lift(g, d, base)
     assert lifted.size == base.size * (g.n // d)
     # is_kl_sum_free checks a lift in its quotient, so the lift is checked
-    # in G by the difference characterization
-    assert is_kl_sum_free_via_difference(lifted, *kl) == is_kl_sum_free(base, *kl)
+    # in G by the independent test
+    assert independent.is_sum_free(list(g.factors), *kl, lifted.indices()) == is_kl_sum_free(base, *kl)
 
 
 @fixed
 @given(st.sampled_from(GROUPS), st.sampled_from(PAIRS), st.data())
 def test_sum_free_check_of_lifts_and_near_lifts(g, kl, data):
     # a lift is checked in Z_d, the lift with one index toggled (rarely a
-    # lift) in G; either way both characterizations and the violation
-    # search agree
+    # lift) in G; either way the independent test and the violation
+    # search agree with it
     d = data.draw(st.sampled_from(divisors(g.v)[1:]))
     lifted = cyclic_quotient_lift(g, d, Subset(make_group([d]), data.draw(st.integers(0, (1 << d) - 1))))
     toggled = Subset(g, lifted.bits ^ 1 << data.draw(st.integers(0, g.n - 1)))
     for a in (lifted, toggled):
         free = is_kl_sum_free(a, *kl)
-        assert free == is_kl_sum_free_via_difference(a, *kl)
+        assert free == independent.is_sum_free(list(g.factors), *kl, a.indices())
         assert (find_violation(a, *kl) is None) == free
 
 
@@ -216,9 +219,9 @@ def test_find_violation_exactly_on_non_sum_free_sets(gs, kl):
         assert all(a.contains_index(i) for i in ktuple + ltuple)
         ksum = lsum = 0
         for i in ktuple:
-            ksum = g.add_index(ksum, i)
+            ksum = add(g, ksum, i)
         for i in ltuple:
-            lsum = g.add_index(lsum, i)
+            lsum = add(g, lsum, i)
         assert ksum == lsum
 
 

@@ -1,10 +1,13 @@
-"""The public names: every module's __all__ holds, and the package
-exports exactly the library modules' __all__ lists."""
+"""The public names: every module's __all__ holds, the package exports
+exactly the library modules' __all__ lists, and the README's examples
+run."""
 
 from __future__ import annotations
 
 import importlib
+import re
 import types
+from pathlib import Path
 
 import pytest
 
@@ -35,3 +38,13 @@ def test_every_exported_name_is_in_some_modules_all():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == listed, (sorted(exported - listed), sorted(listed - exported))
+
+
+def test_readme_python_examples_run():
+    # each ```python block of README.md runs as it stands, so no name an
+    # example uses can leave the package unnoticed
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

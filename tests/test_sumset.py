@@ -19,7 +19,6 @@ from klsumfree import (
     h_fold,
     invariant_factors,
     is_kl_sum_free,
-    is_kl_sum_free_via_difference,
     kneser_check,
     make_group,
     negate,
@@ -29,7 +28,8 @@ from klsumfree import (
 )
 from klsumfree import sumset
 
-from conftest import all_subsets, groups_up_to, subset
+import independent
+from conftest import add, all_subsets, groups_up_to, neg, subset
 
 
 def _h_fold_naive(a: Subset, h: int) -> Subset:
@@ -252,7 +252,7 @@ def test_negate():
     rng = random.Random(43)
     for g in [make_group([2] * 10), make_group([2, 2, 2, 2, 2, 6]), make_group([3] * 5), make_group([20000])]:
         a = Subset.from_indices(g, rng.sample(range(g.n), g.n // 3))
-        assert negate(a) == Subset.from_indices(g, map(g.neg_index, a.indices())), g
+        assert negate(a) == Subset.from_indices(g, (neg(g, i) for i in a.indices())), g
         assert negate(negate(a)) == a
 
 
@@ -336,22 +336,23 @@ def test_group_and_singletons_are_checked_in_the_group(monkeypatch):
                 assert is_kl_sum_free(a, k, l) == (g.scale_index(k - l, x) != 0)
 
 
-def test_characterizations_agree_exhaustively_small():
+def test_sum_free_check_matches_independent_check_exhaustively_small():
     pairs = [(2, 1), (3, 1), (3, 2)]
     for g in groups_up_to(12):
+        factors = list(g.factors)
         for a in all_subsets(g):
             for k, l in pairs:
-                assert is_kl_sum_free(a, k, l) == is_kl_sum_free_via_difference(a, k, l)
+                assert is_kl_sum_free(a, k, l) == independent.is_sum_free(factors, k, l, a.indices())
 
 
-def test_characterizations_agree_random_large():
+def test_sum_free_check_matches_independent_check_random_large():
     rng = random.Random(17)
     pairs = [(2, 1), (3, 1), (4, 3), (5, 2)]
     for g in [make_group([64]), make_group([2, 32]), make_group([2, 2, 16]), make_group([60])]:
         for _ in range(50):
             a = Subset(g, rng.randrange(1 << g.n))
             for k, l in pairs:
-                assert is_kl_sum_free(a, k, l) == is_kl_sum_free_via_difference(a, k, l)
+                assert is_kl_sum_free(a, k, l) == independent.is_sum_free(list(g.factors), k, l, a.indices())
 
 
 def test_stabilizer_examples():
@@ -373,9 +374,9 @@ def test_stabilizer_is_a_subgroup():
             assert h.contains_index(0)
             idx = h.indices()
             for a in idx:
-                assert h.contains_index(g.neg_index(a))
+                assert h.contains_index(neg(g, a))
                 for b in idx:
-                    assert h.contains_index(g.add_index(a, b))
+                    assert h.contains_index(add(g, a, b))
             assert pair_sumset(h, s) == s
 
 
@@ -433,12 +434,12 @@ def _find_violation_reference(a, k, l):
     for combo in itertools.combinations_with_replacement(idxs, l):
         total = 0
         for i in combo:
-            total = g.add_index(total, i)
+            total = add(g, total, i)
         l_sums.setdefault(total, combo)
     for combo in itertools.combinations_with_replacement(idxs, k):
         total = 0
         for i in combo:
-            total = g.add_index(total, i)
+            total = add(g, total, i)
         if total in l_sums:
             return combo, l_sums[total]
     return None
@@ -493,9 +494,9 @@ def test_find_violation_matches_tuple_enumeration_in_large_groups():
                 members = rng.sample(range(g.n), 7)
                 total = 0
                 for i in rng.choices(members, k=k):
-                    total = g.add_index(total, i)
+                    total = add(g, total, i)
                 for i in rng.choices(members, k=l - 1):
-                    total = g.add_index(total, g.neg_index(i))
+                    total = add(g, total, neg(g, i))
                 sets = [rng.sample(range(g.n), 8), members + [total]]
                 for indices in sets:
                     a = Subset.from_indices(g, indices)
