@@ -79,9 +79,15 @@ class KLParams(_KLFields):
         return self.k + self.l
 
 
+def _at_least(name: str, value: int, least: int) -> None:
+    """Reject an order argument below its least value."""
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def delta(d: int, kl: KLParams) -> int:
     """gcd(d, k - l): how far translation by d can be corrected mod k - l."""
-    if d < 1:
+    if d < 1:  # inline, not _at_least: this runs once per divisor
         raise ValueError(f"d must be >= 1, got {d}")
     return gcd(d, kl.diff)
 
@@ -156,8 +162,7 @@ def lambda_cyclic_21(n: int) -> int:
     (p+1)/p * n/3 with p the smallest prime divisor congruent to 2 mod 3,
     else floor(n/3).  Both are computed and must agree.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _at_least("n", n, 2)
     max_form = max((d + 1) // 3 * (n // d) for d in divisors(n))
     p = next((q for q in sorted(prime_factors(n)) if q % 3 == 2), None)
     case_form = (p + 1) * n // (3 * p) if p is not None else n // 3
@@ -175,8 +180,7 @@ def lambda_cyclic_31(n: int) -> int:
     floor((d+2)/4) * n/d.  Case form: (p+1)/p * n/4 with p the smallest
     prime divisor congruent to 3 mod 4, else floor(n/4).
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _at_least("n", n, 2)
     max_form = max(
         ((d + 2) // 4 * (n // d) for d in divisors(n) if d % 4 != 2), default=0
     )
@@ -197,8 +201,7 @@ def lambda_cyclic_31(n: int) -> int:
 
 def alpha_21(n: int) -> int:
     """Longest sum-free progression in Z_n: n/2 if n even, else floor((n+1)/3)."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _at_least("n", n, 2)
     return n // 2 if n % 2 == 0 else (n + 1) // 3
 
 
@@ -208,8 +211,7 @@ def alpha_31(n: int) -> int:
     n/3 when 3 | n; floor((n+2)/4) when 3 does not divide n and
     n is not 2 mod 8; (n-2)/4 when 3 does not divide n and n is 2 mod 8.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _at_least("n", n, 2)
     if n % 3 == 0:
         return n // 3
     if n % 8 == 2:
@@ -233,8 +235,7 @@ def beta_report(n: int, kl: KLParams) -> BetaReport:
     otherwise sandwiched between n/rho1 and max(n/rho1, floor(n/(2 rho2))).
     The n/(2 rho2) term is floored: it bounds a cardinality.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _at_least("n", n, 2)
     if kl.diff % n == 0:
         return BetaReport(0, 0, "divides")
     diff, above_1 = kl.diff, divisors(n)[1:]  # ascending
@@ -256,8 +257,7 @@ def gamma_bounds(n: int, kl: KLParams) -> GammaBounds:
     coprime to n: floor((n-1-delta)/(k+l)) + 1 up to floor((n-2)/(k+l)) + 1,
     delta = gcd(n, k-l).  The lower term is clamped at 0 for degenerate n.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _at_least("n", n, 2)
     return GammaBounds(_lower_term(n, kl), _upper_term(n, kl))
 
 
@@ -314,8 +314,7 @@ def lambda_cyclic_via_alpha(n: int, kl: KLParams, alpha_source: str = "formula")
     "exact" takes every per-divisor value from the oracle's progression
     maxima (oracle.alpha_exact).
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _at_least("n", n, 2)
     if alpha_source == "formula":
         alpha = lambda d: _alpha_formula_exact(d, kl)
     elif alpha_source == "exact":
@@ -360,8 +359,7 @@ def theorem16_condition(v: int, kl: KLParams) -> Theorem16Result:
     Holds when some divisor d of v is not congruent mod k+l to any integer
     in [1, gcd(d, k-l)].  Returns the smallest such divisor.
     """
-    if v < 2:
-        raise ValueError(f"v must be >= 2, got {v}")
+    _at_least("v", v, 2)
     w = kl.weight
     for d in divisors(v):
         residue = d % w
@@ -392,8 +390,7 @@ class ClassReport31(NamedTuple):
 
 
 def lambda_31_class_report(n: int) -> ClassReport31:
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _at_least("n", n, 2)
     d_gt1 = [d for d in divisors(n) if d > 1]
     classes = [
         [d for d in d_gt1 if d % 3 == 0],

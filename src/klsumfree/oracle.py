@@ -667,7 +667,7 @@ def _ap_maxima(n: int, k: int, l: int) -> tuple[int, int, int]:
 
 
 def _ap_value(n: int, kl: KLParams, which: int) -> int:
-    if n < 1:
+    if n < 1:  # inline, not formulas._at_least: this runs once per divisor
         raise ValueError(f"n must be >= 1, got {n}")
     return _ap_maxima(n, kl.k, kl.l)[which]
 

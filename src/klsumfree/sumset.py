@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate, repeat
-from operator import add, mod, mul, sub
+from operator import add, sub
 from typing import Container, Iterable, NamedTuple, Optional, Sequence
 
 from .abelian import GroupSpec, PaddedLayout, divisors, make_group, padded_layout
@@ -404,9 +404,11 @@ def find_violation(a: Subset, k: int, l: int) -> Optional[tuple[tuple[int, ...],
     whose sum lies in lA, then the first l-tuple with that sum.  Each is
     built one element at a time from the reduced padded layers 0A..(k-1)A,
     taking the smallest a in A with which the remaining layer can still
-    reach the padded goal, so no tuple is enumerated.  A step is one shift
-    of that layer by the running sum, carried as coordinates, and one fold
-    per axis.  A lift's layers are lifted to G and padded there, once each.
+    reach the padded goal, so no tuple is enumerated.  The running sum is
+    a one-slot reduced padded mask: a step shifts the remaining layer by
+    it and folds once per axis, then each candidate is one shift and one
+    fold of that, and the chosen one moves the sum by its padded offset.
+    A lift's layers are lifted to G and padded there, once each.
     """
     KLParams(k, l)  # raises ValueError unless k > l >= 1
     if a.bits == 0:
@@ -419,24 +421,21 @@ def find_violation(a: Subset, k: int, l: int) -> Optional[tuple[tuple[int, ...],
     padded = [1] * k  # 0A = {0}, index 0 being the identity; a k too large stops here
     for h in range(1, k):
         padded[h] = chain.layer(h) if chain.d is None else layout.pad(_lifted(chain, h, g.n))
-    factors = g.factors
-    strides = [shift // m for (_, shift), m in zip(layout.folds, factors)]  # a fold shifts by d_i strides
-    idxs = a.indices()
-    members = list(zip(idxs, g.coords_of_all(idxs)))
+    members = list(zip(a.indices(), _set_bits(padded[1])))  # padded[1] is A; padding keeps index order
 
-    def first_tuple(h: int, goal: int) -> tuple[list[int], tuple[int, ...]]:
+    def first_tuple(h: int, goal: int) -> tuple[list[int], int]:
         """The first h-tuple of A whose sum lies in the padded mask goal,
-        and that sum's coordinates."""
-        combo, total = [], (0,) * len(factors)
+        and that sum as a one-slot reduced padded mask."""
+        combo, total = [], 1
         for rest in reversed(padded[:h]):
-            for i, coords in members:
-                s = tuple(map(mod, map(add, total, coords), factors))
-                if layout.fold(rest << sum(map(mul, s, strides))) & goal:
+            moved = layout.fold(rest << total.bit_length() - 1)
+            for i, offset in members:
+                if layout.fold(moved << offset) & goal:
                     combo.append(i)
-                    total = s
+                    total = layout.fold(total << offset)
                     break
         return combo, total
 
     ktuple, target = first_tuple(k, padded[l])
-    ltuple, _ = first_tuple(l, 1 << sum(map(mul, target, strides)))
+    ltuple, _ = first_tuple(l, target)
     return tuple(ktuple), tuple(ltuple)

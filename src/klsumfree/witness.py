@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Union
 
 from .abelian import GroupSpec, make_group
-from .formulas import KLParams, _lower_term, delta, lambda_bounds_general
+from .formulas import KLParams, _at_least, _lower_term, delta, lambda_bounds_general
 from .sumset import Subset, _repeat, is_kl_sum_free
 
 __all__ = [
@@ -151,10 +151,8 @@ def ap_witness(d: int, kl: KLParams, c: int) -> APWitness:
     c = 0 (a verified singleton) is allowed: it is what the per-divisor
     lower-bound term degenerates to for small d.
     """
-    if d < 2:
-        raise ValueError(f"modulus must be >= 2, got {d}")
-    if c < 0:
-        raise ValueError(f"progression length parameter c must be >= 0, got {c}")
+    _at_least("modulus", d, 2)
+    _at_least("progression length parameter c", c, 0)
     dl = delta(d, kl)
     if kl.weight * c > d - 1 - dl:
         raise ValueError(
@@ -170,8 +168,7 @@ def ap_witness_max(d: int, kl: KLParams) -> APWitness:
     floor((d - 1 - delta(d)) / (k+l)) + 1.  When d | k-l that term is 0,
     no progression exists, and an explicit size-0 witness is returned.
     """
-    if d < 2:
-        raise ValueError(f"modulus must be >= 2, got {d}")
+    _at_least("modulus", d, 2)
     size = _lower_term(d, kl)
     if size == 0:
         return APWitness(
@@ -192,8 +189,7 @@ def coset_union_witness(n: int, d: int, kl: KLParams) -> Subset:
     d divides n but not k-l (so kA - lA sits in the nonzero residue k-l
     mod d).
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _at_least("n", n, 2)
     if d <= 1 or n % d != 0 or kl.diff % d == 0:
         raise ValueError(
             f"need a divisor d > 1 of n={n} that does not divide k-l={kl.diff}, got d={d}"

@@ -335,6 +335,24 @@ PINNED_TEXT = [
      "205a8af40f84825d7c74c7834774e74d7df9b61816ca7725b426c1ad6e697869"),
     ("verify --group 2x2x4 --k 3 --l 1 --set 0:1:1,1:0:2,1:1:3", 1,
      "143fdbbd0a65dd2ff6bf36ebb402b615da9fc60362ad88303bdff50bcccafd52"),
+    # lambda: the degenerate note, formula 0 and bounds; a formula that is
+    # unavailable; per-divisor terms; an exact search skipped (--limit
+    # keeps KLSF_LIMIT_EXACT out of the text)
+    ("lambda --group 4 --k 5 --l 1", 0,
+     "2d726c3e3692ba90d76aafa6a743830ee5367c9f209bb488d07e5c3534955b03"),
+    ("lambda --group 12 --k 4 --l 2", 0,
+     "3f59bbb7861dec0fb0787016e4e670bc387a18510f32a5baf0bf729bd90f7be5"),
+    ("lambda --group 12 --k 4 --l 2 --method bounds", 0,
+     "9b78af5f7cb983e74a705986cc21cfc75f588cc48cb991ae2052f7c76cfb08fb"),
+    ("lambda --group 64 --k 2 --l 1 --limit 40", 0,
+     "a64e63aaacd0f9be3bc2836f956bb23188f688484160a0d44b75ab95896b45f2"),
+    # alpha: bounds only, with the search value, and an exact case
+    ("alpha --n 10 --k 3 --l 1", 0,
+     "4469477e60d352ade4b3f5aa4057177c1861130550c7f72331eff37afbd97cb4"),
+    ("alpha --n 12 --k 4 --l 2 --exact", 0,
+     "71a53de28a4c7b8741db1793335c096a51408551f706a0f94ba70ccd595f893e"),
+    ("alpha --n 2 --k 3 --l 1", 0,
+     "692e9faaea98c7e5f1a4f9f48de90284c1c4fb103debf5140dfc6df9410007c9"),
 ]
 
 

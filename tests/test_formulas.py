@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from math import gcd
 
 import pytest
@@ -11,8 +12,12 @@ from klsumfree import (
     FormulaUnavailableError,
     alpha_21,
     alpha_31,
+    alpha_exact,
     alpha_report,
+    ap_witness,
+    ap_witness_max,
     beta_report,
+    coset_union_witness,
     delta,
     gamma_bounds,
     hp_general_bounds,
@@ -270,3 +275,30 @@ def test_lambda_formula_dispatch():
         lambda_formula(make_group([9]), KLParams(4, 1))  # gcd(9,3)=3: bounds only
     with pytest.raises(FormulaUnavailableError):
         lambda_formula(make_group([12]), KLParams(4, 2))
+
+
+@pytest.mark.parametrize(
+    "site, call, message",
+    [
+        ("lambda_cyclic_21", lambda: lambda_cyclic_21(1), "n must be >= 2, got 1"),
+        ("lambda_cyclic_31", lambda: lambda_cyclic_31(1), "n must be >= 2, got 1"),
+        ("alpha_21", lambda: alpha_21(1), "n must be >= 2, got 1"),
+        ("alpha_31", lambda: alpha_31(1), "n must be >= 2, got 1"),
+        ("beta_report", lambda: beta_report(1, KL31), "n must be >= 2, got 1"),
+        ("gamma_bounds", lambda: gamma_bounds(1, KL31), "n must be >= 2, got 1"),
+        ("lambda_cyclic_via_alpha", lambda: lambda_cyclic_via_alpha(1, KL31), "n must be >= 2, got 1"),
+        ("lambda_31_class_report", lambda: lambda_31_class_report(1), "n must be >= 2, got 1"),
+        ("theorem16_condition", lambda: theorem16_condition(1, KL31), "v must be >= 2, got 1"),
+        ("ap_witness-modulus", lambda: ap_witness(1, KL31, 0), "modulus must be >= 2, got 1"),
+        ("ap_witness-c", lambda: ap_witness(9, KL31, -1),
+         "progression length parameter c must be >= 0, got -1"),
+        ("ap_witness_max", lambda: ap_witness_max(1, KL31), "modulus must be >= 2, got 1"),
+        ("coset_union_witness", lambda: coset_union_witness(1, 2, KL31), "n must be >= 2, got 1"),
+        ("delta", lambda: delta(0, KL31), "d must be >= 1, got 0"),
+        ("alpha_exact", lambda: alpha_exact(0, KL31), "n must be >= 1, got 0"),
+    ],
+)
+def test_order_arguments_below_their_least_value_are_rejected(site, call, message):
+    # each order check, at its smallest bad value, with its whole message
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import klsumfree
+from klsumfree.cli import main
 
 LIBRARY = ["abelian", "formulas", "sumset", "witness", "oracle"]
 MODULES = LIBRARY + ["cli"]
@@ -48,3 +49,14 @@ def test_readme_python_examples_run():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_cli_examples_run(capsys):
+    # each klsf line of README.md's CLI block exits 0 when run in-process
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n\n```\n(.*?)^```", readme, re.M | re.S).group(1)
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("klsf ")]
+    assert commands
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()

@@ -404,6 +404,16 @@ def test_kneser_requires_nonempty():
         kneser_check(Subset.empty(make_group([4])), 2)
 
 
+def test_h_fold_of_the_empty_set_is_the_empty_set():
+    empty = Subset.empty(make_group([2, 6]))
+    assert h_fold(empty, 5) is empty
+
+
+def test_kneser_requires_positive_h():
+    with pytest.raises(ValueError, match="^h must be a positive integer, got 0$"):
+        kneser_check(subset(make_group([10]), 1, 2), 0)
+
+
 def test_kneser_smoke_sweep():
     # the full sweep (orders up to 24) runs in the acceptance suite
     rng = random.Random(29)

@@ -291,3 +291,17 @@ def test_members_json_matches_element_by_element_coordinates():
             assert members_json(s) == expected, (g, bits)
             texts = [str(coords[i][0]) if g.is_cyclic else str(coords[i]).replace(" ", "") for i in idx]
             assert element_texts(g, idx) == texts, (g, bits)
+
+
+def test_cyclic_quotient_lift_rejects_residues_that_are_not_a_subset_of_z_d():
+    g12 = make_group([12])
+    with pytest.raises(TypeError, match="^residues must be a Subset of the cyclic group Z_d$"):
+        cyclic_quotient_lift(g12, 3, {0, 1})
+    with pytest.raises(ValueError, match="^residues live in 4, expected the cyclic group of order 3$"):
+        cyclic_quotient_lift(g12, 3, subset(make_group([4]), 1))
+
+
+def test_lift_witness_rejects_a_base_set_in_a_product_group():
+    g24 = make_group([2, 4])
+    with pytest.raises(ValueError, match="^base set must live in a cyclic group, got 2x4$"):
+        lift_witness(subset(g24, 1), g24, KL21)
