@@ -87,8 +87,7 @@ def _at_least(name: str, value: int, least: int) -> None:
 
 def delta(d: int, kl: KLParams) -> int:
     """gcd(d, k - l): how far translation by d can be corrected mod k - l."""
-    if d < 1:  # inline, not _at_least: this runs once per divisor
-        raise ValueError(f"d must be >= 1, got {d}")
+    _at_least("d", d, 1)
     return gcd(d, kl.diff)
 
 

@@ -80,7 +80,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional
 
 from .abelian import GroupSpec, automorphism_closure, automorphism_orbits, divisors, translation_ops
-from .formulas import KLParams
+from .formulas import KLParams, _at_least
 from .sumset import Subset
 from .witness import best_witness
 
@@ -667,8 +667,7 @@ def _ap_maxima(n: int, k: int, l: int) -> tuple[int, int, int]:
 
 
 def _ap_value(n: int, kl: KLParams, which: int) -> int:
-    if n < 1:  # inline, not formulas._at_least: this runs once per divisor
-        raise ValueError(f"n must be >= 1, got {n}")
+    _at_least("n", n, 1)
     return _ap_maxima(n, kl.k, kl.l)[which]
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import klsumfree
-from klsumfree.cli import main
+from klsumfree.cli import _DEFAULT_LIMITS, main
 
 LIBRARY = ["abelian", "formulas", "sumset", "witness", "oracle"]
 MODULES = LIBRARY + ["cli"]
@@ -51,8 +51,11 @@ def test_readme_python_examples_run():
         exec(compile(block, "README.md", "exec"), {})
 
 
-def test_readme_cli_examples_run(capsys):
-    # each klsf line of README.md's CLI block exits 0 when run in-process
+def test_readme_cli_examples_run(capsys, monkeypatch):
+    # each klsf line of README.md's CLI block exits 0 when run in-process,
+    # with no KLSF_LIMIT_* from the caller's environment changing a limit
+    for kind in _DEFAULT_LIMITS:
+        monkeypatch.delenv(f"KLSF_LIMIT_{kind}", raising=False)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"^## CLI\n\n```\n(.*?)^```", readme, re.M | re.S).group(1)
     commands = [line.split()[1:] for line in block.splitlines() if line.startswith("klsf ")]
